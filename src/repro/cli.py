@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -440,6 +441,14 @@ def _cmd_report(args) -> int:
     return cmd_report(args)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cmd_serve(args) -> int:
     from .service.server import serve
 
@@ -567,17 +576,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--jobs",
         type=int,
-        default=1,
-        help="width of the persistent worker pool shared by /batch requests "
-        "(>= 2 keeps warm worker processes across requests)",
+        default=_usable_cpus(),
+        help="width of the persistent worker pool that runs cold /compile "
+        "and /batch work (default: the usable CPU count; 1 compiles inline "
+        "in the handler threads)",
     )
     p_serve.add_argument(
         "--timeout",
         type=float,
         default=None,
         help="per-job compile timeout in seconds; binds pool workers and "
-        "inline /compile-in-handler-thread requests alike (clients may "
-        "override per request with a 'timeout' field)",
+        "inline compiles in handler threads alike (clients may override "
+        "per request with a 'timeout' field)",
     )
     p_serve.add_argument("--iterations", type=int, default=2)
     p_serve.add_argument("--points", type=int, default=48)

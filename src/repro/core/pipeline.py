@@ -306,12 +306,18 @@ class CompilePipeline:
             ctx.phase_seconds[phase.name] = (
                 ctx.phase_seconds.get(phase.name, 0.0) + elapsed
             )
-            METRICS.histogram(
-                "repro_phase_seconds",
-                "Wall-clock seconds spent in each compile pipeline phase.",
-                phase=phase.name,
-            ).observe(elapsed)
+            observe_phase(phase.name, elapsed)
         return ctx
+
+
+def observe_phase(name: str, seconds: float) -> None:
+    """Record one phase's wall clock in the ``repro_phase_seconds``
+    histogram (pool collectors replay the phases workers ran)."""
+    METRICS.histogram(
+        "repro_phase_seconds",
+        "Wall-clock seconds spent in each compile pipeline phase.",
+        phase=name,
+    ).observe(seconds)
 
 
 def compile_core(

@@ -37,7 +37,6 @@ from .scheduler import (
     BatchJob,
     BatchScheduler,
     JobOutcome,
-    _worker_init,
     job_event,
     run_job,
 )
@@ -96,10 +95,9 @@ def run_compile_jobs(
 
     Cache misses may run *inline* in the calling thread (``jobs=1`` with
     no pool, single-job pool-less batches, non-registry targets at any
-    width), configured through module-global worker state — and mpmath
-    precision is process-global — so concurrent callers must pass the same
-    ``inline_lock`` to serialize those sections (pool-dispatched work is
-    unaffected).  Going through
+    width), and mpmath precision is process-global, so concurrent callers
+    must pass the same ``inline_lock`` to serialize those sections
+    (pool-dispatched work is unaffected).  Going through
     :meth:`repro.api.ChassisSession.compile_many` does this for you.
 
     ``trace=True`` asks each freshly-compiled job — wherever it runs —
@@ -133,7 +131,7 @@ def run_compile_jobs(
     pool_batch: list[BatchJob] = []
     inline_jobs: list[tuple[int, BatchJob, Target]] = []
     targets_by_index: dict[int, Target] = {}
-    # What the workers will resolve for themselves (scheduler._worker_init
+    # What the workers will resolve for themselves (scheduler.run_job
     # resolves from the environment the same way); stamped into records.
     oracle_backend = resolve_backend_name() if ledger is not None else ""
 
@@ -163,7 +161,8 @@ def run_compile_jobs(
                 continue
         job = BatchJob(
             index, core_to_source(core), target.name,
-            samples=samples, trace=trace,
+            samples=samples, timeout=timeout, config=config,
+            sample_config=sample_config, trace=trace,
         )
         if _poolable(target):
             pool_batch.append(job)
@@ -175,13 +174,11 @@ def run_compile_jobs(
         scheduler = BatchScheduler(jobs=jobs, timeout=timeout)
         raw.extend(
             scheduler.run(
-                pool_batch, config, sample_config, progress,
-                inline_lock=inline_lock, pool=pool,
+                pool_batch, progress, inline_lock=inline_lock, pool=pool
             )
         )
     if inline_jobs:
         with inline_lock if inline_lock is not None else nullcontext():
-            _worker_init(config, sample_config, timeout)
             for _index, job, target in inline_jobs:
                 outcome = run_job(job, target=target)
                 if progress is not None:
@@ -207,6 +204,7 @@ def run_compile_jobs(
             engine=outcome_dict.get("engine"),
             oracle=outcome_dict.get("oracle"),
             trace=outcome_dict.get("trace"),
+            phases=outcome_dict.get("phases"),
         )
         if outcome.ok and cache is not None:
             cache.put(fingerprint, outcome.payload)

@@ -6,17 +6,17 @@ long-lived front-end like ``repro serve`` paid worker start-up — process
 creation, re-importing :mod:`repro`, re-auto-tuning targets — on **every**
 ``/batch`` request.  A :class:`WorkerPool` is the amortized alternative:
 
-* **lazily created** — no processes exist until the first batch needs them;
+* **lazily created** — no processes exist until the first batch needs
+  them, or until :meth:`start` (``repro serve`` forks its workers from the
+  single-threaded main thread before it listens);
 * **long-lived** — workers stay warm across calls, so consecutive batches
   reuse the same PIDs (observable via :meth:`worker_pids` and the serve
   front-end's ``/health``);
 * **context chosen once** — fork vs forkserver is decided at creation (see
   :func:`~repro.service.scheduler._pool_context`), not per batch;
-* **recycled only when the compile/sample configuration changes** — the
-  pool initializer bakes those into worker state, so a different config
-  means new workers (the common steady state, one config per session,
-  never recycles).  Per-job *timeouts* ride on each job instead, so
-  requests with different timeout knobs share the same warm workers;
+* **configuration-free** — compile/sample configurations and timeouts
+  ride on each :class:`~repro.service.scheduler.BatchJob`, so requests
+  with different knobs share the same warm workers;
 * **watchdog-guarded** — workers enforce per-job timeouts themselves
   (cooperative deadline + SIGALRM), but a worker wedged in C code past its
   whole budget is detected parent-side, reported as a ``timeout`` outcome,
@@ -25,9 +25,10 @@ creation, re-importing :mod:`repro`, re-auto-tuning targets — on **every**
 
 One :class:`WorkerPool` is owned by a
 :class:`~repro.session.ChassisSession` (created when ``jobs >= 2``) and
-shared by ``compile_many``, the serve ``/batch`` endpoint, ``repro batch``,
-registry-target :meth:`~repro.session.ChassisSession.submit` jobs and the
-experiment runners; :meth:`shutdown` drains it in ``session.close()``.
+shared by plain :meth:`~repro.session.ChassisSession.compile` cache misses
+(so serve ``/compile`` and ``submit``), ``compile_many``, the serve
+``/batch`` endpoint, ``repro batch`` and the experiment runners;
+:meth:`shutdown` drains it in ``session.close()``.
 """
 
 from __future__ import annotations
@@ -37,11 +38,14 @@ import multiprocessing
 import threading
 import time
 
-from ..accuracy.sampler import SampleConfig
-from ..core.loop import CompileConfig
 from ..deadline import check_deadline
-from .cache import config_fingerprint
-from .scheduler import BatchJob, _pool_context, _worker_init, job_event, run_job
+from .scheduler import (
+    BatchJob,
+    _pool_context,
+    job_event,
+    observe_worker_phases,
+    run_job,
+)
 
 #: Parent-side slack (seconds) on top of the per-job timeout before the
 #: watchdog declares the pool wedged.  The watchdog is *progress-based*:
@@ -73,8 +77,8 @@ class WorkerPool:
     held only to (re)build the pool and dispatch, never while waiting for
     results, so e.g. several single-job :meth:`~repro.session.
     ChassisSession.submit` batches run in parallel across the warm
-    workers.  Recycling (config change, wedged worker, :meth:`shutdown`)
-    waits until every in-flight batch has collected its outcomes.
+    workers.  Recycling (wedged worker, :meth:`shutdown`) waits until
+    every in-flight batch has collected its outcomes.
     """
 
     def __init__(self, workers: int):
@@ -85,9 +89,8 @@ class WorkerPool:
         self._condition = threading.Condition(self._lock)
         self._pool = None
         self._context = None
-        self._init_key: str | None = None
         #: How many times a pool has been (re)built — 1 after first use;
-        #: still 1 after any number of same-config batches.
+        #: still 1 after any number of batches, whatever their configs.
         self.generation = 0
         #: Batches currently collecting results (dispatch done, lock
         #: released); the pool must not be torn down under them.
@@ -128,35 +131,35 @@ class WorkerPool:
 
     # --- lifecycle --------------------------------------------------------------------
 
-    def _ensure(self, config: CompileConfig, sample_config: SampleConfig):
-        """The live pool for this configuration (recycling if it changed).
+    def start(self) -> None:
+        """Start the workers now rather than on first use.  Called from a
+        single-threaded main thread, this picks ``fork``: the workers
+        inherit the parent's imports instead of re-importing them."""
+        with self._condition:
+            self._ensure()
 
-        Called with the lock held.  Recycles only on a config change or
-        after a watchdog strike, and then only once every in-flight batch
-        has drained (they hold references into the old pool).
+    def _ensure(self):
+        """The live pool (rebuilding it after a watchdog strike).
+
+        Called with the lock held.  A stale pool is rebuilt only once
+        every in-flight batch has drained (they hold references into it).
         """
-        key = config_fingerprint(config, sample_config)
         while True:
             if self._closed:
                 raise RuntimeError("worker pool is closed")
-            if self._pool is not None and key == self._init_key and not self._stale:
+            if self._pool is not None and not self._stale:
                 return self._pool
             if self._active == 0:
                 break
             # Another batch is mid-collection on the old pool; wait, then
-            # re-check — it may have been rebuilt to our key meanwhile.
+            # re-check — it may have been rebuilt meanwhile.
             self._condition.wait()
         self._shutdown_pool()
         if self._context is None:
             # Chosen once for the pool's lifetime: fork when created from a
             # single-threaded main thread, forkserver otherwise.
             self._context = _pool_context()
-        pool = self._context.Pool(
-            processes=self.workers,
-            initializer=_worker_init,
-            initargs=(config, sample_config, None),
-        )
-        self._init_key = key
+        pool = self._context.Pool(processes=self.workers)
         self._stale = False
         self.generation += 1
         # multiprocessing.pool keeps its workers in ._pool; there is no
@@ -168,7 +171,6 @@ class WorkerPool:
 
     def _shutdown_pool(self) -> None:
         pool, self._pool = self._pool, None
-        self._init_key = None
         self._pids = []
         if pool is None:
             return
@@ -215,8 +217,6 @@ class WorkerPool:
     def run_batch(
         self,
         batch: list[BatchJob],
-        config: CompileConfig | None = None,
-        sample_config: SampleConfig | None = None,
         timeout: float | None = None,
         progress=None,
     ) -> list[dict]:
@@ -225,20 +225,19 @@ class WorkerPool:
         Outcomes come back in submission order (the scheduler sorts by
         index anyway); ``progress`` is called per outcome as it lands.
         ``timeout`` is attached to each job (workers arm their own
-        deadline from it), so batches with different timeouts share one
-        warm pool.  A parent-side watchdog additionally guards against a
-        worker wedged past its own in-process alarm: it fires only when
-        *no* completion happens anywhere in the pool for a whole job
-        budget plus grace (progress-based, so concurrent batches queued
-        on the same workers never trip it), reports the stalled jobs as
-        ``timeout`` outcomes, and marks the pool for recycling.
+        deadline from it).  Phases the workers ran are observed in this
+        process's ``repro_phase_seconds`` histogram.  A parent-side
+        watchdog additionally guards against a worker wedged past its own
+        in-process alarm: it fires only when *no* completion happens
+        anywhere in the pool for a whole job budget plus grace
+        (progress-based, so concurrent batches queued on the same workers
+        never trip it), reports the stalled jobs as ``timeout`` outcomes,
+        and marks the pool for recycling.
         """
-        config = config or CompileConfig()
-        sample_config = sample_config or SampleConfig()
         if timeout is not None:
             batch = [dataclasses.replace(job, timeout=timeout) for job in batch]
         with self._condition:
-            pool = self._ensure(config, sample_config)
+            pool = self._ensure()
             pending = [(job, pool.apply_async(run_job, (job,))) for job in batch]
             self._active += 1
             self._progress_mark = time.monotonic()
@@ -255,6 +254,7 @@ class WorkerPool:
                             WATCHDOG_POLL if timeout is not None else None
                         )
                         self._progress_mark = time.monotonic()
+                        observe_worker_phases(outcome)
                     except multiprocessing.TimeoutError:
                         stall = time.monotonic() - self._progress_mark
                         if stall <= timeout + WATCHDOG_GRACE:
@@ -292,13 +292,7 @@ class WorkerPool:
                 self._condition.notify_all()
         return outcomes
 
-    def run_tasks(
-        self,
-        fn,
-        tasks: list,
-        config: CompileConfig | None = None,
-        sample_config: SampleConfig | None = None,
-    ) -> list:
+    def run_tasks(self, fn, tasks: list) -> list:
         """Run small picklable tasks on the warm workers, in task order.
 
         The lightweight sibling of :meth:`run_batch` for sub-job work —
@@ -310,10 +304,8 @@ class WorkerPool:
         machinery and are dropped — without wedging or recycling the
         pool.  Worker exceptions re-raise here.
         """
-        config = config or CompileConfig()
-        sample_config = sample_config or SampleConfig()
         with self._condition:
-            pool = self._ensure(config, sample_config)
+            pool = self._ensure()
             pending = [pool.apply_async(fn, (task,)) for task in tasks]
             self._active += 1
             self._progress_mark = time.monotonic()

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 from ..accuracy.sampler import SampleConfig, SamplingError
 from ..core.loop import CompileConfig
-from ..core.pipeline import compile_core
+from ..core.pipeline import CompilePipeline, PipelineContext, observe_phase
 from ..core.transcribe import Untranscribable
 from ..deadline import DeadlineExceeded, deadline
 from ..egraph.stats import EngineStats, engine_stats_sink
@@ -80,6 +80,7 @@ def job_event(
     engine: dict | None = None,
     oracle: dict | None = None,
     trace: dict | None = None,
+    phases: dict | None = None,
 ) -> dict:
     """The one progress-event / worker-outcome shape.
 
@@ -87,8 +88,9 @@ def job_event(
     cache hits in the api facade, fresh jobs in :func:`run_job` — is built
     here, so the two can never drift apart in shape.  ``engine`` carries
     the job's :class:`~repro.egraph.stats.EngineStats` as a dict and
-    ``trace`` a serialized :class:`~repro.obs.trace.Trace`, so worker
-    processes ship their observability data home with the result.
+    ``trace`` a serialized :class:`~repro.obs.trace.Trace` and ``phases``
+    the per-phase wall-clock seconds, so worker processes ship their
+    observability data home with the result.
     """
     return {
         "index": index,
@@ -103,6 +105,7 @@ def job_event(
         "engine": engine,
         "oracle": oracle,
         "trace": trace,
+        "phases": phases,
     }
 
 
@@ -118,10 +121,13 @@ class BatchJob:
     #: ``sample_core(core, sample_config)`` would produce — the cache
     #: fingerprint assumes samples are a pure function of those two.
     samples: object | None = None
-    #: Per-job timeout (seconds); overrides the worker-state default when
-    #: set.  Riding on the job keeps persistent-pool workers reusable
-    #: across batches with different timeout knobs.
+    #: Per-job timeout (seconds; None = unbounded).
     timeout: float | None = None
+    #: The compile and sample configuration of this job.  Like
+    #: ``timeout`` they ride on the job, so one warm persistent pool
+    #: serves jobs of any configuration without re-initializing workers.
+    config: CompileConfig = field(default_factory=CompileConfig)
+    sample_config: SampleConfig = field(default_factory=SampleConfig)
     #: Record a span trace of this compilation and ship it back in the
     #: outcome (``repro compile --trace`` with pooled jobs).  Engine
     #: counters ship unconditionally; spans only on request.
@@ -158,20 +164,21 @@ class JobOutcome:
     #: Serialized :class:`~repro.obs.trace.Trace` when the job asked for
     #: one (``BatchJob.trace``); merged across workers by ``--trace``.
     trace: dict | None = None
+    #: Per-phase wall-clock seconds of the compile wherever it ran (the
+    #: pipeline's ``phase_seconds``); None for cache hits.
+    phases: dict | None = None
 
     @property
     def ok(self) -> bool:
         return self.status == "ok"
 
 
-# Worker-process state, set once per worker by the pool initializer.
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(config: CompileConfig, sample_config: SampleConfig, timeout: float | None):
-    _WORKER_STATE["config"] = config
-    _WORKER_STATE["sample_config"] = sample_config
-    _WORKER_STATE["timeout"] = timeout
+def observe_worker_phases(outcome: dict) -> None:
+    """Observe the phases a job ran in a worker process in this process's
+    ``repro_phase_seconds`` histogram; the worker's own metrics registry
+    never reaches ``/metrics``."""
+    for phase, seconds in (outcome.get("phases") or {}).items():
+        observe_phase(phase, seconds)
 
 
 def _alarm_handler(_signum, _frame):
@@ -187,12 +194,7 @@ def run_job(job: BatchJob, target=None) -> dict:
     """
     import time
 
-    config: CompileConfig = _WORKER_STATE["config"]
-    sample_config: SampleConfig = _WORKER_STATE["sample_config"]
-    timeout: float | None = (
-        job.timeout if job.timeout is not None else _WORKER_STATE.get("timeout")
-    )
-
+    timeout = job.timeout
     if target is None:
         target = get_target(job.target_name)
     core = parse_fpcore(job.core_source, known_ops=set(target.operators))
@@ -232,6 +234,10 @@ def run_job(job: BatchJob, target=None) -> dict:
         if job.trace else None
     )
     trace_arm = tracing(trace) if trace is not None else nullcontext()
+    ctx = PipelineContext(
+        target=target, config=job.config, sample_config=job.sample_config,
+        evaluator=evaluator, oracle=oracle, core=core, samples=job.samples,
+    )
     try:
         try:
             with deadline(timeout), engine_stats_sink(engine_local), trace_arm:
@@ -239,11 +245,7 @@ def run_job(job: BatchJob, target=None) -> dict:
                     "compile",
                     benchmark=outcome["benchmark"], target=target.name,
                 ):
-                    result = compile_core(
-                        core, target, config, sample_config,
-                        samples=job.samples, evaluator=evaluator,
-                        oracle=oracle,
-                    )
+                    result = CompilePipeline().run(ctx).result
         except EXPECTED_FAILURES as error:
             outcome["status"] = "failed"
             outcome["error_type"] = type(error).__name__
@@ -276,6 +278,8 @@ def run_job(job: BatchJob, target=None) -> dict:
         outcome["payload"] = result_to_dict(result)
     if engine_local.any():
         outcome["engine"] = engine_local.as_dict()
+    if ctx.phase_seconds:
+        outcome["phases"] = dict(ctx.phase_seconds)
     counters = oracle.counters()
     counters.evals += evaluator.evals
     counters.escalations += evaluator.escalations
@@ -319,33 +323,28 @@ class BatchScheduler:
     def run(
         self,
         batch: list[BatchJob],
-        config: CompileConfig | None = None,
-        sample_config: SampleConfig | None = None,
         progress=None,
         inline_lock=None,
         pool=None,
     ) -> list[dict]:
         """Execute every job; returns outcome dicts sorted by job index.
 
-        ``progress``, when given, is called with each outcome dict as it
-        completes (pool order — not deterministic; the return value is).
-        ``inline_lock`` is held around serial in-process execution (see
+        Each job carries its own configuration and timeout.  ``progress``,
+        when given, is called with each outcome dict as it completes (pool
+        order — not deterministic; the return value is).  ``inline_lock``
+        is held around serial in-process execution (see
         :func:`repro.service.api.run_compile_jobs`).  ``pool``, when given,
         is a persistent :class:`~repro.service.pool.WorkerPool` that all
         jobs (even single-job batches — its workers are already warm) are
         dispatched through instead of a per-batch throwaway pool.
         """
-        config = config or CompileConfig()
-        sample_config = sample_config or SampleConfig()
         outcomes: list[dict] = []
         if pool is not None:
             outcomes = pool.run_batch(
-                batch, config, sample_config, timeout=self.timeout,
-                progress=progress,
+                batch, timeout=self.timeout, progress=progress
             )
         elif self.jobs == 1 or len(batch) <= 1:
             with inline_lock if inline_lock is not None else nullcontext():
-                _worker_init(config, sample_config, self.timeout)
                 for job in batch:
                     outcome = run_job(job)
                     if progress is not None:
@@ -354,12 +353,9 @@ class BatchScheduler:
         else:
             context = _pool_context()
             workers = min(self.jobs, len(batch))
-            with context.Pool(
-                processes=workers,
-                initializer=_worker_init,
-                initargs=(config, sample_config, self.timeout),
-            ) as pool:
+            with context.Pool(processes=workers) as pool:
                 for outcome in pool.imap_unordered(run_job, batch):
+                    observe_worker_phases(outcome)
                     if progress is not None:
                         progress(outcome)
                     outcomes.append(outcome)

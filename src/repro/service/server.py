@@ -16,7 +16,10 @@ Endpoints (all bodies JSON):
   ``?fingerprint=<digest-or-8+-char-prefix>`` — every ledger record of
   that job (404 without a ledger or a match).
 * ``POST /compile`` — ``{"core": "<FPCore src>", "target": "c99"}`` plus
-  optional ``iterations``/``points``/``seed``/``timeout`` knobs.  Responds
+  optional ``iterations``/``points``/``seed``/``timeout`` knobs.  A cold
+  compile runs on the session's warm worker pool when it has one (any
+  knobs share the same workers) and inline in the handler thread
+  otherwise.  Responds
   with ``{"status": "ok", ..., "result": <payload>}``; an identical second
   request is served from the warm cache with a **byte-identical** body
   (the ``X-Repro-Cached`` header is the only difference).  The opt-in
@@ -343,8 +346,9 @@ class ChassisRequestHandler(BaseHTTPRequestHandler):
             }, headers={"X-Repro-Cached": "0"})
             return
         except DeadlineExceeded:
-            # Inline compiles run in this handler thread; the cooperative
-            # deadline bounds them even though SIGALRM cannot arm here.
+            # Raised for pooled and inline compiles alike; inline ones run
+            # in this handler thread, where SIGALRM cannot arm, and are
+            # bounded by the cooperative deadline.
             effective = timeout if timeout is not None else self.session.timeout
             self._send_json(200, {
                 "status": "timeout",
@@ -599,7 +603,15 @@ def serve(
 
     Shuts down cleanly on SIGINT *and* SIGTERM (supervisors and CI send
     the latter; background shells ignore the former).
+
+    A session with a worker pool starts its workers here, from the
+    still single-threaded main thread and before the listening socket
+    exists, so they are forked from the already-imported process (not
+    started through a forkserver) and inherit no server socket.
     """
+    pool = session.worker_pool() if session is not None else None
+    if pool is not None:
+        pool.start()
     server = create_server(session, host, port, verbose=verbose)
     bound_host, bound_port = server.server_address[:2]
     print(f"repro serve: listening on http://{bound_host}:{bound_port}", file=sys.stderr)

@@ -7,7 +7,8 @@ A :class:`ChassisSession` holds, for its whole lifetime,
 * an optional persistent :class:`~repro.service.cache.CompileCache`,
 * per-target cost-model and performance-simulator instances,
 * a **persistent** :class:`~repro.service.pool.WorkerPool` (``jobs >= 2``):
-  warm worker processes shared by every batch call until :meth:`close`,
+  warm worker processes that run every plain compile cache miss — single
+  compiles and batch calls alike — until :meth:`close`,
 * the per-job timeout, enforced everywhere — pool workers *and* inline
   compiles on any thread — via :mod:`repro.deadline`,
 * a thread pool backing the async-style :meth:`submit`/:class:`JobHandle`,
@@ -48,7 +49,7 @@ import time
 import weakref
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 from .accuracy.sampler import SampleConfig, SampleSet, SamplingError, sample_core
@@ -99,8 +100,8 @@ from .service.cache import (
     target_fingerprint,
 )
 from .service.pool import WorkerPool
-from .service.results import result_from_dict, result_to_dict
-from .service.scheduler import JobOutcome, JobTimeout
+from .service.results import core_to_source, result_from_dict, result_to_dict
+from .service.scheduler import BatchJob, JobOutcome, JobTimeout
 from .targets import all_targets, get_target
 from .targets.target import Target
 
@@ -217,12 +218,15 @@ class ChassisSession:
     concurrent in-process compilations would race on it.  Sampling now
     batches through the session's oracle backend (``oracle_backend=`` /
     ``REPRO_ORACLE_BACKEND``) and takes that lock only around mpmath
-    escalation-ladder runs; the pipeline itself still holds it (the
-    improvement loop drives the evaluator directly).  True parallelism is process-level: :meth:`compile_many` and
-    registry-target :meth:`submit` jobs run on the session's persistent
+    escalation-ladder runs; an inline pipeline still holds it (the
+    improvement loop drives the evaluator directly).  True parallelism is
+    process-level: with ``jobs >= 2``, plain registry-target compiles —
+    :meth:`compile`, :meth:`submit`, :meth:`compile_many`, serve
+    ``/compile`` — run on the session's persistent
     :class:`~repro.service.pool.WorkerPool`, whose workers stay warm
-    across calls.  ``timeout`` bounds each compilation wherever it runs
-    (cooperative deadline on any thread, SIGALRM backstop in workers).
+    across calls, and take no oracle lock.  ``timeout`` bounds each
+    compilation wherever it runs (cooperative deadline on any thread,
+    SIGALRM backstop in workers).
     """
 
     def __init__(
@@ -290,6 +294,9 @@ class ChassisSession:
         #: Per-fingerprint gates serializing duplicate *sampling* requests
         #: (the global-lock dedup this replaces serialized all sampling).
         self._sample_gates: dict[str, threading.Lock] = {}
+        #: Per-fingerprint gates serializing duplicate *pooled compiles*;
+        #: see :meth:`_compile_gate`.
+        self._compile_gates: dict[str, threading.Lock] = {}
         #: The session's batched oracle backend.  It shares ``evaluator``
         #: (whose counters stay authoritative for in-process work), takes
         #: the oracle lock only around mpmath ladder runs, and — for the
@@ -300,7 +307,6 @@ class ChassisSession:
             evaluator=self.evaluator,
             lock=lambda: self._oracle_section("ladder"),
             pool_provider=self.worker_pool,
-            config_provider=lambda: (self.config, self.sample_config),
         )
         # Keyed by id() (targets are unhashable frozen objects); entries
         # are evicted by a weakref.finalize when their target dies, so a
@@ -641,6 +647,10 @@ class ChassisSession:
         ``timeout`` overrides the session default for this call; running
         past it raises :class:`~repro.deadline.DeadlineExceeded` (works
         from any thread — serve handlers, ``submit`` workers).
+
+        With ``jobs >= 2``, a plain registry-target call that misses the
+        cache compiles on the session's warm worker pool; concurrent
+        identical calls compile once.
         """
         payload, cached, _fingerprint, result = self._compile_entry(
             core, target,
@@ -689,6 +699,13 @@ class ChassisSession:
         )
         fingerprint = job_fingerprint(core, target, config, sample_config)
         cacheable = self.cache is not None and use_cache and not customized
+        # Plain compiles run on the warm worker pool when the session has
+        # one (jobs >= 2, not closed); customized calls and non-registry
+        # targets cannot cross the process boundary and run inline.
+        pool = (
+            self.worker_pool()
+            if not customized and _poolable(target) else None
+        )
         # A cache hit runs no phases; stale timings from an earlier compile
         # on this thread must not be attributed to it.  Same for the
         # provenance marker: it must describe *this* entry or nothing.
@@ -715,35 +732,48 @@ class ChassisSession:
                 "fingerprint": fingerprint, "record": written,
             }
 
-        if cacheable:
-            payload = self.cache.get(fingerprint)
+        def cache_hit() -> dict | None:
+            payload = self.cache.get(fingerprint) if cacheable else None
             if payload is not None:
                 with self._lock:
                     self.stats.cache_hits += 1
                 outcome_counter("cache_hit").inc()
                 record("hit")
-                return payload, True, fingerprint, None
+            return payload
 
-        with self._oracle_section("compile"):
-            if cacheable:
-                # A concurrent identical request may have compiled and
-                # stored this job while we waited for the lock; a second
-                # lookup beats redoing the whole pipeline.  (A cold
-                # compile therefore records two cache misses.)
-                payload = self.cache.get(fingerprint)
-                if payload is not None:
-                    with self._lock:
-                        self.stats.cache_hits += 1
-                    outcome_counter("cache_hit").inc()
-                    record("hit")
-                    return payload, True, fingerprint, None
+        payload = cache_hit()
+        if payload is not None:
+            return payload, True, fingerprint, None
+
+        # Inline compiles hold the oracle lock; pooled ones run in other
+        # processes and only gate concurrent duplicates of this job.
+        if pool is None:
+            section = self._oracle_section("compile")
+        elif cacheable:
+            section = self._compile_gate(fingerprint)
+        else:
+            section = nullcontext()
+        with section:
+            # A concurrent identical request may have compiled and stored
+            # this job while we waited; a second lookup beats redoing the
+            # whole pipeline.  (A cold compile therefore records two cache
+            # misses.)
+            payload = cache_hit()
+            if payload is not None:
+                return payload, True, fingerprint, None
+            result = None
             try:
-                ctx = self.run_pipeline(
-                    core, target,
-                    config=config, sample_config=sample_config, samples=samples,
-                    skip=skip, replace=replace, before=before, after=after,
-                    timeout=timeout,
-                )
+                if pool is not None:
+                    payload, elapsed = self._run_on_pool(
+                        pool, core, target, config, sample_config, timeout
+                    )
+                else:
+                    ctx = self.run_pipeline(
+                        core, target,
+                        config=config, sample_config=sample_config,
+                        samples=samples, skip=skip, replace=replace,
+                        before=before, after=after, timeout=timeout,
+                    )
             except DeadlineExceeded as error:
                 with self._lock:
                     self.stats.timeouts += 1
@@ -751,7 +781,7 @@ class ChassisSession:
                 record(
                     "none", status="timeout",
                     error_type=type(error).__name__,
-                    engine=getattr(self._timings_local, "engine", None),
+                    engine=self._timings_local.engine,
                 )
                 raise
             except Exception as error:
@@ -761,20 +791,22 @@ class ChassisSession:
                 record(
                     "none", status="failed",
                     error_type=type(error).__name__,
-                    engine=getattr(self._timings_local, "engine", None),
+                    engine=self._timings_local.engine,
                 )
                 raise
-            if ctx.result is None:
-                raise PipelineError(
-                    "customized pipeline produced no CompileResult; use "
-                    "run_pipeline() for partial runs"
-                )
+            if pool is None:
+                if ctx.result is None:
+                    raise PipelineError(
+                        "customized pipeline produced no CompileResult; use "
+                        "run_pipeline() for partial runs"
+                    )
+                result = ctx.result
+                payload, elapsed = result_to_dict(result), result.elapsed
             with self._lock:
                 self.stats.compiles += 1
             outcome_counter("ok").inc()
-            payload = result_to_dict(ctx.result)
             if cacheable:
-                # Stored before the lock is released, so a waiting
+                # Stored before the lock or gate is released, so a waiting
                 # duplicate's re-check above finds it.
                 self.cache.put(fingerprint, payload)
             record(
@@ -782,10 +814,58 @@ class ChassisSession:
                 # configured cache (customized pipeline, use_cache=False).
                 "store" if cacheable
                 else ("bypass" if self.cache is not None else "none"),
-                elapsed=ctx.result.elapsed,
-                engine=getattr(self._timings_local, "engine", None),
+                elapsed=elapsed,
+                engine=self._timings_local.engine,
             )
-        return payload, False, fingerprint, ctx.result
+        return payload, False, fingerprint, result
+
+    @contextmanager
+    def _compile_gate(self, fingerprint: str):
+        """Serialize concurrent pooled compiles of one job fingerprint, so
+        a duplicate waits and then finds the first one's cache entry
+        instead of compiling again (the same idiom as the sampling gates;
+        inline compiles get this from the oracle lock)."""
+        with self._lock:
+            gate = self._compile_gates.setdefault(fingerprint, threading.Lock())
+        with gate:
+            try:
+                yield
+            finally:
+                with self._lock:
+                    if self._compile_gates.get(fingerprint) is gate:
+                        del self._compile_gates[fingerprint]
+
+    def _run_on_pool(
+        self, pool: WorkerPool, core: FPCore, target: Target,
+        config: CompileConfig, sample_config: SampleConfig,
+        timeout: float | None,
+    ) -> tuple[dict, float]:
+        """Compile one job on the warm worker pool; returns its payload
+        and the worker's wall time, or raises what an inline compile would.
+
+        The worker's phase timings and engine counters land in this
+        thread's locals (for :meth:`last_phase_timings` and the ledger),
+        and its engine and oracle counters fold into :attr:`stats`.
+        """
+        effective_timeout = self.timeout if timeout is None else timeout
+        job = BatchJob(
+            0, core_to_source(core), target.name,
+            config=config, sample_config=sample_config,
+        )
+        [outcome] = pool.run_batch([job], timeout=effective_timeout)
+        self._timings_local.phases = outcome["phases"]
+        self._timings_local.engine = outcome["engine"]
+        with self._lock:
+            self._fold_counters(outcome["engine"], outcome["oracle"])
+        if outcome["status"] == "timeout":
+            raise JobTimeout(outcome["error"])
+        if outcome["status"] != "ok":
+            rebuilt = {"Untranscribable": Untranscribable,
+                       "SamplingError": SamplingError}.get(outcome["error_type"])
+            if rebuilt is not None:
+                raise rebuilt(outcome["error"])
+            raise RuntimeError(f"{outcome['error_type']}: {outcome['error']}")
+        return outcome["payload"], outcome["elapsed"]
 
     def improve(
         self,
@@ -850,32 +930,6 @@ class ChassisSession:
                     self._build_cache = BuildCache.ephemeral()
             return self._build_cache
 
-    def _compile_for_exec(
-        self,
-        core: FPCore,
-        target: Target,
-        config: CompileConfig | None,
-        sample_config: SampleConfig | None,
-        timeout: float | None,
-    ) -> CompileResult:
-        """The compilation feeding one execute/validate call.
-
-        Plain registry-target requests with ``jobs >= 2`` are dispatched
-        through the session's persistent worker pool (real process-level
-        parallelism for concurrent ``/validate`` requests); everything
-        else compiles inline under the oracle lock and the cooperative
-        deadline.  Warm cache hits resolve instantly either way.
-        """
-        if (
-            config is None and sample_config is None and timeout is None
-            and self.jobs > 1 and _poolable(target)
-        ):
-            return self._pooled_compile(core, target)
-        return self.compile(
-            core, target,
-            config=config, sample_config=sample_config, timeout=timeout,
-        )
-
     @staticmethod
     def _program_from(result: CompileResult, program: Expr | None) -> Expr:
         """The program one execute/validate call targets: an explicit one,
@@ -910,8 +964,9 @@ class ChassisSession:
         if isinstance(program, str):
             program = parse_expr(program, known_ops=set(target.operators))
         if program is None:
-            result = self._compile_for_exec(
-                core, target, config, sample_config, timeout
+            result = self.compile(
+                core, target,
+                config=config, sample_config=sample_config, timeout=timeout,
             )
             program = self._program_from(result, None)
         key = (
@@ -1031,8 +1086,9 @@ class ChassisSession:
         # lock-free phases (build, cross-check loop) are bounded here.
         resolved = program
         if resolved is None:
-            result = self._compile_for_exec(
-                core, target, config, sample_config, timeout
+            result = self.compile(
+                core, target,
+                config=config, sample_config=sample_config, timeout=timeout,
             )
             resolved = self._program_from(result, None)
         effective_samples = sample_config or self.sample_config
@@ -1124,10 +1180,11 @@ class ChassisSession:
     def worker_pool(self) -> WorkerPool | None:
         """The session's persistent worker pool (None when ``jobs == 1``).
 
-        Created lazily on first use and kept warm across every batch —
-        ``compile_many``, the serve ``/batch`` endpoint, ``repro batch``,
-        pooled :meth:`submit` jobs and the experiment runners all share
-        it — until :meth:`close` drains it.
+        Created lazily on first use and kept warm across calls — plain
+        :meth:`compile` cache misses (so serve ``/compile`` and
+        :meth:`submit`), ``compile_many``, the serve ``/batch`` endpoint,
+        ``repro batch`` and the experiment runners all share it — until
+        :meth:`close` drains it.
         """
         with self._lock:
             if self._pool is None and self.jobs > 1 and not self._closed:
@@ -1152,7 +1209,6 @@ class ChassisSession:
         same road: each job's backend/evaluator work ships back on
         ``JobOutcome.oracle`` and merges into ``stats.rival``.
         """
-        known = {fld.name for fld in dataclasses.fields(EngineStats)}
         with self._lock:
             for outcome in outcomes:
                 if outcome.cached:
@@ -1163,13 +1219,18 @@ class ChassisSession:
                     self.stats.timeouts += 1
                 else:
                     self.stats.failures += 1
-                if outcome.engine:
-                    self.stats.engine.merge(EngineStats(**{
-                        key: value for key, value in outcome.engine.items()
-                        if key in known
-                    }))
-                if outcome.oracle:
-                    self.stats.rival.merge(outcome.oracle)
+                self._fold_counters(outcome.engine, outcome.oracle)
+
+    def _fold_counters(self, engine: dict | None, oracle: dict | None) -> None:
+        """Merge one job's shipped engine and oracle counters into
+        :attr:`stats` (the caller holds ``self._lock``)."""
+        if engine:
+            known = {fld.name for fld in dataclasses.fields(EngineStats)}
+            self.stats.engine.merge(EngineStats(**{
+                key: value for key, value in engine.items() if key in known
+            }))
+        if oracle:
+            self.stats.rival.merge(oracle)
 
     def compile_many(
         self,
@@ -1226,38 +1287,6 @@ class ChassisSession:
         self._fold_outcomes(outcomes)
         return outcomes
 
-    def _pooled_compile(self, core: FPCore, target: Target) -> CompileResult:
-        """One registry-target job through the persistent worker pool.
-
-        The process-level twin of :meth:`compile` that :meth:`submit`
-        wraps: same cache behavior and stats accounting, but the
-        compilation itself runs in a warm worker process, so concurrent
-        handles get real parallelism instead of serializing on the
-        in-process oracle lock.  Failures are re-raised to preserve
-        :meth:`compile`'s contract.
-        """
-        [outcome] = run_compile_jobs(
-            [(core, target)],
-            config=self.config,
-            sample_config=self.sample_config,
-            jobs=self.jobs,
-            cache=self.cache,
-            timeout=self.timeout,
-            inline_lock=self._oracle_lock,
-            pool=self.worker_pool(),
-            ledger=self.ledger,
-        )
-        self._fold_outcomes([outcome])
-        if outcome.status == "timeout":
-            raise JobTimeout(outcome.error)
-        if not outcome.ok:
-            rebuilt = {"Untranscribable": Untranscribable,
-                       "SamplingError": SamplingError}.get(outcome.error_type)
-            if rebuilt is not None:
-                raise rebuilt(outcome.error)
-            raise RuntimeError(f"{outcome.error_type}: {outcome.error}")
-        return outcome.result
-
     def submit(
         self, core: FPCore | str, target: Target | str, **compile_kwargs
     ) -> JobHandle:
@@ -1268,19 +1297,15 @@ class ChassisSession:
         persistent cache and sample cache are shared, so submitting a
         duplicate of a finished job completes instantly.
 
-        With ``jobs >= 2``, plain registry-target jobs are dispatched
-        through the session's persistent worker pool, so concurrent
-        handles compile in parallel across processes.  Customized calls
-        (``skip``/``replace``/hooks/``samples``) and non-registry targets
-        cannot cross the process boundary; they run in-process, serialized
+        The handle runs :meth:`compile` on a thread, so with ``jobs >= 2``
+        plain registry-target jobs compile in parallel on the session's
+        worker pool; customized calls (``skip``/``replace``/hooks/
+        ``samples``) and non-registry targets run in-process, serialized
         by the oracle lock, and the per-job deadline bounds them there
         too.
         """
         target_resolved = self.resolve_target(target)
         core_parsed = self.parse(core, target_resolved)
-        pooled = (
-            not compile_kwargs and self.jobs > 1 and _poolable(target_resolved)
-        )
         with self._lock:
             if self._closed:
                 raise RuntimeError("session is closed")
@@ -1289,14 +1314,9 @@ class ChassisSession:
                     max_workers=self.jobs, thread_name_prefix="chassis-session"
                 )
             self.stats.submitted += 1
-            if pooled:
-                future = self._executor.submit(
-                    self._pooled_compile, core_parsed, target_resolved
-                )
-            else:
-                future = self._executor.submit(
-                    self.compile, core_parsed, target_resolved, **compile_kwargs
-                )
+            future = self._executor.submit(
+                self.compile, core_parsed, target_resolved, **compile_kwargs
+            )
         return JobHandle(
             benchmark=core_parsed.name or "<anonymous>",
             target=target_resolved.name,
@@ -1327,9 +1347,14 @@ class ChassisSession:
         return {
             "ok": True,
             "stats": stats,
-            "cache": self.cache.stats.as_dict() if self.cache else None,
+            # ``is not None``: an empty cache is falsy (``__len__``).
+            "cache": (
+                self.cache.stats.as_dict() if self.cache is not None else None
+            ),
             "pool": self.pool_info(),
-            "provenance": self.ledger.info() if self.ledger else None,
+            "provenance": (
+                self.ledger.info() if self.ledger is not None else None
+            ),
             "oracle": {
                 "backend": self.oracle_backend,
                 "evals": self.evaluator.evals + backend.evals + folded.evals,

@@ -179,6 +179,27 @@ class TestOtherEndpoints:
         assert "compiles" in payload["stats"]
         assert "hits" in payload["cache"]
 
+    def test_fresh_cache_health_shows_zero_counters(self, tmp_path):
+        """An empty cache is falsy (its length); /health must still report
+        its counters rather than null."""
+        session = ChassisSession(
+            config=FAST, sample_config=SAMPLES, cache=str(tmp_path)
+        )
+        fresh = create_server(session)
+        thread = threading.Thread(target=fresh.serve_forever, daemon=True)
+        thread.start()
+        try:
+            host, port = fresh.server_address[:2]
+            _status, _headers, body = _get(f"http://{host}:{port}/health")
+        finally:
+            fresh.shutdown()
+            fresh.server_close()
+            thread.join(timeout=10)
+        cache = json.loads(body)["cache"]
+        assert cache is not None
+        assert set(cache.values()) == {0}
+        assert json.loads(body)["provenance"] is not None
+
     def test_targets_lists_registry(self, base_url):
         _status, _headers, body = _get(base_url + "/targets")
         names = {row["name"] for row in json.loads(body)["targets"]}

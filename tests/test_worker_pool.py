@@ -66,15 +66,22 @@ class TestPoolReuse:
         assert all(len(result.frontier) > 0 for result in results)
         assert all(handle.poll() == "ok" for handle in handles)
 
-    def test_config_change_recycles_the_pool(self, pool_session):
+    def test_config_change_reuses_the_pool(self, pool_session):
+        """Configs ride on each job, so a different knob must not re-fork
+        the workers (from a possibly multi-threaded caller)."""
         pool = pool_session.worker_pool()
-        generation = pool.generation
+        pids, generation = pool.worker_pids(), pool.generation
         other = CompileConfig(iterations=0, localize_points=6, max_variants=12)
         (outcome,) = pool_session.compile_many(
             [(core_named("sqrt-sub"), "c99")], config=other
         )
         assert outcome.ok
-        assert pool.generation == generation + 1
+        pool_session.compile(
+            core_named("logistic"), "c99",
+            sample_config=SampleConfig(n_train=12, n_test=12),
+        )
+        assert pool.worker_pids() == pids
+        assert pool.generation == generation
 
     def test_jobs_1_session_has_no_pool(self):
         session = ChassisSession(config=FAST, sample_config=SAMPLES, jobs=1)
@@ -93,7 +100,7 @@ class TestPoolReuse:
         pool = WorkerPool(2)
         pool.shutdown()
         with pytest.raises(RuntimeError):
-            pool.run_batch([], FAST, SAMPLES)
+            pool.run_batch([])
 
 
 class TestStatsAccounting:
@@ -229,3 +236,202 @@ class TestServePoolReuse:
         payload = _post(pool_server, "/batch",
                         {"cores": [SRC2], "targets": ["fdlibm"]})
         assert set(payload["summary"]) == {"ok", "failed", "timeout", "cached"}
+
+
+def _scrub(payload):
+    return {key: value for key, value in payload.items() if key != "elapsed"}
+
+
+class TestPooledCompile:
+    """With ``jobs >= 2`` a plain compile cache miss runs on the pool."""
+
+    def test_plain_compile_matches_inline_without_the_oracle_lock(
+        self, pool_session
+    ):
+        core = core_named("sqrt-sub")
+        with ChassisSession(config=FAST, sample_config=SAMPLES) as inline:
+            expected, _cached = inline.compile_payload(core, "fdlibm")
+        acquisitions = pool_session.stats.oracle.acquisitions
+        compiles = pool_session.stats.compiles
+        payload, cached = pool_session.compile_payload(core, "fdlibm")
+        assert not cached
+        assert json.dumps(_scrub(payload)) == json.dumps(_scrub(expected))
+        assert pool_session.stats.compiles == compiles + 1
+        # the compile ran in a worker: the session oracle lock was untouched
+        assert pool_session.stats.oracle.acquisitions == acquisitions
+        assert pool_session.stats.engine.enodes_built > 0
+
+    def test_customized_compiles_stay_inline(self):
+        with ChassisSession(config=FAST, sample_config=SAMPLES, jobs=2) as session:
+            result = session.compile(
+                core_named("sqrt-sub"), "c99", skip=("regimes",)
+            )
+            assert len(result.frontier) > 0
+            assert session.pool_info() is None  # no worker ever started
+            assert session.stats.oracle.acquisitions > 0
+
+    def test_closed_session_compiles_inline(self):
+        session = ChassisSession(config=FAST, sample_config=SAMPLES, jobs=2)
+        session.close()
+        result = session.compile(core_named("sqrt-sub"), "c99")
+        assert len(result.frontier) > 0
+        assert session.stats.oracle.acquisitions > 0
+
+    def test_pooled_failures_keep_their_type(self, pool_session):
+        from repro.accuracy.sampler import SamplingError
+        from repro.ir import parse_fpcore
+
+        failures = pool_session.stats.failures
+        bad = parse_fpcore("(FPCore nopoints (x) :pre (and (< 2 x) (< x 1)) x)")
+        with pytest.raises(SamplingError):
+            pool_session.compile(bad, "c99")
+        assert pool_session.stats.failures == failures + 1
+
+    def test_pooled_phases_reach_the_metrics_registry(self, pool_session):
+        from repro.obs.metrics import METRICS
+
+        improve = METRICS.histogram("repro_phase_seconds", phase="improve")
+        before = improve.count
+        pool_session.compile(core_named("logistic"), "avx")
+        assert pool_session.last_phase_timings()["improve"] > 0.0
+        pool_session.compile_many([(core_named("sqrt-sub"), "avx")])
+        assert improve.count == before + 2
+
+
+@pytest.fixture(scope="module")
+def pool_cache_server(tmp_path_factory):
+    session = ChassisSession(
+        config=FAST, sample_config=SAMPLES, jobs=2,
+        cache=str(tmp_path_factory.mktemp("pool-serve-cache")),
+    )
+    server = create_server(session)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    session.close()
+    thread.join(timeout=10)
+
+
+def _post_raw(server, path, obj):
+    host, port = server.server_address[:2]
+    request = urllib.request.Request(
+        f"http://{host}:{port}{path}",
+        data=json.dumps(obj).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
+    with urllib.request.urlopen(request, timeout=300) as response:
+        return response.headers["X-Repro-Cached"], response.read()
+
+
+class TestServePooledCompile:
+    def test_concurrent_duplicates_compile_once(self, pool_cache_server):
+        session = pool_cache_server.session
+        compiles = session.stats.compiles
+        request = {"core": SRC2, "target": "avx"}
+        barrier = threading.Barrier(2)
+        replies = []
+
+        def send():
+            barrier.wait()
+            replies.append(_post_raw(pool_cache_server, "/compile", request))
+
+        threads = [threading.Thread(target=send) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+        assert sorted(cached for cached, _body in replies) == ["0", "1"]
+        assert session.stats.compiles == compiles + 1
+        _cached, warm = _post_raw(pool_cache_server, "/compile", request)
+        assert replies[0][1] == replies[1][1] == warm
+
+    def test_timings_and_provenance_knobs(self, pool_cache_server):
+        request = {"core": SRC, "target": "arith",
+                   "timings": True, "provenance": True}
+        cached, body = _post_raw(pool_cache_server, "/compile", request)
+        cold = json.loads(body)
+        assert cached == "0" and cold["status"] == "ok"
+        assert cold["timings"]["improve"] > 0.0
+        assert cold["provenance"]["record"]["cache"] == "store"
+        assert cold["provenance"]["origin"]["status"] == "ok"
+        cached, body = _post_raw(pool_cache_server, "/compile", request)
+        warm = json.loads(body)
+        assert cached == "1" and warm["timings"] is None
+        assert warm["provenance"]["cached"] is True
+        assert warm["provenance"]["origin"] == cold["provenance"]["record"]
+        assert warm["result"] == cold["result"]
+
+    def test_pooled_body_matches_an_inline_compile(self, pool_cache_server):
+        with ChassisSession(config=FAST, sample_config=SAMPLES) as inline:
+            expected, _cached = inline.compile_payload(SRC, "vdt")
+        _cached, body = _post_raw(
+            pool_cache_server, "/compile", {"core": SRC, "target": "vdt"}
+        )
+        got = json.loads(body)["result"]
+        assert json.dumps(_scrub(got)) == json.dumps(_scrub(expected))
+
+
+class TestServeCommand:
+    def test_jobs_defaults_to_the_usable_cpus(self):
+        from repro.cli import _usable_cpus, build_parser
+
+        args = build_parser().parse_args(["serve"])
+        assert args.jobs == _usable_cpus() >= 1
+
+    def test_serve_forks_its_pool_before_listening(self, tmp_path):
+        """``repro serve`` forks its workers from the main thread at start,
+        and knobs on later requests reuse them."""
+        import os
+        import re
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--jobs",
+             "2", "--iterations", "1", "--points", "8", "--quiet",
+             "--cache-dir", str(tmp_path)],
+            stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            for line in proc.stderr:
+                match = re.search(r"listening on (http://[\d.]+:\d+)", line)
+                if match:
+                    base = match.group(1)
+                    break
+            else:
+                raise AssertionError("server exited before listening")
+
+            def health():
+                with urllib.request.urlopen(base + "/health", timeout=30) as r:
+                    return json.loads(r.read())
+
+            def compile_(**knobs):
+                request = urllib.request.Request(
+                    base + "/compile",
+                    data=json.dumps({"core": SRC2, "target": "c99", **knobs})
+                    .encode("utf-8"),
+                    headers={"Content-Type": "application/json"},
+                )
+                with urllib.request.urlopen(request, timeout=300) as response:
+                    return json.loads(response.read())
+
+            pool = health()["pool"]
+            assert pool["start_method"] == "fork"
+            assert pool["generation"] == 1 and len(pool["pids"]) == 2
+            assert compile_()["status"] == "ok"
+            assert compile_()["status"] == "ok"
+            assert compile_(points=12)["status"] == "ok"
+            after = health()
+            assert after["pool"]["generation"] == 1
+            assert after["pool"]["pids"] == pool["pids"]
+            assert after["stats"]["compiles"] == 2
+            assert after["stats"]["cache_hits"] == 1
+        finally:
+            proc.terminate()
+            proc.wait(timeout=60)
+            proc.stderr.close()
