@@ -6,7 +6,7 @@ import math
 from typing import Mapping, Sequence
 
 from ..formats import get_format
-from ..fpeval.machine import compile_expr
+from ..fpeval.machine import FAILED, ColumnMemo
 from ..ir.expr import Expr
 from ..ir.types import F64
 from ..targets.target import Target
@@ -49,17 +49,10 @@ def score_program(
     if len(points) != len(exact_values):
         raise ValueError("points and exact values must align")
     try:
-        evaluator = compile_expr(program, target.impl_registry(), ty)
+        errors = pointwise_errors(program, target, points, exact_values, ty)
     except KeyError:
         return float(get_format(ty).bits)
-    total = 0.0
-    for point, exact in zip(points, exact_values):
-        try:
-            approx = evaluator(point)
-        except (OverflowError, ValueError, ZeroDivisionError):
-            approx = float("nan")
-        total += bits_of_error(approx, exact, ty)
-    return total / max(1, len(points))
+    return sum(errors) / max(1, len(points))
 
 
 def pointwise_errors(
@@ -68,14 +61,20 @@ def pointwise_errors(
     points: Sequence[Point],
     exact_values: Sequence[float],
     ty: str = F64,
+    memo: ColumnMemo | None = None,
 ) -> list[float]:
-    """Bits of error at each point (used by regime inference)."""
-    evaluator = compile_expr(program, target.impl_registry(), ty)
-    errors: list[float] = []
-    for point, exact in zip(points, exact_values):
-        try:
-            approx = evaluator(point)
-        except (OverflowError, ValueError, ZeroDivisionError):
-            approx = float("nan")
-        errors.append(bits_of_error(approx, exact, ty))
-    return errors
+    """Bits of error at each point; a point whose evaluation fails scores
+    as NaN.  Raises KeyError for an operator the target lacks.
+
+    ``memo``, a :class:`~repro.fpeval.machine.ColumnMemo` over the same
+    ``points`` (the improvement loop keeps one for its training points),
+    supplies the values of subtrees evaluated before.
+    """
+    if memo is None:
+        memo = ColumnMemo(target.impl_registry(), points)
+    elif memo.points is not points:
+        raise ValueError("memo was built for a different point set")
+    return [
+        bits_of_error(math.nan if value is FAILED else value, exact, ty)
+        for value, exact in zip(memo.column(program, ty), exact_values)
+    ]

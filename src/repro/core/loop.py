@@ -12,16 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..accuracy.localerror import local_errors
+from ..accuracy.localerror import ExactMemo, local_errors
 from ..accuracy.sampler import SampleSet
 from ..accuracy.scoring import pointwise_errors
 from ..cost.model import TargetCostModel
 from ..cost.opportunity import cost_opportunities
 from ..egraph.runner import RunnerLimits
+from ..fpeval.machine import ColumnMemo
 from ..ir.expr import Expr
 from ..ir.fpcore import FPCore
 from ..obs.trace import span
-from ..rival.eval import RivalEvaluator
 from ..targets.target import Target
 from ..deadline import check_deadline
 from .candidates import Candidate, ParetoFrontier
@@ -66,13 +66,12 @@ class ImprovementLoop:
         target: Target,
         samples: SampleSet,
         config: CompileConfig | None = None,
-        evaluator: RivalEvaluator | None = None,
+        oracle=None,
     ):
         self.core = core
         self.target = target
         self.samples = samples
         self.config = config or CompileConfig()
-        self.evaluator = evaluator or RivalEvaluator()
         self.model = TargetCostModel(target)
         self.ty = core.precision
         self.var_types = dict(core.arg_types)
@@ -81,6 +80,13 @@ class ImprovementLoop:
         # programs sharing subtrees (and re-nominated hot paths across
         # iterations) saturate each distinct subexpression once.
         self._saturations = SaturationCache()
+        # Point values that live as long as the loop: exact values and
+        # node local errors on the localize points (``oracle`` answers
+        # them in batches; None builds the environment's backend), and
+        # float subtree columns on the training points.
+        self._localize_points = samples.train[: self.config.localize_points]
+        self._exact = ExactMemo(target, self._localize_points, oracle)
+        self._columns = ColumnMemo(target.impl_registry(), samples.train)
 
     @property
     def saturation_hits(self) -> int:
@@ -94,7 +100,7 @@ class ImprovementLoop:
         try:
             errors = pointwise_errors(
                 program, self.target, self.samples.train,
-                self.samples.train_exact, self.ty,
+                self.samples.train_exact, self.ty, memo=self._columns,
             )
         except KeyError:
             errors = [64.0] * len(self.samples.train)
@@ -115,8 +121,10 @@ class ImprovementLoop:
 
     def localize(self, program: Expr) -> list[tuple[int, ...]]:
         """Pick the subexpression paths most worth rewriting (paper 5.2)."""
-        points = self.samples.train[: self.config.localize_points]
-        errs = local_errors(program, self.target, points, self.ty, self.evaluator)
+        errs = local_errors(
+            program, self.target, self._localize_points, self.ty,
+            memo=self._exact,
+        )
         opps = cost_opportunities(program, self.target, self.ty, self.var_types)
 
         by_error = sorted(

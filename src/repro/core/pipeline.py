@@ -31,7 +31,7 @@ from ..ir.expr import Expr
 from ..ir.fpcore import FPCore, parse_fpcore
 from ..obs.metrics import METRICS
 from ..obs.trace import span
-from ..rival.eval import RivalEvaluator
+from ..rival.backends import make_backend
 from ..targets.target import Target
 from ..deadline import check_deadline
 from .candidates import Candidate, ParetoFrontier
@@ -72,10 +72,10 @@ class PipelineContext:
     target: Target
     config: CompileConfig = field(default_factory=CompileConfig)
     sample_config: SampleConfig | None = None
-    evaluator: RivalEvaluator = field(default_factory=RivalEvaluator)
-    #: Batched oracle backend used by the sample phase; None builds one
-    #: around ``evaluator`` per the ``REPRO_ORACLE_BACKEND`` knob.
-    oracle: object | None = None
+    #: Batched oracle backend of the sample phase and the improve loop's
+    #: local error (default: the ``REPRO_ORACLE_BACKEND`` backend around a
+    #: fresh evaluator).
+    oracle: object = field(default_factory=make_backend)
     #: FPCore source text, consumed by the parse phase when ``core`` is unset.
     source: str | None = None
     core: FPCore | None = None
@@ -139,9 +139,7 @@ class SamplePhase:
         if ctx.samples is not None:
             return
         core = ctx.require("core", self.name)
-        ctx.samples = sample_core(
-            core, ctx.sample_config, ctx.evaluator, oracle=ctx.oracle
-        )
+        ctx.samples = sample_core(core, ctx.sample_config, oracle=ctx.oracle)
 
 
 class TranscribePhase:
@@ -173,7 +171,7 @@ class ImprovePhase:
         core = ctx.require("core", self.name)
         samples = ctx.require("samples", self.name)
         ctx.loop = ImprovementLoop(
-            core, ctx.target, samples, ctx.config, ctx.evaluator
+            core, ctx.target, samples, ctx.config, oracle=ctx.oracle
         )
         # Regime inference is its own phase; the loop must not double-apply.
         ctx.train_frontier = ctx.loop.run(with_regimes=False)
@@ -326,7 +324,6 @@ def compile_core(
     config: CompileConfig | None = None,
     sample_config: SampleConfig | None = None,
     samples: SampleSet | None = None,
-    evaluator: RivalEvaluator | None = None,
     pipeline: CompilePipeline | None = None,
     oracle: object | None = None,
 ) -> CompileResult:
@@ -347,8 +344,7 @@ def compile_core(
         target=target,
         config=config or CompileConfig(),
         sample_config=sample_config,
-        evaluator=evaluator or RivalEvaluator(),
-        oracle=oracle,
+        oracle=oracle if oracle is not None else make_backend(),
         source=core if isinstance(core, str) else None,
         core=core if isinstance(core, FPCore) else None,
         samples=samples,

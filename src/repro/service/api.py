@@ -76,6 +76,7 @@ def run_compile_jobs(
     pool=None,
     trace: bool = False,
     ledger=None,
+    oracle_backend: str | None = None,
 ) -> list[JobOutcome]:
     """Compile many (benchmark, target) pairs; returns outcomes in order.
 
@@ -111,6 +112,10 @@ def run_compile_jobs(
     ``"batch"`` record is appended per job — hits in the lookup loop,
     fresh results as outcomes are rebuilt — always in the *parent*
     process; workers never touch the journal.
+
+    ``oracle_backend`` names the oracle backend every job runs (None:
+    ``REPRO_ORACLE_BACKEND``, then auto); it rides on each job, so
+    pooled workers build the backend their caller chose.
     """
     config = config or CompileConfig()
     sample_config = sample_config or SampleConfig()
@@ -131,9 +136,7 @@ def run_compile_jobs(
     pool_batch: list[BatchJob] = []
     inline_jobs: list[tuple[int, BatchJob, Target]] = []
     targets_by_index: dict[int, Target] = {}
-    # What the workers will resolve for themselves (scheduler.run_job
-    # resolves from the environment the same way); stamped into records.
-    oracle_backend = resolve_backend_name() if ledger is not None else ""
+    oracle_backend = resolve_backend_name(oracle_backend)
 
     for index, (core, target, fingerprint, samples) in enumerate(resolved):
         targets_by_index[index] = target
@@ -163,6 +166,7 @@ def run_compile_jobs(
             index, core_to_source(core), target.name,
             samples=samples, timeout=timeout, config=config,
             sample_config=sample_config, trace=trace,
+            oracle_backend=oracle_backend,
         )
         if _poolable(target):
             pool_batch.append(job)

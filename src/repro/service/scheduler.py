@@ -132,6 +132,9 @@ class BatchJob:
     #: outcome (``repro compile --trace`` with pooled jobs).  Engine
     #: counters ship unconditionally; spans only on request.
     trace: bool = False
+    #: Name of the oracle backend the job runs (the caller's session
+    #: backend); None resolves ``REPRO_ORACLE_BACKEND``, then auto.
+    oracle_backend: str | None = None
 
 
 @dataclass
@@ -181,6 +184,34 @@ def observe_worker_phases(outcome: dict) -> None:
         observe_phase(phase, seconds)
 
 
+def rebuild_error(error_type: str, message: str) -> Exception:
+    """The exception a job reported by type name, for re-raising in the
+    parent: any ``repro`` or builtin exception type with that name, built
+    from the message; a :class:`RuntimeError` naming the type otherwise.
+
+    A ``repro`` type whose constructor takes other arguments is built
+    without running it, so it still carries the type and the message.
+    """
+    pending = [Exception]
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        builtin = cls.__module__ == "builtins"
+        if cls.__name__ != error_type or not (
+            builtin or cls.__module__.startswith("repro.")
+        ):
+            continue
+        try:
+            return cls(message)
+        except Exception:  # noqa: BLE001 - a constructor wanting more
+            if builtin:
+                break
+            error = cls.__new__(cls)
+            error.args = (message,)
+            return error
+    return RuntimeError(f"{error_type}: {message}")
+
+
 def _alarm_handler(_signum, _frame):
     raise JobTimeout()
 
@@ -202,10 +233,10 @@ def run_job(job: BatchJob, target=None) -> dict:
 
     # Per-job oracle: a private evaluator (its counters ship home on the
     # outcome — worker instances cannot touch the session's) behind the
-    # backend the environment asks for.  "pool" degrades to the in-process
-    # fast path: a job is already on a worker; it must not nest pools.
+    # backend the job names.  "pool" degrades to the in-process fast
+    # path: a job is already on a worker; it must not nest pools.
     evaluator = RivalEvaluator()
-    oracle_name = resolve_backend_name()
+    oracle_name = resolve_backend_name(job.oracle_backend)
     oracle = make_backend(
         "numpy" if oracle_name == "pool" else oracle_name,
         evaluator=evaluator,
@@ -236,7 +267,7 @@ def run_job(job: BatchJob, target=None) -> dict:
     trace_arm = tracing(trace) if trace is not None else nullcontext()
     ctx = PipelineContext(
         target=target, config=job.config, sample_config=job.sample_config,
-        evaluator=evaluator, oracle=oracle, core=core, samples=job.samples,
+        oracle=oracle, core=core, samples=job.samples,
     )
     try:
         try:

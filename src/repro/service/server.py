@@ -115,6 +115,11 @@ class ChassisRequestHandler(BaseHTTPRequestHandler):
     #: ``connection.settimeout`` in setup(), and handle_one_request treats
     #: an expiry while awaiting the next request line as connection close.
     timeout = REQUEST_SOCKET_TIMEOUT
+    #: Set TCP_NODELAY on each connection (StreamRequestHandler.setup):
+    #: a reply's headers and body go out as two sends, and with Nagle's
+    #: algorithm the body waits for the client's delayed ACK of the
+    #: headers, about 40 ms per reply.
+    disable_nagle_algorithm = True
 
     def setup(self):
         self.timeout = getattr(

@@ -64,7 +64,6 @@ from .core.pipeline import (
     PipelineContext,
     PipelineError,
 )
-from .core.transcribe import Untranscribable
 from .cost.model import TargetCostModel
 from .deadline import (
     DeadlineExceeded,
@@ -101,7 +100,7 @@ from .service.cache import (
 )
 from .service.pool import WorkerPool
 from .service.results import core_to_source, result_from_dict, result_to_dict
-from .service.scheduler import BatchJob, JobOutcome, JobTimeout
+from .service.scheduler import BatchJob, JobOutcome, JobTimeout, rebuild_error
 from .targets import all_targets, get_target
 from .targets.target import Target
 
@@ -541,7 +540,6 @@ class ChassisSession:
                 target=target,
                 config=config or self.config,
                 sample_config=sample_config,
-                evaluator=self.evaluator,
                 oracle=self.oracle,
                 core=core,
                 samples=samples,
@@ -851,6 +849,7 @@ class ChassisSession:
         job = BatchJob(
             0, core_to_source(core), target.name,
             config=config, sample_config=sample_config,
+            oracle_backend=self.oracle_backend,
         )
         [outcome] = pool.run_batch([job], timeout=effective_timeout)
         self._timings_local.phases = outcome["phases"]
@@ -860,11 +859,7 @@ class ChassisSession:
         if outcome["status"] == "timeout":
             raise JobTimeout(outcome["error"])
         if outcome["status"] != "ok":
-            rebuilt = {"Untranscribable": Untranscribable,
-                       "SamplingError": SamplingError}.get(outcome["error_type"])
-            if rebuilt is not None:
-                raise rebuilt(outcome["error"])
-            raise RuntimeError(f"{outcome['error_type']}: {outcome['error']}")
+            raise rebuild_error(outcome["error_type"], outcome["error"])
         return outcome["payload"], outcome["elapsed"]
 
     def improve(
@@ -1283,6 +1278,7 @@ class ChassisSession:
             pool=pool,
             trace=trace,
             ledger=self.ledger,
+            oracle_backend=self.oracle_backend,
         )
         self._fold_outcomes(outcomes)
         return outcomes

@@ -1,6 +1,7 @@
 """Tests for the ``repro serve`` HTTP front-end (one warm session)."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -10,6 +11,7 @@ import pytest
 
 from repro.accuracy.sampler import SampleConfig
 from repro.api import ChassisSession, CompileConfig, create_server
+from repro.service.server import ChassisRequestHandler
 
 FAST = CompileConfig(iterations=1, localize_points=6, max_variants=12)
 SAMPLES = SampleConfig(n_train=8, n_test=8)
@@ -169,6 +171,25 @@ class TestMalformedRequests:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(base_url + "/nonesuch")
         assert excinfo.value.code == 404
+
+
+class TestConnections:
+    def test_accepted_connection_has_nodelay(self, base_url, monkeypatch):
+        """Replies go out as a header send and a body send; without
+        TCP_NODELAY the body waits on the client's delayed ACK."""
+        seen = []
+        original = ChassisRequestHandler.setup
+
+        def recording_setup(handler):
+            original(handler)
+            seen.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            ))
+
+        monkeypatch.setattr(ChassisRequestHandler, "setup", recording_setup)
+        status, _headers, _body = _get(base_url + "/health")
+        assert status == 200
+        assert seen and all(seen)
 
 
 class TestOtherEndpoints:

@@ -287,6 +287,53 @@ class TestPooledCompile:
             pool_session.compile(bad, "c99")
         assert pool_session.stats.failures == failures + 1
 
+    def test_pooled_failures_raise_the_inline_type(self):
+        """A failure outside the expected pair comes home with its own
+        type, not as a RuntimeError string."""
+        broken = CompileConfig(iterations=1, localize_points=6, isel_limits=None)
+        raised = []
+        for jobs in (1, 2):
+            with ChassisSession(
+                config=broken, sample_config=SAMPLES, jobs=jobs
+            ) as session:
+                with pytest.raises(Exception) as excinfo:
+                    session.compile(core_named("sqrt-sub"), "c99")
+                raised.append(type(excinfo.value))
+                if jobs == 2:
+                    assert session.pool_info()["generation"] == 1
+        assert raised == [AttributeError, AttributeError]
+
+    def test_rebuild_error_by_type_name(self):
+        from repro.formats.registry import UnknownFormatError
+        from repro.service.scheduler import rebuild_error
+
+        assert type(rebuild_error("ZeroDivisionError", "x")) is ZeroDivisionError
+        # a repro type whose constructor takes other arguments
+        error = rebuild_error("UnknownFormatError", "no such format")
+        assert type(error) is UnknownFormatError
+        assert str(error) == "no such format"
+        unknown = rebuild_error("NoSuchError", "boom")
+        assert type(unknown) is RuntimeError
+        assert str(unknown) == "NoSuchError: boom"
+
+    def test_pooled_compile_runs_the_session_oracle_backend(self):
+        core = core_named("sqrt-sub")
+        with ChassisSession(
+            config=FAST, sample_config=SAMPLES, oracle_backend="mpmath"
+        ) as inline:
+            expected, _cached = inline.compile_payload(core, "c99")
+        with ChassisSession(
+            config=FAST, sample_config=SAMPLES, jobs=2, oracle_backend="mpmath"
+        ) as session:
+            payload, cached = session.compile_payload(core, "c99")
+            shipped = session.stats.rival
+        assert not cached
+        assert json.dumps(_scrub(payload)) == json.dumps(_scrub(expected))
+        # the worker's counters came home, and it never took a fast path
+        assert shipped.batch_points > 0
+        assert shipped.fastpath_hits == 0
+        assert shipped.escalated_points == shipped.batch_points
+
     def test_pooled_phases_reach_the_metrics_registry(self, pool_session):
         from repro.obs.metrics import METRICS
 
