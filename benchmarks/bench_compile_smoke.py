@@ -256,12 +256,7 @@ def main(argv=None) -> int:
     engine_path = Path(args.engine_results)
     if engine_path.exists():
         engine_payload = json.loads(engine_path.read_text())
-        engine_summary = {
-            "summary": engine_payload.get("summary"),
-            "full_vs_incremental_identical": engine_payload.get(
-                "full_vs_incremental_identical"
-            ),
-        }
+        engine_summary = {"summary": engine_payload.get("summary")}
 
     oracle_summary = None
     oracle_path = Path(args.oracle_results)

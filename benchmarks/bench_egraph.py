@@ -5,7 +5,7 @@ is a plain script so CI can run it directly::
 
     PYTHONPATH=src python benchmarks/bench_egraph.py [--smoke] [--out PATH]
 
-It measures three engines over the benchsuite sample:
+It measures two engines over the benchsuite sample:
 
 * ``legacy``      — an in-file emulation of the pre-refactor (seed) engine:
   pattern roots found by scanning *every* e-class, every rule re-matched
@@ -14,18 +14,16 @@ It measures three engines over the benchsuite sample:
   today's :class:`EGraph`, which now has an O(1) node counter the seed
   engine lacked, so the legacy numbers here are *flattering* — the real
   seed engine was slower still.
-* ``v2-full``     — the indexed engine with incremental re-matching
-  disabled (the ``REPRO_EGRAPH_INCREMENTAL=0`` escape-hatch behavior).
-* ``v2-incremental`` — the default engine: iteration 0 matches fully,
-  later iterations re-match only the dirty closure.
+* ``v2``          — the engine :func:`run_rules` runs: head-indexed
+  e-matching that searches only the rules whose left-hand side heads are
+  all in the graph, and skips already-applied matches.
 
 Reported throughput is e-nodes added per second of saturation
 (``num_nodes`` delta / wall clock) at one fixed :class:`RunnerLimits`
 (the engine default, or a reduced budget under ``--smoke``).  The script
-also verifies that v2-full and v2-incremental extract *byte-identical*
-variant lists for every benchmark, and times an end-to-end
-``session.compile`` per benchmark (with the improvement loop's saturation
-cache hit counts) so the BENCH trajectory has an engine datapoint.
+also times an end-to-end ``session.compile`` per benchmark (with the
+improvement loop's saturation cache hit counts) so the BENCH trajectory
+has an engine datapoint.
 
 Results land in ``results/egraph_bench.json``.
 """
@@ -43,12 +41,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.accuracy.sampler import SampleConfig  # noqa: E402
 from repro.core.isel import _rules_for  # noqa: E402
 from repro.core.loop import CompileConfig  # noqa: E402
-from repro.cost.model import TargetCostModel  # noqa: E402
 from repro.egraph import EGraph, RunnerLimits, run_rules  # noqa: E402
 from repro.egraph.ematch import _match, instantiate  # noqa: E402
-from repro.egraph.multi_extract import extract_variants  # noqa: E402
-from repro.egraph.typed_extract import TypedExtractor  # noqa: E402
-from repro.ir.printer import expr_to_sexpr  # noqa: E402
 from repro.session import ChassisSession  # noqa: E402
 from repro.targets import get_target  # noqa: E402
 
@@ -135,28 +129,15 @@ def legacy_run_rules(egraph, rules, limits):
 def saturate(engine, expr, rules, limits):
     """One saturation run; returns (nodes added, elapsed, stop reason)."""
     egraph = EGraph()
-    root = egraph.add_expr(expr)
+    egraph.add_expr(expr)
     base = egraph.num_nodes
     start = time.monotonic()
     if engine == "legacy":
         stop = legacy_run_rules(egraph, rules, limits)
     else:
-        report = run_rules(
-            egraph, rules, limits, incremental=(engine == "v2-incremental")
-        )
-        stop = report.stop_reason
+        stop = run_rules(egraph, rules, limits).stop_reason
     elapsed = time.monotonic() - start
-    return egraph, root, egraph.num_nodes - base, elapsed, stop
-
-
-def variants_of(egraph, root, target, expr, ty):
-    model = TargetCostModel(target)
-    var_types = {name: ty for name in expr.free_vars()}
-    extractor = TypedExtractor(egraph, model, var_types)
-    return [
-        expr_to_sexpr(v)
-        for v in extract_variants(egraph, extractor, root, ty, limit=40)
-    ]
+    return egraph.num_nodes - base, elapsed, stop
 
 
 def main(argv=None) -> int:
@@ -184,19 +165,14 @@ def main(argv=None) -> int:
     from repro.benchsuite import core_named
 
     cores = [core_named(name) for name in names]
-    engines = ("legacy", "v2-full", "v2-incremental")
+    engines = ("legacy", "v2")
     rows = []
     totals = {engine: [0, 0.0] for engine in engines}  # nodes, seconds
-    equivalent = True
 
     for core in cores:
-        expr = core.body
         row = {"benchmark": core.name, "engines": {}}
-        variant_sets = {}
         for engine in engines:
-            egraph, root, nodes, elapsed, stop = saturate(
-                engine, expr, rules, limits
-            )
+            nodes, elapsed, stop = saturate(engine, core.body, rules, limits)
             totals[engine][0] += nodes
             totals[engine][1] += elapsed
             row["engines"][engine] = {
@@ -205,18 +181,11 @@ def main(argv=None) -> int:
                 "nodes_per_sec": round(nodes / elapsed, 1) if elapsed else None,
                 "stop": stop,
             }
-            if engine != "legacy":
-                variant_sets[engine] = variants_of(
-                    egraph, root, target, expr, core.precision
-                )
-        same = variant_sets["v2-full"] == variant_sets["v2-incremental"]
-        equivalent = equivalent and same
-        row["full_vs_incremental_identical"] = same
         rows.append(row)
         print(f"{core.name}: " + "  ".join(
             f"{engine}={row['engines'][engine]['nodes_per_sec']:.0f}n/s"
             for engine in engines
-        ) + ("" if same else "  [MISMATCH]"))
+        ))
 
     summary = {}
     legacy_rate = totals["legacy"][0] / totals["legacy"][1]
@@ -271,25 +240,18 @@ def main(argv=None) -> int:
         },
         "benchmarks": rows,
         "summary": summary,
-        "full_vs_incremental_identical": equivalent,
         "compile_e2e": e2e,
     }
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(payload, indent=2) + "\n")
 
-    v2 = summary["v2-incremental"]
+    v2 = summary["v2"]
     print(
         f"\nsummary: legacy {summary['legacy']['nodes_per_sec']:.0f} n/s, "
-        f"v2-full {summary['v2-full']['nodes_per_sec']:.0f} n/s "
-        f"({summary['v2-full']['speedup_vs_legacy']}x), "
-        f"v2-incremental {v2['nodes_per_sec']:.0f} n/s "
-        f"({v2['speedup_vs_legacy']}x)"
+        f"v2 {v2['nodes_per_sec']:.0f} n/s ({v2['speedup_vs_legacy']}x)"
     )
-    print(f"full-vs-incremental byte-identical: {equivalent}")
     print(f"wrote {out}")
-    if not equivalent:
-        return 1
     return 0
 
 

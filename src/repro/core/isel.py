@@ -17,6 +17,7 @@ reuses the cached typed extractor outright.
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -41,13 +42,18 @@ DEFAULT_ISEL_LIMITS = RunnerLimits(
 )
 
 
-_RULES_CACHE: dict[str, list] = {}
+# Keyed by target identity, not name: a derived target may reuse its
+# parent's name with a different operator set.  As with the targets'
+# ``_IMPL_CACHE``, a weakref.finalize evicts the entry with its target, so a
+# recycled id never serves a stale rule list.  Each rule carries its own
+# left-hand-side head set (``Rewrite.heads``), computed once here.
+_RULES_CACHE: dict[int, list] = {}
 
 
 def _rules_for(target: Target) -> list:
     """Math rules pruned to the target's reachable operator vocabulary,
     plus the target's desugaring rules (computed once per target)."""
-    cached = _RULES_CACHE.get(target.name)
+    cached = _RULES_CACHE.get(id(target))
     if cached is not None:
         return cached
     reachable: set[str] = set()
@@ -55,7 +61,8 @@ def _rules_for(target: Target) -> list:
         reachable |= op.approx.operators()
     math_rules = list(rules_for_operators(reachable))
     rules = math_rules + target.desugar_rules()
-    _RULES_CACHE[target.name] = rules
+    _RULES_CACHE[id(target)] = rules
+    weakref.finalize(target, _RULES_CACHE.pop, id(target), None)
     return rules
 
 
@@ -79,9 +86,9 @@ class SaturationCache:
     is a function of the target there, so the target name keys the ruleset
     too).  Entries are LRU-bounded: each holds an e-graph of up to
     ``limits.max_nodes`` nodes.  Saturation results are deterministic in
-    the inputs (modulo the wall-clock ``time_limit``, which pre-cache
-    behavior was equally subject to), so a hit is equivalent to re-running
-    the rules — minus the entire saturation cost.
+    the inputs, except when the wall-clock ``time_limit`` cuts a run short;
+    such a graph is returned but never stored, so a hit is always
+    equivalent to re-running the rules — minus the entire saturation cost.
     """
 
     def __init__(self, max_entries: int = 64):
@@ -120,6 +127,8 @@ class SaturationCache:
         root = egraph.add_expr(subexpr)
         report = run_rules(egraph, _rules_for(target), limits)
         entry = _SaturatedEntry(egraph=egraph, root=root, report=report)
+        if report.stop_reason == "time-limit":
+            return entry
         self._entries[key] = entry
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)

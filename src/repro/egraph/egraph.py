@@ -5,20 +5,16 @@ This implementation follows egg [Willsey et al. 2021]: a union-find over
 e-class ids, a hashcons from canonical e-nodes to class ids, and deferred
 *rebuilding* that restores congruence invariants in a batch after rewrites.
 
-Two v2 additions serve the rewrite engine on top:
-
-* a **head index** (head -> classes containing a node with that head),
-  maintained on insertion and compacted lazily on query, so pattern roots
-  resolve to candidate classes directly instead of scanning every class;
-* **dirty tracking** (classes changed since the last
-  :meth:`EGraph.take_dirty`), which the saturation runner closes upward
-  through parent pointers to re-match only the region a rewrite iteration
-  could have changed.
+On top of that, a **head index** (head -> classes containing a node with
+that head) serves the rewrite engine.  It is maintained on insertion and
+compacted lazily on query, so pattern roots resolve to candidate classes
+directly instead of scanning every class, and its key set tells the
+saturation runner which rules cannot match at all (:meth:`EGraph.heads`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, KeysView
 
 from ..ir.expr import App, Expr
 from .enode import ENode, Head, head_of_expr, head_to_leaf_expr, is_op_head
@@ -65,9 +61,6 @@ class EGraph:
         # re-canonicalization), so the index only over-approximates by
         # staleness, never misses.
         self._index: dict[Head, dict[int, None]] = {}
-        # Classes changed since the last take_dirty(): new classes, and
-        # the surviving root of every union.
-        self._dirty: dict[int, None] = {}
         self._snapshot: "GraphSnapshot | None" = None
 
     @property
@@ -128,7 +121,6 @@ class EGraph:
         self.nodes_built += 1
         self._nnodes += 1
         self._index.setdefault(node[0], {})[class_id] = None
-        self._dirty[class_id] = None
         return class_id
 
     def add_expr(self, expr: Expr) -> int:
@@ -174,7 +166,6 @@ class EGraph:
         self._nnodes -= before - len(winner.nodes)
         winner.parents.extend(loser.parents)
         self._pending.append(root)
-        self._dirty[root] = None
         return root
 
     def rebuild(self) -> None:
@@ -226,55 +217,21 @@ class EGraph:
             self._hashcons[canon] = self._uf.find(parent_class)
         eclass.parents = [(n, seen[n]) for n in order]
 
-    # --- dirty tracking --------------------------------------------------------
-
-    def take_dirty(self) -> list[int]:
-        """Canonical ids of classes changed since the last call, and reset.
-
-        A class is dirty when it was created or was the surviving root of a
-        union since the previous ``take_dirty``.  Ids are canonicalized and
-        restricted to live classes at collection time.
-        """
-        out: dict[int, None] = {}
-        for class_id in self._dirty:
-            canon = self._uf.find(class_id)
-            if canon in self._classes:
-                out[canon] = None
-        self._dirty.clear()
-        return list(out)
-
-    def dirty_closure(self, dirty: Iterable[int]) -> set[int]:
-        """``dirty`` closed upward through parent pointers (canonical ids).
-
-        Every class whose represented terms could have changed when the
-        given classes changed: the classes themselves plus all transitive
-        ancestors.  This is the sound re-match region for incremental
-        e-matching — a new pattern match must have a changed class
-        somewhere in its support, and parent edges connect every support
-        class to the match's root.
-        """
-        closure: set[int] = set()
-        stack = list(dirty)
-        while stack:
-            class_id = self._uf.find(stack.pop())
-            if class_id in closure:
-                continue
-            closure.add(class_id)
-            eclass = self._classes.get(class_id)
-            if eclass is None:
-                continue
-            for _node, parent in eclass.parents:
-                parent = self._uf.find(parent)
-                if parent not in closure:
-                    stack.append(parent)
-        return closure
-
     # --- queries -----------------------------------------------------------------
 
     def represents(self, class_id: int, expr: Expr) -> bool:
         """True when the e-class contains (represents) ``expr``."""
         found = self.lookup_expr(expr)
         return found is not None and self.same(found, class_id)
+
+    def heads(self) -> KeysView[Head]:
+        """Every head some node of the graph holds (a live view).
+
+        Read off the head index, whose keys are never removed: a node keeps
+        its head through merges and rebuilds, so a head absent here is held
+        by no class and no pattern that needs it can match.
+        """
+        return self._index.keys()
 
     def classes_with_head(self, head) -> list[int]:
         """Canonical ids of every class holding a node with ``head``.

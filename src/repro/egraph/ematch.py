@@ -7,10 +7,11 @@ backtracking matcher (sufficient at our e-graph sizes); egg's relational
 virtual machine is an optimization of the same semantics.
 
 Root candidates come from the e-graph's head index (O(candidates) instead
-of O(classes)), can be restricted to a caller-supplied root set (how the
-saturation runner re-matches only the dirty region), and can be filtered
-by an ``accept`` predicate *inside* the enumeration so match limits count
-only matches the caller will keep.
+of O(classes)), and matches can be filtered by an ``accept`` predicate
+*inside* the enumeration so match limits count only matches the caller
+will keep.  :func:`pattern_heads` names the heads a pattern needs, which
+lets the saturation runner skip a rule without searching when one of them
+is absent from the graph.
 """
 
 from __future__ import annotations
@@ -60,6 +61,20 @@ def _match_args(egraph, patterns, arg_classes, index, subst) -> Iterator[Subst]:
         return
     for sub in _match(egraph, patterns[index], arg_classes[index], subst):
         yield from _match_args(egraph, patterns, arg_classes, index + 1, sub)
+
+
+def pattern_heads(pattern: Expr) -> frozenset:
+    """Every e-node head a match of ``pattern`` needs somewhere in the graph.
+
+    The operator of each application and the head of each literal or
+    constant leaf; pattern variables need none.  When one of them is missing
+    from :meth:`EGraph.heads`, :func:`search_pattern` returns no matches.
+    """
+    return frozenset(
+        head_of_expr(node)
+        for _path, node in pattern.subexprs()
+        if not isinstance(node, Var)
+    )
 
 
 def root_candidates(egraph: EGraph, pattern: Expr) -> list[int]:
@@ -169,23 +184,16 @@ def search_pattern(
     egraph: EGraph,
     pattern: Expr,
     limit: int | None = None,
-    roots: "set[int] | None" = None,
     accept: Callable[[int, Subst], bool] | None = None,
-    search_stats: dict | None = None,
 ) -> list[tuple[int, Subst]]:
     """Find matches of ``pattern`` anywhere in the e-graph.
 
     Returns ``(class_id, subst)`` pairs; ``class_id`` is the class the whole
     pattern matched in.  ``limit`` bounds the number of matches collected.
-    ``roots`` restricts the searched root classes to the given canonical
-    ids (candidates outside it are skipped without matching — incremental
-    re-matching passes the dirty closure here).  ``accept`` filters matches
-    during enumeration; rejected matches do not count against ``limit``, so
-    a truncated search is truncated at the same *kept* match regardless of
-    how many rejected ones the enumeration passed over.  ``search_stats``
-    (when given) receives ``skipped_roots``: how many root candidates the
-    ``roots`` filter pruned (candidates after a limit-triggered early
-    return are not counted).
+    ``accept`` filters matches during enumeration; rejected matches do not
+    count against ``limit``, so a truncated search is truncated at the same
+    *kept* match regardless of how many rejected ones the enumeration
+    passed over.
 
     The search runs against the graph's per-generation snapshot with the
     pattern compiled once, so repeated searches of one saturation iteration
@@ -195,26 +203,18 @@ def search_pattern(
     snap = egraph.snapshot()
     prog = _compile(egraph, pattern)
     seen: set[int] = set()
-    skipped = 0
-    try:
-        for class_id in root_candidates(egraph, pattern):
-            canon = egraph.find(class_id)
-            if canon in seen:
+    for class_id in root_candidates(egraph, pattern):
+        canon = egraph.find(class_id)
+        if canon in seen:
+            continue
+        seen.add(canon)
+        for subst in _match_snapshot(snap, prog, canon, {}):
+            if accept is not None and not accept(canon, subst):
                 continue
-            seen.add(canon)
-            if roots is not None and canon not in roots:
-                skipped += 1
-                continue
-            for subst in _match_snapshot(snap, prog, canon, {}):
-                if accept is not None and not accept(canon, subst):
-                    continue
-                results.append((canon, subst))
-                if limit is not None and len(results) >= limit:
-                    return results
-        return results
-    finally:
-        if search_stats is not None:
-            search_stats["skipped_roots"] = skipped
+            results.append((canon, subst))
+            if limit is not None and len(results) >= limit:
+                return results
+    return results
 
 
 def lookup_template(
@@ -246,9 +246,8 @@ def match_is_applied(
     A rewrite application inserts the instantiated rhs and merges it with
     the matched class; when the rhs already exists *in that same class*,
     both steps are no-ops.  Matches stay applied forever (classes never
-    un-merge), so the saturation runner filters them out of every search —
-    which is what makes full and incremental re-matching apply identical
-    effective match sequences.
+    un-merge), so the saturation runner filters them out of every search,
+    and only graph-changing matches count against its per-rule match cap.
     """
     found = lookup_template(egraph, rhs, subst)
     return found is not None and egraph.same(found, class_id)

@@ -14,7 +14,7 @@ from typing import Callable
 from ..ir.expr import Expr
 from ..ir.parser import parse_expr
 from .egraph import EGraph
-from .ematch import Subst, instantiate, search_pattern
+from .ematch import Subst, instantiate, pattern_heads, search_pattern
 
 #: Optional side condition; receives the substitution and the e-graph and
 #: returns whether the rule may fire for that match.
@@ -32,6 +32,9 @@ class Rewrite:
     #: Tags such as "simplify" (AST-non-growing rules used by the cost
     #: opportunity analysis), "sound", "arithmetic", etc.
     tags: frozenset[str] = frozenset()
+    #: The heads ``lhs`` needs in the graph (:func:`pattern_heads`),
+    #: computed once per rule for the saturation runner's rule filter.
+    heads: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         unbound = self.rhs.free_vars() - self.lhs.free_vars()
@@ -39,6 +42,7 @@ class Rewrite:
             raise ValueError(
                 f"rule {self.name}: rhs has unbound variables {sorted(unbound)}"
             )
+        object.__setattr__(self, "heads", pattern_heads(self.lhs))
 
     def apply(self, egraph: EGraph, limit: int | None = None) -> int:
         """Apply this rule everywhere it matches; returns number of matches."""

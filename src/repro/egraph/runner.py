@@ -4,19 +4,12 @@ Runs a rule set to saturation or until a node/iteration/match budget is
 exhausted — the paper notes Chassis caps e-graphs at 8000 nodes; the default
 here is smaller because pure Python is slower, and is configurable.
 
-The v2 engine makes the iteration loop *incremental*: iteration 0 matches
-every rule against the whole graph, but later iterations re-match a rule
-only against the **dirty closure** — the classes changed by the previous
-iteration plus their transitive ancestors — because a new match must have a
-changed class somewhere in its support.  Searches also filter out matches
-that are already applied (the rhs already sits in the matched class), so
-full and incremental re-matching enumerate identical *effective* match
-sequences and the two modes build byte-identical e-graphs.  Rules fall back
-to a full search whenever incremental soundness cannot be guaranteed: after
-their search was truncated by the match budget, while banned by the
-scheduler, or when they carry a side condition (conditions may consult
-arbitrary graph state).  ``REPRO_EGRAPH_INCREMENTAL=0`` disables
-incremental re-matching entirely (the equivalence escape hatch).
+Each iteration searches only the rules that can match: a rule whose
+left-hand side needs an operator, literal or constant head the graph does
+not hold (:meth:`EGraph.heads`) is skipped, exactly as if its search had
+found nothing.  Searches also filter out matches that are already applied
+(the rhs already sits in the matched class), so the per-rule match cap
+counts only graph-changing matches.
 
 Both the search and apply phases poll the cooperative deadline
 (:func:`repro.deadline.check_deadline`) and the runner's own ``time_limit``,
@@ -26,7 +19,6 @@ iterations.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -37,16 +29,8 @@ from .ematch import instantiate, match_is_applied, search_pattern
 from .rewrite import Rewrite
 from .stats import current_sink
 
-#: Environment escape hatch: set to ``0`` to disable incremental
-#: re-matching (every iteration searches the whole graph).
-INCREMENTAL_ENV = "REPRO_EGRAPH_INCREMENTAL"
-
 #: How many match applications between deadline/time-limit polls.
 _APPLY_POLL_EVERY = 64
-
-
-def _incremental_default() -> bool:
-    return os.environ.get(INCREMENTAL_ENV, "1") != "0"
 
 
 @dataclass
@@ -113,12 +97,9 @@ class RunnerReport:
     #: (``max_matches_per_rule``) and silently dropped matches.  Surfaced
     #: so node-budget tuning is observable in ``--json`` output.
     rules_truncated: dict[str, int] = field(default_factory=dict)
-    #: Per-rule whole-graph searches (iteration 0 and fallbacks).
-    searches_full: int = 0
-    #: Per-rule searches restricted to the dirty closure.
-    searches_incremental: int = 0
-    #: Root-candidate classes skipped by incremental searches.
-    candidates_skipped: int = 0
+    #: Per-rule pattern searches run (rules skipped by the head filter
+    #: are not searched).
+    searches: int = 0
     #: E-nodes created during this run.
     enodes_built: int = 0
 
@@ -131,9 +112,10 @@ def _flush_to_sink(report: RunnerReport) -> None:
     sink.enodes_built += report.enodes_built
     sink.matches_found += report.matches_found
     sink.matches_applied += report.matches_applied
-    sink.searches_full += report.searches_full
-    sink.searches_incremental += report.searches_incremental
-    sink.candidates_skipped += report.candidates_skipped
+    sink.searches += report.searches
+    sink.stop_reasons[report.stop_reason] = (
+        sink.stop_reasons.get(report.stop_reason, 0) + 1
+    )
     for name, count in report.rules_truncated.items():
         sink.rules_truncated[name] = sink.rules_truncated.get(name, 0) + count
 
@@ -143,7 +125,6 @@ def run_rules(
     rules: list[Rewrite],
     limits: RunnerLimits | None = None,
     scheduler: BackoffScheduler | None = None,
-    incremental: bool | None = None,
 ) -> RunnerReport:
     """Apply ``rules`` to saturation within ``limits``.
 
@@ -151,8 +132,7 @@ def run_rules(
     e-graph, then applies them in a batch and rebuilds — the standard egg
     schedule, which keeps rule application order-independent within an
     iteration.  An optional :class:`BackoffScheduler` temporarily bans rules
-    whose match counts explode.  ``incremental`` overrides the
-    ``REPRO_EGRAPH_INCREMENTAL`` environment default for this run.
+    whose match counts explode.
 
     When a tracer is armed (:mod:`repro.obs`), the run records one
     ``egraph.run_rules`` span (report counters as attributes) with nested
@@ -160,7 +140,7 @@ def run_rules(
     saturation shows *which* half of which iteration the time went to.
     """
     with span("egraph.run_rules", rules=len(rules)) as run_span:
-        report = _run_rules(egraph, rules, limits, scheduler, incremental)
+        report = _run_rules(egraph, rules, limits, scheduler)
         if run_span is not None:
             run_span["attrs"].update(
                 iterations=report.iterations,
@@ -177,20 +157,11 @@ def _run_rules(
     rules: list[Rewrite],
     limits: RunnerLimits | None,
     scheduler: BackoffScheduler | None,
-    incremental: bool | None,
 ) -> RunnerReport:
     limits = limits or RunnerLimits()
     report = RunnerReport()
     start = time.monotonic()
-    if incremental is None:
-        incremental = _incremental_default()
     nodes_at_start = egraph.nodes_built
-    # Discard dirt accumulated before this run: iteration 0 is a full match.
-    egraph.take_dirty()
-    # Rules whose next search must be a full one: everything at first, then
-    # any rule that was banned or truncated (its last search missed matches
-    # that may sit outside the next dirty closure).
-    full_next: set[str] = {rule.name for rule in rules}
 
     def finish(stop_reason: str) -> RunnerReport:
         report.stop_reason = stop_reason
@@ -204,72 +175,52 @@ def _run_rules(
         version_before = egraph.version
         nodes_before = egraph.num_nodes
 
-        if iteration == 0 or not incremental:
-            dirty_roots = None
-        else:
-            dirty_roots = egraph.dirty_closure(egraph.take_dirty())
-
         # Search phase: gather matches against a frozen view.  Collection
         # is bounded by the *remaining node budget* on top of the per-rule
         # match budget: the apply phase stops at ``max_nodes`` anyway, so
-        # effective matches beyond the budget are wasted search time.  The
-        # cap depends only on graph state and the (mode-independent)
-        # effective-match sequence, so full and incremental re-matching
-        # still truncate at identical points.
+        # effective matches beyond the budget are wasted search time.
         batches = []
         throttled = False
         collected = 0
         node_budget = limits.max_nodes - egraph.num_nodes
+        # Searching adds no nodes, so the heads read here hold for the
+        # whole phase; a rule needing an absent head would find nothing.
+        present = egraph.heads()
         with span("egraph.search", iteration=iteration) as search_span:
             for rule in rules:
                 check_deadline()
                 if scheduler is not None and not scheduler.can_fire(rule.name, iteration):
                     throttled = True
-                    full_next.add(rule.name)  # it missed this graph state
+                    continue
+                if not present >= rule.heads:
                     continue
                 cap = limits.max_matches_per_rule
                 budget_left = node_budget - collected
                 if budget_left <= 0:
                     # Whatever this rule would find cannot be applied this
-                    # iteration; search it fresh once the budget recovers.
-                    full_next.add(rule.name)
+                    # iteration.
                     continue
                 if cap is None or budget_left < cap:
                     cap = budget_left
-                use_roots = None
-                if (
-                    dirty_roots is not None
-                    and rule.name not in full_next
-                    and rule.condition is None
-                ):
-                    use_roots = dirty_roots
-                    report.searches_incremental += 1
-                else:
-                    report.searches_full += 1
-                full_next.discard(rule.name)
+                report.searches += 1
 
                 def effective(class_id, subst, _rhs=rule.rhs):
                     return not match_is_applied(egraph, _rhs, class_id, subst)
 
-                search_stats: dict = {}
                 matches = search_pattern(
-                    egraph, rule.lhs, limit=cap + 1, roots=use_roots,
-                    accept=effective, search_stats=search_stats,
+                    egraph, rule.lhs, limit=cap + 1, accept=effective,
                 )
-                report.candidates_skipped += search_stats.get("skipped_roots", 0)
                 if len(matches) > cap:
                     matches = matches[:cap]
                     report.rules_truncated[rule.name] = (
                         report.rules_truncated.get(rule.name, 0) + 1
                     )
-                    full_next.add(rule.name)  # dropped matches may be anywhere
                 collected += len(matches)
                 report.matches_found += len(matches)
                 if scheduler is not None and not scheduler.record_matches(
                     rule.name, len(matches), iteration
                 ):
                     throttled = True
-                    full_next.add(rule.name)  # found but never applied
                     continue
                 if matches:
                     batches.append((rule, matches))
@@ -287,13 +238,11 @@ def _run_rules(
                 applied = 0
                 for index, (class_id, subst) in enumerate(matches):
                     if egraph.num_nodes >= limits.max_nodes:
-                        full_next.add(rule.name)  # unapplied matches remain
                         break
                     if index % _APPLY_POLL_EVERY == 0:
                         check_deadline()
                         if time.monotonic() - start > limits.time_limit:
                             timed_out = True
-                            full_next.add(rule.name)
                             break
                     if rule.condition is not None and not rule.condition(egraph, subst):
                         continue

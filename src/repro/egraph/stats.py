@@ -1,14 +1,14 @@
 """Engine counters: what the e-graph engine did, aggregated per consumer.
 
-The v2 engine (indexed incremental e-matching, worklist extraction,
-saturation reuse) is observable: every saturation run, snapshot build and
-cache decision records into the *engine-stats sink* armed on the current
-thread, when one is armed.  The session arms a sink around each pipeline
-run and folds the result into :class:`~repro.session.SessionStats`, so
-``/health`` and ``repro compile --json`` report real engine work — e-nodes
-built, matches found/applied, the candidate classes incremental re-matching
-skipped, and saturation-cache hits — without any engine API threading a
-stats object through every call site.
+The v2 engine (head-indexed e-matching, worklist extraction, saturation
+reuse) is observable: every saturation run, snapshot build and cache
+decision records into the *engine-stats sink* armed on the current thread,
+when one is armed.  The session arms a sink around each pipeline run and
+folds the result into :class:`~repro.session.SessionStats`, so ``/health``
+and ``repro compile --json`` report real engine work — e-nodes built,
+matches found/applied, rule searches, why each saturation stopped, and
+saturation-cache hits — without any engine API threading a stats object
+through every call site.
 
 The sink is thread-local (compilations are serialized per thread by the
 session's oracle lock); worker processes aggregate their own engine work
@@ -27,11 +27,12 @@ from dataclasses import dataclass, field
 class EngineStats:
     """Counters over the e-graph engine's work.
 
-    ``searches_full``/``searches_incremental`` count per-rule pattern
-    searches by kind; ``candidates_skipped`` counts root-candidate classes
-    an incremental search never examined (the asymptotic saving over the
-    scan-everything engine).  ``saturation_hits`` counts improvement-loop
-    candidates whose subexpression reused an already-saturated e-graph.
+    ``searches`` counts per-rule pattern searches actually run (the
+    runner's head filter skips rules that cannot match);
+    ``stop_reasons`` counts saturation runs by why they stopped, so a
+    ``"time-limit"`` truncation is visible.  ``saturation_hits`` counts
+    improvement-loop candidates whose subexpression reused an
+    already-saturated e-graph.
     """
 
     #: Distinct e-nodes created during saturation runs.
@@ -40,12 +41,8 @@ class EngineStats:
     matches_found: int = 0
     #: Matches actually applied (post side-condition, within node budget).
     matches_applied: int = 0
-    #: Per-rule full searches (iteration 0, truncated/banned/conditional rules).
-    searches_full: int = 0
-    #: Per-rule incremental searches restricted to the dirty closure.
-    searches_incremental: int = 0
-    #: Root-candidate classes skipped by incremental re-matching.
-    candidates_skipped: int = 0
+    #: Per-rule pattern searches run.
+    searches: int = 0
     #: Saturation runs (one per run_rules call).
     saturations: int = 0
     #: Improvement-loop saturations answered from the per-run cache.
@@ -60,15 +57,16 @@ class EngineStats:
     snapshot_reuses: int = 0
     #: Rule name -> iterations whose search was truncated by the match budget.
     rules_truncated: dict[str, int] = field(default_factory=dict)
+    #: Stop reason ("saturated", "node-limit", ...) -> saturation runs.
+    stop_reasons: dict[str, int] = field(default_factory=dict)
 
     def merge(self, other: "EngineStats") -> None:
         """Fold ``other``'s counters into this one."""
         for fld in dataclasses.fields(self):
-            if fld.name == "rules_truncated":
-                for name, count in other.rules_truncated.items():
-                    self.rules_truncated[name] = (
-                        self.rules_truncated.get(name, 0) + count
-                    )
+            mine = getattr(self, fld.name)
+            if isinstance(mine, dict):
+                for name, count in getattr(other, fld.name).items():
+                    mine[name] = mine.get(name, 0) + count
             else:
                 setattr(
                     self, fld.name,

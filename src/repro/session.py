@@ -137,7 +137,7 @@ class SessionStats:
     validations: int = 0
     validation_hits: int = 0
     #: E-graph engine counters (e-nodes built, matches found/applied,
-    #: incremental re-match savings, saturation-cache hits), accumulated
+    #: rule searches, stop reasons, saturation-cache hits), accumulated
     #: from every in-process pipeline run *and* — shipped back through
     #: ``JobOutcome.engine`` — from every pooled worker-process compile,
     #: so ``/health`` covers the whole session regardless of where jobs

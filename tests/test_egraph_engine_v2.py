@@ -1,6 +1,7 @@
-"""Engine v2 tests: incremental e-matching equivalence and determinism,
-worklist-extractor parity with the old fixpoint, saturation reuse, engine
-counters, and the runner's deadline/truncation satellites."""
+"""Engine v2 tests: the runner's head-presence rule filter, determinism,
+worklist-extractor parity with the old fixpoint, saturation reuse, the
+per-target rule cache, engine counters, and the runner's
+deadline/truncation satellites."""
 
 import os
 import random
@@ -10,12 +11,18 @@ from pathlib import Path
 
 import pytest
 
+from repro.accuracy.sampler import SampleConfig
+from repro.benchsuite import core_named
+from repro.benchsuite.generator import generate_core
+from repro.core import isel
 from repro.core.isel import (
     DEFAULT_ISEL_LIMITS,
     SaturationCache,
     _rules_for,
     instruction_select,
 )
+from repro.core.loop import CompileConfig
+from repro.core.transcribe import Untranscribable, transcribe_with_poly
 from repro.cost.model import TargetCostModel
 from repro.deadline import DeadlineExceeded, deadline
 from repro.egraph import (
@@ -29,99 +36,134 @@ from repro.egraph import (
     extract_variants,
     run_rules,
     rw,
+    search_pattern,
 )
+from repro.egraph.ematch import pattern_heads
 from repro.ir import parse_expr
 from repro.ir.printer import expr_to_sexpr
+from repro.service.results import result_to_dict
+from repro.session import ChassisSession
 from repro.targets import get_target
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-#: Small budget so equivalence tests cover several saturation iterations
-#: (including truncation-driven full-search fallbacks) without CI cost.
+#: Small budget so saturation tests cover several iterations without CI
+#: cost.
 SMALL = RunnerLimits(
     max_iterations=3, max_nodes=700, max_matches_per_rule=80, time_limit=5.0
 )
 
-KERNELS = [
-    "(- (sqrt (+ x 1)) (sqrt x))",
-    "(/ (sin x) (+ 1 (cos x)))",
-    "(* (exp x) (exp y))",
-    "(sqrt (+ (* x x) (* y y)))",
-    "(exp (/ (- 0 (* x x)) (* 2 (* y y))))",
+#: The isel budget without its wall-clock cut, so two runs of one input
+#: always build the same graph.
+ISEL_UNTIMED = RunnerLimits(
+    max_iterations=DEFAULT_ISEL_LIMITS.max_iterations,
+    max_nodes=DEFAULT_ISEL_LIMITS.max_nodes,
+    max_matches_per_rule=DEFAULT_ISEL_LIMITS.max_matches_per_rule,
+    time_limit=600.0,
+)
+
+FILTER_CASES = [
+    (name, ty, seed)
+    for name in ("c99", "fdlibm", "avx", "arith")
+    for ty in ("binary64", "binary32")
+    for seed in (2, 7)
 ]
 
 
-def _variants(source: str, incremental: bool, limits=SMALL) -> list[str]:
-    target = get_target("c99")
-    expr = parse_expr(source)
+def _generated_graph(target, ty: str, seed: int) -> EGraph:
+    """A generator core's real body plus, when the target can run it at
+    ``ty``, its transcription: the mixed real/float graph isel saturates."""
+    core = generate_core(seed, n_vars=2, depth=4)
     egraph = EGraph()
-    root = egraph.add_expr(expr)
-    run_rules(egraph, _rules_for(target), limits, incremental=incremental)
-    extractor = TypedExtractor(
-        egraph, TargetCostModel(target),
-        {name: "binary64" for name in expr.free_vars()},
-    )
-    return [
-        expr_to_sexpr(v)
-        for v in extract_variants(egraph, extractor, root, "binary64")
-    ]
+    egraph.add_expr(core.body)
+    try:
+        egraph.add_expr(transcribe_with_poly(core.body, target, ty))
+    except Untranscribable:
+        pass
+    return egraph
 
 
-class TestIncrementalEquivalence:
-    @pytest.mark.parametrize("source", KERNELS)
-    def test_full_and_incremental_extract_identically(self, source):
-        assert _variants(source, True) == _variants(source, False)
+def _graph_state(egraph: EGraph) -> tuple:
+    """Everything that identifies a graph: classes, their nodes, generation."""
+    classes = {
+        egraph.find(eclass.id): tuple(eclass.nodes)
+        for eclass in egraph.classes()
+    }
+    return classes, egraph.num_nodes, egraph.generation
 
-    def test_identical_graphs_not_just_extractions(self):
-        target = get_target("c99")
-        expr = parse_expr(KERNELS[0])
-        graphs = []
-        for incremental in (False, True):
-            egraph = EGraph()
-            egraph.add_expr(expr)
-            run_rules(egraph, _rules_for(target), SMALL, incremental=incremental)
-            graphs.append(egraph)
-        full, incr = graphs
-        assert full.num_nodes == incr.num_nodes
-        assert full.num_classes == incr.num_classes
-        assert full.version == incr.version
+
+class TestHeadFilter:
+    def test_pattern_heads(self):
+        assert pattern_heads(parse_expr("(+ (* a 2) PI)")) == {
+            "+", "*", ("num", 2), ("const", "PI"),
+        }
+        assert pattern_heads(parse_expr("a")) == frozenset()
+        assert rw("r", "(sqrt (+ a 0))", "a").heads == {"sqrt", "+", ("num", 0)}
+
+    def test_graph_heads_track_insertions(self):
+        g = EGraph()
+        g.add_expr(parse_expr("(+ x 1)"))
+        assert set(g.heads()) == {"+", ("var", "x"), ("num", 1)}
+        a, b = g.add_expr(parse_expr("(sqrt x)")), g.add_expr(parse_expr("y"))
+        g.union(a, b)
+        g.rebuild()
+        assert {"sqrt", ("var", "y")} <= set(g.heads())
 
     def test_deep_chain_match_at_unchanged_root(self):
-        # The match of "outer" only becomes available after "inner" fires
-        # in a *descendant* class (iteration 0 has no ``(+ _ 0)`` node at
-        # all); the root's own sqrt node never changes, so finding the new
-        # match in iteration 1 exercises the upward dirty closure.
+        # Iteration 0 has no ``(+ _ 0)`` node at all, so the filter skips
+        # "outer"; it must fire once "inner" adds that head in a
+        # *descendant* class under the root's unchanged sqrt node.
         rules = [
             rw("inner", "(* a 1)", "(+ a 0)"),
             rw("outer", "(sqrt (+ q 0))", "(exp q)"),
         ]
-        for incremental in (False, True):
-            g = EGraph()
-            root = g.add_expr(parse_expr("(sqrt (* x 1))"))
-            run_rules(g, rules, RunnerLimits(max_iterations=6),
-                      incremental=incremental)
-            assert g.represents(root, parse_expr("(exp x)")), incremental
-            assert g.represents(root, parse_expr("(sqrt (+ x 0))"))
+        g = EGraph()
+        root = g.add_expr(parse_expr("(sqrt (* x 1))"))
+        run_rules(g, rules, RunnerLimits(max_iterations=6))
+        assert g.represents(root, parse_expr("(exp x)"))
+        assert g.represents(root, parse_expr("(sqrt (+ x 0))"))
 
-    def test_escape_hatch_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EGRAPH_INCREMENTAL", "0")
-        g = EGraph()
-        g.add_expr(parse_expr("(+ (+ x 0) 0)"))
-        report = run_rules(g, [rw("id", "(+ a 0)", "a")])
-        assert report.searches_incremental == 0
-        assert report.searches_full >= 1
-        monkeypatch.setenv("REPRO_EGRAPH_INCREMENTAL", "1")
-        g = EGraph()
-        g.add_expr(parse_expr("(+ (+ x 0) 0)"))
-        report = run_rules(g, [rw("id", "(+ a 0)", "a")])
-        assert report.searches_incremental >= 1
+    @pytest.mark.parametrize("name,ty,seed", FILTER_CASES)
+    def test_skipped_rules_find_nothing(self, name, ty, seed, monkeypatch):
+        """Each rule skipped at an iteration's search phase would have
+        returned no matches from that iteration's graph."""
+        rules = _rules_for(get_target(name))
+        real_heads = EGraph.heads
+        skipped = []
 
-    def test_conditional_rules_always_full_search(self):
-        g = EGraph()
-        g.add_expr(parse_expr("(+ (+ x 0) 0)"))
-        rule = rw("id", "(+ a 0)", "a", condition=lambda eg, s: True)
-        report = run_rules(g, [rule], incremental=True)
-        assert report.searches_incremental == 0
+        def checked_heads(egraph):
+            present = real_heads(egraph)
+            for rule in rules:
+                if not present >= rule.heads:
+                    assert search_pattern(egraph, rule.lhs) == [], rule.name
+                    skipped.append(rule.name)
+            return present
+
+        monkeypatch.setattr(EGraph, "heads", checked_heads)
+        egraph = _generated_graph(get_target(name), ty, seed)
+        report = run_rules(egraph, rules, ISEL_UNTIMED)
+        assert report.iterations >= 2
+        assert skipped  # the filter did skip rules on this input
+
+    @pytest.mark.parametrize("name,ty,seed", FILTER_CASES)
+    def test_same_graph_as_searching_every_rule(self, name, ty, seed,
+                                                monkeypatch):
+        target = get_target(name)
+        rules = _rules_for(target)
+        filtered = _generated_graph(target, ty, seed)
+        filtered_report = run_rules(filtered, rules, ISEL_UNTIMED)
+
+        # A graph that claims every head any rule needs: nothing is skipped.
+        every_head = frozenset().union(*(rule.heads for rule in rules))
+        monkeypatch.setattr(EGraph, "heads", lambda egraph: every_head)
+        full = _generated_graph(target, ty, seed)
+        full_report = run_rules(full, rules, ISEL_UNTIMED)
+
+        assert _graph_state(filtered) == _graph_state(full)
+        for field in ("iterations", "stop_reason", "matches_found",
+                      "matches_applied", "rule_matches", "rules_truncated"):
+            assert getattr(filtered_report, field) == getattr(full_report, field)
+        assert filtered_report.searches < full_report.searches
 
 
 class TestHashSeedDeterminism:
@@ -457,6 +499,20 @@ class TestSaturationCache:
         instruction_select(expr, target, limits=other, cache=cache)
         assert cache.misses == 2 and cache.hits == 0
 
+    def test_time_limited_run_not_cached(self):
+        cache = SaturationCache()
+        expr = parse_expr("(- (sqrt (+ x 1)) (sqrt x))")
+        timed_out = RunnerLimits(max_iterations=3, max_nodes=700,
+                                 max_matches_per_rule=80, time_limit=0.0)
+        stats = EngineStats()
+        with engine_stats_sink(stats):
+            entry = cache.saturated(expr, get_target("c99"), timed_out)
+        assert entry.report.stop_reason == "time-limit"
+        assert stats.stop_reasons == {"time-limit": 1}
+        assert cache._entries == {}
+        cache.saturated(expr, get_target("c99"), timed_out)
+        assert cache.hits == 0 and cache.misses == 2
+
     def test_loop_counts_saturation_hits(self):
         from repro.core.loop import ImprovementLoop
 
@@ -483,6 +539,42 @@ class TestSaturationCache:
         assert loop.saturation_hits + loop._saturations.misses > 0
 
 
+class TestRulesCache:
+    """The rule list is cached per target object, not per target name."""
+
+    REMOVED = ("hypot.f64", "fma.f64", "expm1.f64", "log1p.f64")
+
+    def _derived(self):
+        return get_target("c99").extend("c99", remove_operators=self.REMOVED)
+
+    def _payload(self, target) -> dict:
+        config = CompileConfig(iterations=1, localize_points=8)
+        with ChassisSession(
+            config=config, sample_config=SampleConfig(n_train=16, n_test=16)
+        ) as session:
+            result = session.compile(core_named("expm1-naive"), target)
+        payload = result_to_dict(result)
+        payload.pop("elapsed")
+        return payload
+
+    def test_derived_target_gets_its_own_rules(self):
+        builtin, derived = get_target("c99"), self._derived()
+        _rules_for(builtin)
+        names = {rule.name for rule in _rules_for(derived)}
+        lowered = {name for name in names if name.startswith("lower-")}
+        assert lowered == {f"lower-{op}" for op in derived.operators}
+        assert "lower-hypot.f64" in {r.name for r in _rules_for(builtin)}
+
+    def test_builtin_payload_ignores_prior_same_named_compile(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(isel, "_RULES_CACHE", {})
+        fresh = self._payload(get_target("c99"))
+        monkeypatch.setattr(isel, "_RULES_CACHE", {})
+        self._payload(self._derived())
+        assert self._payload(get_target("c99")) == fresh
+
+
 class TestEngineStats:
     def test_sink_collects_run_counters(self):
         stats = EngineStats()
@@ -492,6 +584,8 @@ class TestEngineStats:
             run_rules(g, [rw("id", "(+ a 0)", "a")])
         assert stats.saturations == 1
         assert stats.matches_applied >= 2
+        assert stats.searches >= 1
+        assert stats.stop_reasons == {"saturated": 1}
         assert stats.enodes_built >= 0
         assert stats.any()
 
