@@ -9,7 +9,7 @@ from conftest import BENCH_POINTS, write_result
 
 from repro.accuracy import SampleConfig
 from repro.benchsuite import core_named
-from repro.core import CompileConfig, compile_fpcore
+from repro.core import CompileConfig, compile_core
 from repro.ir import expr_to_sexpr
 from repro.targets import get_target
 
@@ -35,7 +35,7 @@ def test_case_quadratic_avx(benchmark):
     core = core_named("quadratic-mod")
     avx = get_target("avx")
     result = benchmark.pedantic(
-        compile_fpcore, args=(core, avx, CONFIG, SAMPLES), rounds=1, iterations=1
+        compile_core, args=(core, avx, CONFIG, SAMPLES), rounds=1, iterations=1
     )
     text = "Case study 1 — modified quadratic on AVX\n" + _render(result)
     write_result("case_quadratic_avx", text)
@@ -47,7 +47,7 @@ def test_case_ellipse_julia(benchmark):
     core = core_named("ellipse-angle")
     julia = get_target("julia")
     result = benchmark.pedantic(
-        compile_fpcore, args=(core, julia, CONFIG, SAMPLES), rounds=1, iterations=1
+        compile_core, args=(core, julia, CONFIG, SAMPLES), rounds=1, iterations=1
     )
     text = "Case study 2 — ellipse angle on Julia\n" + _render(result)
     write_result("case_ellipse_julia", text)
@@ -59,7 +59,7 @@ def test_case_acoth_fdlibm(benchmark):
     core = core_named("acoth")
     fdlibm = get_target("fdlibm")
     result = benchmark.pedantic(
-        compile_fpcore, args=(core, fdlibm, CONFIG, SAMPLES), rounds=1, iterations=1
+        compile_core, args=(core, fdlibm, CONFIG, SAMPLES), rounds=1, iterations=1
     )
     text = "Case study 3 — inverse hyperbolic cotangent on fdlibm\n" + _render(result)
     write_result("case_acoth_fdlibm", text)

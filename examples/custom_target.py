@@ -10,7 +10,7 @@ it, then auto-tunes the cost model as the paper describes for targets with
 no cost information.
 """
 
-from repro import CompileConfig, SampleConfig, compile_fpcore, parse_fpcore
+from repro import CompileConfig, SampleConfig, compile_core, parse_fpcore
 from repro.fpeval import approx, impls
 from repro.ir import expr_to_sexpr
 from repro.targets import autotuned, parse_target_description
@@ -70,7 +70,7 @@ def main() -> None:
     print("Auto-tuned costs:", {n: op.cost for n, op in sorted(tuned.operators.items())})
     print()
 
-    result = compile_fpcore(
+    result = compile_core(
         CORE, tuned, CompileConfig(iterations=2), SampleConfig(n_train=32, n_test=32)
     )
     print("Pareto frontier (rsqrt should replace the div+sqrt chain):")

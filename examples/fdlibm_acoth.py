@@ -9,7 +9,7 @@ operator.  Chassis rewrites ``0.5 * log((1+x)/(1-x))`` into
 needs two log1p calls.
 """
 
-from repro import CompileConfig, SampleConfig, compile_fpcore, get_target, parse_fpcore
+from repro import CompileConfig, SampleConfig, compile_core, get_target, parse_fpcore
 from repro.accuracy import sample_core
 from repro.baselines import herbie_frontier_on_target
 from repro.cost import TargetCostModel
@@ -34,7 +34,7 @@ def main() -> None:
 
     config = CompileConfig(iterations=2)
     samples = sample_core(CORE, SampleConfig(n_train=32, n_test=32))
-    result = compile_fpcore(CORE, fdlibm, config, samples=samples)
+    result = compile_core(CORE, fdlibm, config, samples=samples)
     print("Chassis frontier on fdlibm:")
     for candidate in result.frontier:
         print(f"  cost={candidate.cost:7.1f} err={candidate.error:6.2f}  "

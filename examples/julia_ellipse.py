@@ -10,7 +10,7 @@ expansions; Chassis, told about Julia's helper library, reaches for
 precision) and friends like ``deg2rad`` and ``abs2``.
 """
 
-from repro import CompileConfig, SampleConfig, compile_fpcore, get_target, parse_fpcore
+from repro import CompileConfig, SampleConfig, compile_core, get_target, parse_fpcore
 from repro.core import render
 from repro.ir import expr_to_sexpr
 
@@ -32,7 +32,7 @@ def main() -> None:
     print(f"Julia helper operators available: {', '.join(sorted(helpers))}")
     print()
 
-    result = compile_fpcore(
+    result = compile_core(
         CORE, julia, CompileConfig(iterations=2), SampleConfig(n_train=32, n_test=32)
     )
     print("Pareto frontier on Julia:")

@@ -8,7 +8,7 @@ accuracy.  Here we compile the classic catastrophic-cancellation example
 ``sqrt(x+1) - sqrt(x)`` for the C 99 target.
 """
 
-from repro import CompileConfig, SampleConfig, compile_fpcore, get_target, parse_fpcore
+from repro import CompileConfig, SampleConfig, compile_core, get_target, parse_fpcore
 from repro.core import render
 from repro.ir import expr_to_infix
 
@@ -24,7 +24,7 @@ CORE = parse_fpcore(
 
 def main() -> None:
     target = get_target("c99")
-    result = compile_fpcore(
+    result = compile_core(
         CORE,
         target,
         CompileConfig(iterations=2),

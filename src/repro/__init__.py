@@ -18,10 +18,9 @@ Quickstart (the curated surface lives in :mod:`repro.api`)::
     for candidate in result.frontier:
         print(candidate.cost, candidate.error, candidate.program)
 
-The historical one-shot ``compile_fpcore`` remains importable as a
-deprecated shim.  See DESIGN.md for the system inventory and
-EXPERIMENTS.md for the paper-vs-measured record of every reproduced table
-and figure.
+:func:`compile_core` compiles once without session state.  See DESIGN.md
+for the system inventory and EXPERIMENTS.md for the paper-vs-measured
+record of every reproduced table and figure.
 """
 
 from .accuracy import SampleConfig, bits_of_error, sample_core, score_program
@@ -32,7 +31,6 @@ from .core import (
     CompileResult,
     ParetoFrontier,
     compile_core,
-    compile_fpcore,
     instruction_select,
     render,
     transcribe,
@@ -57,7 +55,6 @@ __all__ = [
     "ChassisSession",
     "JobHandle",
     "compile_core",
-    "compile_fpcore",
     "CompileConfig",
     "CompilePipeline",
     "CompileResult",

@@ -24,8 +24,8 @@ Three layers, smallest first:
   calibrate the cost model against the measurements
   (:func:`collect_calibration`).
 
-The historical one-shot entry points ``repro.compile_fpcore`` and
-``repro.service.compile_many`` remain importable as deprecated shims.
+One-shot callers that want no session state use
+:func:`~repro.core.pipeline.compile_core`.
 """
 
 from .accuracy.sampler import SampleConfig, SampleSet, SamplingError

@@ -12,10 +12,9 @@ together with hook points, so callers can
 * **instrument** the run (``before``/``after`` callbacks per phase),
 
 instead of threading ever more keyword arguments through one monolithic
-``compile_fpcore``.  The phases deliberately mirror the architecture of
-paper figure 1; :func:`compile_core` runs the default pipeline and is what
-the scheduler workers, the session API and the deprecated
-:func:`~repro.core.chassis.compile_fpcore` shim all call.
+compile function.  The phases deliberately mirror the architecture of
+paper figure 1; :func:`compile_core` runs the default pipeline once,
+without any session state.
 """
 
 from __future__ import annotations
@@ -329,8 +328,9 @@ def compile_core(
 ) -> CompileResult:
     """Compile one FPCore to a Pareto frontier of programs on ``target``.
 
-    The non-deprecated engine behind ``compile_fpcore``: builds a
-    :class:`PipelineContext` and runs ``pipeline`` (default: all six
+    The one-shot entry point (a :class:`~repro.session.ChassisSession`
+    keeps the oracle, samples and caches warm across calls instead): builds
+    a :class:`PipelineContext` and runs ``pipeline`` (default: all six
     phases) over it.  ``core`` may be source text (the parse phase
     consumes it) or an already-parsed :class:`FPCore`.
 

@@ -11,8 +11,10 @@ saturation-cache hits — without any engine API threading a stats object
 through every call site.
 
 The sink is thread-local (compilations are serialized per thread by the
-session's oracle lock); worker processes aggregate their own engine work
-but do not ship it across the process boundary.
+session's oracle lock).  A job compiled by
+:func:`~repro.service.scheduler.run_job` — in a worker process or inline —
+arms its own sink and ships the counters home as a dict on
+``JobOutcome.engine``, which the session folds into its totals.
 """
 
 from __future__ import annotations
@@ -81,6 +83,16 @@ class EngineStats:
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+def time_limited(engine: dict | None) -> bool:
+    """True when one job's engine counters (an :meth:`EngineStats.as_dict`
+    dict) show a saturation cut short by its wall-clock ``time_limit``.
+
+    Such a result depends on machine load, so it must never be cached
+    under a fingerprint that promises the same bytes for the same inputs.
+    """
+    return bool(engine) and engine.get("stop_reasons", {}).get("time-limit", 0) > 0
 
 
 def stats_delta(after: dict, before: dict) -> dict:

@@ -1,14 +1,13 @@
-"""Batch compilation service: persistent result cache + parallel scheduler.
+"""Batch compilation service: persistent result cache + worker pool.
 
 The production-facing subsystem layered over the phase pipeline
 (:func:`repro.core.pipeline.compile_core`):
 
 * :mod:`repro.service.cache`     — content-addressed persistent cache
 * :mod:`repro.service.results`   — JSON round-trip of CompileResult
-* :mod:`repro.service.scheduler` — multiprocessing job scheduler
-* :mod:`repro.service.pool`      — session-owned persistent worker pool
+* :mod:`repro.service.scheduler` — the job function and outcome shape
+* :mod:`repro.service.pool`      — the persistent worker pool
 * :mod:`repro.service.api`       — the :func:`run_compile_jobs` engine
-  (plus the deprecated :func:`compile_many` shim)
 * :mod:`repro.service.batch`     — the ``repro batch`` CLI command
 * :mod:`repro.service.server`    — the ``repro serve`` HTTP front-end
 
@@ -16,7 +15,7 @@ Most callers should go through :class:`repro.api.ChassisSession`, which
 owns the cache, pool and evaluator across calls.
 """
 
-from .api import JobSpec, compile_many, iter_ok_results, run_compile_jobs
+from .api import JobSpec, iter_ok_results, run_compile_jobs
 from .cache import (
     CacheStats,
     CompileCache,
@@ -28,10 +27,9 @@ from .cache import (
 )
 from .pool import WorkerPool
 from .results import result_from_dict, result_to_dict
-from .scheduler import BatchJob, BatchScheduler, JobOutcome, JobTimeout, job_event
+from .scheduler import BatchJob, JobOutcome, JobTimeout, job_event
 
 __all__ = [
-    "compile_many",
     "run_compile_jobs",
     "iter_ok_results",
     "JobSpec",
@@ -45,7 +43,6 @@ __all__ = [
     "result_to_dict",
     "result_from_dict",
     "BatchJob",
-    "BatchScheduler",
     "JobOutcome",
     "JobTimeout",
     "WorkerPool",

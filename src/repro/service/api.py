@@ -1,17 +1,17 @@
 """The batch compilation engine: cache-aware fan-out over the worker pool.
 
 :func:`run_compile_jobs` is the engine behind
-:meth:`repro.api.ChassisSession.compile_many` (and the deprecated
-module-level :func:`compile_many` shim).  It layers the persistent cache
-under the parallel scheduler:
+:meth:`repro.api.ChassisSession.compile_many`.  It layers the persistent
+cache under the session's :class:`~repro.service.pool.WorkerPool`:
 
 1. every job is fingerprinted and looked up in the cache (parent process,
    so hit/miss stats are centralized and workers stay cache-free);
-2. misses are fanned out over the worker pool (or run inline for
-   ``jobs=1`` and for targets not resolvable from the registry by name —
-   custom targets hold unpicklable closures);
-3. fresh results are stored back, and every ok outcome carries both the
-   JSON payload (for reports) and the deserialized
+2. misses go to the worker pool when one is given, and run inline
+   otherwise — as do targets not resolvable from the registry by name
+   (custom targets hold unpicklable closures);
+3. fresh results are stored back (unless a saturation hit its wall-clock
+   time limit), and every ok outcome carries both the JSON payload (for
+   reports) and the deserialized
    :class:`~repro.core.pipeline.CompileResult` (for re-scoring).
 
 Cached and freshly-compiled outcomes are indistinguishable apart from the
@@ -21,25 +21,19 @@ a warm run reproduces a cold run's report byte-for-byte.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import nullcontext
 from typing import Iterable, Sequence, TypeAlias
 
 from ..accuracy.sampler import SampleConfig, SampleSet
 from ..core.loop import CompileConfig
+from ..egraph.stats import time_limited
 from ..ir.fpcore import FPCore
 from ..rival.backends import resolve_backend_name
 from ..targets import get_target
 from ..targets.target import Target
 from .cache import CompileCache, job_fingerprint, target_fingerprint
 from .results import core_to_source, result_from_dict
-from .scheduler import (
-    BatchJob,
-    BatchScheduler,
-    JobOutcome,
-    job_event,
-    run_job,
-)
+from .scheduler import BatchJob, JobOutcome, job_event, run_job
 
 #: A unit of requested work: a benchmark plus a target (object or registry
 #: name), optionally with pre-computed samples (see :func:`run_compile_jobs`).
@@ -68,7 +62,6 @@ def run_compile_jobs(
     specs: Sequence[JobSpec],
     config: CompileConfig | None = None,
     sample_config: SampleConfig | None = None,
-    jobs: int = 1,
     cache: CompileCache | str | None = None,
     timeout: float | None = None,
     progress=None,
@@ -87,19 +80,19 @@ def run_compile_jobs(
     optimization; the cache fingerprint assumes this equality).
 
     ``cache`` may be a :class:`CompileCache` or a directory path; ``None``
-    disables caching.  ``jobs`` is the worker-pool width; ``timeout``
-    bounds each individual compilation in seconds.  ``pool``, when given,
-    is a persistent :class:`~repro.service.pool.WorkerPool` that
-    registry-target cache misses are dispatched through — even single-job
-    batches, since its workers are already warm — instead of building a
-    throwaway pool (sessions with ``jobs >= 2`` pass their own).
+    disables caching.  ``timeout`` bounds each individual compilation in
+    seconds.  ``pool``, when given, is the persistent
+    :class:`~repro.service.pool.WorkerPool` that registry-target cache
+    misses are dispatched through — even single-job batches, since its
+    workers are already warm (sessions with ``jobs >= 2`` pass their own).
 
-    Cache misses may run *inline* in the calling thread (``jobs=1`` with
-    no pool, single-job pool-less batches, non-registry targets at any
-    width), and mpmath precision is process-global, so concurrent callers
-    must pass the same ``inline_lock`` to serialize those sections
-    (pool-dispatched work is unaffected).  Going through
-    :meth:`repro.api.ChassisSession.compile_many` does this for you.
+    Every other cache miss — all of them without a pool, non-registry
+    targets always — runs *inline* in the calling thread, in one loop
+    held under ``inline_lock``.  mpmath precision is process-global, so
+    concurrent callers must pass locks that serialize those sections
+    against each other (pool-dispatched work is unaffected).  Going
+    through :meth:`repro.api.ChassisSession.compile_many` does this for
+    you.
 
     ``trace=True`` asks each freshly-compiled job — wherever it runs —
     to record a span trace, returned on ``JobOutcome.trace`` (cache hits
@@ -111,7 +104,9 @@ def run_compile_jobs(
     duck-typed so this module never imports the provenance layer): one
     ``"batch"`` record is appended per job — hits in the lookup loop,
     fresh results as outcomes are rebuilt — always in the *parent*
-    process; workers never touch the journal.
+    process; workers never touch the journal.  A fresh result whose
+    engine counters show a ``"time-limit"`` stop is not cached and is
+    recorded as ``"bypass"``.
 
     ``oracle_backend`` names the oracle backend every job runs (None:
     ``REPRO_ORACLE_BACKEND``, then auto); it rides on each job, so
@@ -134,7 +129,7 @@ def run_compile_jobs(
 
     outcomes: list[JobOutcome | None] = [None] * len(resolved)
     pool_batch: list[BatchJob] = []
-    inline_jobs: list[tuple[int, BatchJob, Target]] = []
+    inline_jobs: list[tuple[BatchJob, Target]] = []
     targets_by_index: dict[int, Target] = {}
     oracle_backend = resolve_backend_name(oracle_backend)
 
@@ -168,22 +163,17 @@ def run_compile_jobs(
             sample_config=sample_config, trace=trace,
             oracle_backend=oracle_backend,
         )
-        if _poolable(target):
+        if pool is not None and _poolable(target):
             pool_batch.append(job)
         else:
-            inline_jobs.append((index, job, target))
+            inline_jobs.append((job, target))
 
     raw: list[dict] = []
     if pool_batch:
-        scheduler = BatchScheduler(jobs=jobs, timeout=timeout)
-        raw.extend(
-            scheduler.run(
-                pool_batch, progress, inline_lock=inline_lock, pool=pool
-            )
-        )
+        raw.extend(pool.run_batch(pool_batch, timeout=timeout, progress=progress))
     if inline_jobs:
         with inline_lock if inline_lock is not None else nullcontext():
-            for _index, job, target in inline_jobs:
+            for job, target in inline_jobs:
                 outcome = run_job(job, target=target)
                 if progress is not None:
                     progress(outcome)
@@ -210,14 +200,16 @@ def run_compile_jobs(
             trace=outcome_dict.get("trace"),
             phases=outcome_dict.get("phases"),
         )
-        if outcome.ok and cache is not None:
+        cacheable = outcome.ok and cache is not None
+        stored = cacheable and not time_limited(outcome.engine)
+        if stored:
             cache.put(fingerprint, outcome.payload)
         if ledger is not None:
             ledger.record_job(
                 "batch", core, target, config, sample_config, fingerprint,
                 cache=(
-                    "store" if outcome.ok and cache is not None
-                    else "none"
+                    "store" if stored
+                    else ("bypass" if cacheable else "none")
                 ),
                 status=outcome.status,
                 elapsed=outcome.elapsed,
@@ -235,36 +227,6 @@ def run_compile_jobs(
             outcome.result = result_from_dict(outcome.payload, targets_by_index[index])
         final.append(outcome)
     return final
-
-
-def compile_many(
-    specs: Sequence[JobSpec],
-    config: CompileConfig | None = None,
-    sample_config: SampleConfig | None = None,
-    jobs: int = 1,
-    cache: CompileCache | str | None = None,
-    timeout: float | None = None,
-    progress=None,
-) -> list[JobOutcome]:
-    """Deprecated: use :meth:`repro.api.ChassisSession.compile_many`.
-
-    A session amortizes the evaluator, sample cache and persistent result
-    cache across calls; this one-shot facade rebuilds them every time.
-    """
-    warnings.warn(
-        "compile_many is deprecated; use repro.api.ChassisSession.compile_many",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_compile_jobs(
-        specs,
-        config=config,
-        sample_config=sample_config,
-        jobs=jobs,
-        cache=cache,
-        timeout=timeout,
-        progress=progress,
-    )
 
 
 def iter_ok_results(outcomes: Iterable[JobOutcome]):

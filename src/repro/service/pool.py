@@ -1,10 +1,9 @@
 """Session-owned persistent worker pool: warm processes across batch calls.
 
-The ad-hoc scheduler path (:class:`~repro.service.scheduler.BatchScheduler`
-without a pool) builds a fresh ``multiprocessing`` pool per batch, so a
-long-lived front-end like ``repro serve`` paid worker start-up — process
-creation, re-importing :mod:`repro`, re-auto-tuning targets — on **every**
-``/batch`` request.  A :class:`WorkerPool` is the amortized alternative:
+The one process pool of the compile service.  A long-lived front-end like
+``repro serve`` must not pay worker start-up — process creation,
+re-importing :mod:`repro`, re-auto-tuning targets — on every request, so a
+:class:`WorkerPool` is:
 
 * **lazily created** — no processes exist until the first batch needs
   them, or until :meth:`start` (``repro serve`` forks its workers from the
@@ -13,7 +12,7 @@ creation, re-importing :mod:`repro`, re-auto-tuning targets — on **every**
   reuse the same PIDs (observable via :meth:`worker_pids` and the serve
   front-end's ``/health``);
 * **context chosen once** — fork vs forkserver is decided at creation (see
-  :func:`~repro.service.scheduler._pool_context`), not per batch;
+  :func:`_pool_context`), not per batch;
 * **configuration-free** — compile/sample configurations and timeouts
   ride on each :class:`~repro.service.scheduler.BatchJob`, so requests
   with different knobs share the same warm workers;
@@ -39,13 +38,7 @@ import threading
 import time
 
 from ..deadline import check_deadline
-from .scheduler import (
-    BatchJob,
-    _pool_context,
-    job_event,
-    observe_worker_phases,
-    run_job,
-)
+from .scheduler import BatchJob, job_event, observe_worker_phases, run_job
 
 #: Parent-side slack (seconds) on top of the per-job timeout before the
 #: watchdog declares the pool wedged.  The watchdog is *progress-based*:
@@ -68,6 +61,24 @@ WATCHDOG_POLL = 0.5
 #: process group, killing workers mid-``get()`` while the parent was
 #: draining.
 SHUTDOWN_GRACE = 5.0
+
+
+def _pool_context():
+    """Prefer fork (workers inherit the parent's hash seed and imports) —
+    but never fork a multi-threaded process directly: forking from, say, a
+    serve handler thread is deadlock-prone (the child inherits locks held
+    by threads that don't exist in it) and deprecated on Python 3.12+.
+    Such callers get *forkserver*: workers fork from a clean
+    single-threaded helper process (unlike spawn, the caller's
+    ``__main__`` is never re-executed)."""
+    single_threaded = (
+        threading.current_thread() is threading.main_thread()
+        and threading.active_count() == 1
+    )
+    try:
+        return multiprocessing.get_context("fork" if single_threaded else "forkserver")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return multiprocessing.get_context()
 
 
 class WorkerPool:

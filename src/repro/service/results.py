@@ -1,7 +1,7 @@
 """Serialization layer: round-trip :class:`CompileResult` through JSON.
 
 Cached compilation results must outlive the process that produced them, so
-everything a :class:`~repro.core.chassis.CompileResult` holds is flattened
+everything a :class:`~repro.core.pipeline.CompileResult` holds is flattened
 to JSON-compatible data: the benchmark is rendered back to FPCore source
 (``FPCore.to_sexpr``), candidate programs to S-expression source
 (:func:`~repro.ir.printer.expr_to_sexpr`) and re-parsed with
@@ -19,7 +19,7 @@ import re
 
 from ..accuracy.sampler import SampleSet
 from ..core.candidates import Candidate, ParetoFrontier
-from ..core.chassis import CompileResult
+from ..core.pipeline import CompileResult
 from ..ir.fpcore import FPCore, parse_fpcore
 from ..ir.printer import expr_to_sexpr
 from ..ir.parser import parse_expr

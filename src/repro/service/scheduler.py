@@ -1,4 +1,4 @@
-"""Parallel job scheduler: fan (benchmark, target) jobs over worker processes.
+"""Compile jobs as plain data: the one job function and its outcome shape.
 
 Jobs cross the process boundary as plain data — FPCore source text plus a
 target *name* — because targets hold synthesized implementation closures
@@ -22,17 +22,17 @@ Guarantees:
   main thread (worker processes always do), so a hung compilation frees
   its pool slot instead of wedging the batch — and inline jobs running on
   *non-main* threads (serve handlers, ``submit`` workers) are bounded too.
-* ``jobs=1`` runs inline in the calling process through the exact same
-  job function, so serial and parallel runs produce identical reports.
+* Inline jobs (no worker pool, or a target the registry cannot rebuild)
+  run in the calling process through the exact same job function, so
+  serial and pooled runs produce identical reports.
 
-Long-lived callers should prefer a session-owned persistent
-:class:`~repro.service.pool.WorkerPool` (pass it to :meth:`BatchScheduler.run`)
-over the ad-hoc per-batch pool this module otherwise builds.
+The jobs run on the session-owned
+:class:`~repro.service.pool.WorkerPool` or inline; see
+:func:`repro.service.api.run_compile_jobs`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import signal
 import threading
 from contextlib import nullcontext
@@ -319,76 +319,3 @@ def run_job(job: BatchJob, target=None) -> dict:
     if trace is not None:
         outcome["trace"] = trace.as_dict()
     return outcome
-
-
-def _pool_context():
-    """Prefer fork (workers inherit the parent's hash seed and imports) —
-    but never fork a multi-threaded process directly: forking from, say, a
-    serve handler thread is deadlock-prone (the child inherits locks held
-    by threads that don't exist in it) and deprecated on Python 3.12+.
-    Such callers get *forkserver*: workers fork from a clean
-    single-threaded helper process (unlike spawn, the caller's
-    ``__main__`` is never re-executed)."""
-    single_threaded = (
-        threading.current_thread() is threading.main_thread()
-        and threading.active_count() == 1
-    )
-    try:
-        return multiprocessing.get_context("fork" if single_threaded else "forkserver")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
-
-
-class BatchScheduler:
-    """Runs batches of compile jobs with a bounded worker pool."""
-
-    def __init__(self, jobs: int = 1, timeout: float | None = None):
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if timeout is not None and timeout <= 0:
-            # setitimer(0) would silently *disarm* the alarm.
-            raise ValueError(f"timeout must be positive, got {timeout}")
-        self.jobs = jobs
-        self.timeout = timeout
-
-    def run(
-        self,
-        batch: list[BatchJob],
-        progress=None,
-        inline_lock=None,
-        pool=None,
-    ) -> list[dict]:
-        """Execute every job; returns outcome dicts sorted by job index.
-
-        Each job carries its own configuration and timeout.  ``progress``,
-        when given, is called with each outcome dict as it completes (pool
-        order — not deterministic; the return value is).  ``inline_lock``
-        is held around serial in-process execution (see
-        :func:`repro.service.api.run_compile_jobs`).  ``pool``, when given,
-        is a persistent :class:`~repro.service.pool.WorkerPool` that all
-        jobs (even single-job batches — its workers are already warm) are
-        dispatched through instead of a per-batch throwaway pool.
-        """
-        outcomes: list[dict] = []
-        if pool is not None:
-            outcomes = pool.run_batch(
-                batch, timeout=self.timeout, progress=progress
-            )
-        elif self.jobs == 1 or len(batch) <= 1:
-            with inline_lock if inline_lock is not None else nullcontext():
-                for job in batch:
-                    outcome = run_job(job)
-                    if progress is not None:
-                        progress(outcome)
-                    outcomes.append(outcome)
-        else:
-            context = _pool_context()
-            workers = min(self.jobs, len(batch))
-            with context.Pool(processes=workers) as pool:
-                for outcome in pool.imap_unordered(run_job, batch):
-                    observe_worker_phases(outcome)
-                    if progress is not None:
-                        progress(outcome)
-                    outcomes.append(outcome)
-        outcomes.sort(key=lambda o: o["index"])
-        return outcomes

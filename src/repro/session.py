@@ -18,9 +18,8 @@ A :class:`ChassisSession` holds, for its whole lifetime,
 
 Every consumer — the CLI, ``repro serve``, the experiment runners, the
 baselines — goes through a session, so repeated requests hit warm state
-instead of paying process start-up each time.  The old module-level
-``compile_fpcore`` / ``compile_many`` entry points survive as deprecated
-shims that build this state from scratch per call.
+instead of paying process start-up each time.  One-shot callers that want
+no session state use :func:`repro.core.pipeline.compile_core`.
 
 Synopsis::
 
@@ -71,7 +70,7 @@ from .deadline import (
     deadline,
     deadline_suspended,
 )
-from .egraph.stats import EngineStats, engine_stats_sink
+from .egraph.stats import EngineStats, engine_stats_sink, time_limited
 from .exec.builder import BuildCache
 from .exec.executable import (
     ExecutableProgram,
@@ -803,17 +802,20 @@ class ChassisSession:
             with self._lock:
                 self.stats.compiles += 1
             outcome_counter("ok").inc()
-            if cacheable:
+            engine = self._timings_local.engine
+            stored = cacheable and not time_limited(engine)
+            if stored:
                 # Stored before the lock or gate is released, so a waiting
                 # duplicate's re-check above finds it.
                 self.cache.put(fingerprint, payload)
             record(
                 # "bypass": a fresh result deliberately kept out of a
-                # configured cache (customized pipeline, use_cache=False).
-                "store" if cacheable
+                # configured cache (customized pipeline, use_cache=False,
+                # or a saturation cut short by its wall-clock time limit).
+                "store" if stored
                 else ("bypass" if self.cache is not None else "none"),
                 elapsed=elapsed,
-                engine=self._timings_local.engine,
+                engine=engine,
             )
         return payload, False, fingerprint, result
 
@@ -1233,7 +1235,6 @@ class ChassisSession:
         *,
         config: CompileConfig | None = None,
         sample_config: SampleConfig | None = None,
-        jobs: int | None = None,
         timeout: float | None = None,
         progress=None,
         trace: bool = False,
@@ -1248,11 +1249,11 @@ class ChassisSession:
 
         With ``jobs >= 2``, registry-target cache misses are dispatched
         through the session's *persistent* :class:`WorkerPool` (workers
-        warm across calls).  Remaining inline work (non-registry targets,
-        ``jobs=1``) runs in this thread configured via module-global
-        worker state; the session's oracle lock is passed down so exactly
-        those inline sections are serialized against concurrent compiles,
-        while pool-dispatched work (separate processes) runs unlocked.
+        warm across calls).  Everything else — non-registry targets,
+        ``jobs == 1`` and a closed session — runs inline in this thread
+        inside one ``"compile"`` oracle section, so it is serialized
+        against concurrent compiles and counted in ``stats.oracle``, while
+        pool-dispatched work (separate processes) runs unlocked.
 
         ``trace=True`` records a span trace per freshly-compiled job
         (returned on ``JobOutcome.trace``, merged across workers by
@@ -1261,21 +1262,15 @@ class ChassisSession:
         """
         with self._lock:
             self.stats.batches += 1
-        effective_jobs = self.jobs if jobs is None else jobs
-        # The persistent pool has the session's width; honor an explicit
-        # different jobs= override with a one-off pool of the requested
-        # width (legacy scheduler path) instead of silently capping it.
-        pool = self.worker_pool() if effective_jobs == self.jobs else None
         outcomes = run_compile_jobs(
             specs,
             config=config or self.config,
             sample_config=sample_config or self.sample_config,
-            jobs=effective_jobs,
             cache=self.cache,
             timeout=self.timeout if timeout is None else timeout,
             progress=progress,
-            inline_lock=self._oracle_lock,
-            pool=pool,
+            inline_lock=self._oracle_section("compile"),
+            pool=self.worker_pool(),
             trace=trace,
             ledger=self.ledger,
             oracle_backend=self.oracle_backend,

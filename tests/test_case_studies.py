@@ -9,7 +9,7 @@ import pytest
 
 from repro.accuracy import SampleConfig
 from repro.benchsuite import core_named
-from repro.core import CompileConfig, compile_fpcore
+from repro.core import CompileConfig, compile_core
 from repro.core.isel import instruction_select
 from repro.ir import F32, F64, expr_to_sexpr, parse_expr
 
@@ -21,7 +21,7 @@ class TestQuadraticOnAVX:
     def test_fma_variants_appear(self, avx):
         """Paper: 'leverages the many fma variants available'."""
         core = core_named("quadratic-mod")
-        result = compile_fpcore(core, avx, CONFIG, SAMPLES)
+        result = compile_core(core, avx, CONFIG, SAMPLES)
         programs = " ".join(str(c.program) for c in result.frontier)
         assert "fma" in programs or "fnma" in programs or "fms" in programs
 
@@ -49,7 +49,7 @@ class TestEllipseOnJulia:
 
     def test_full_compile_improves_accuracy(self, julia):
         core = core_named("ellipse-angle")
-        result = compile_fpcore(core, julia, CONFIG, SAMPLES)
+        result = compile_core(core, julia, CONFIG, SAMPLES)
         assert result.frontier.best_error().error <= result.input_candidate.error
         programs = " ".join(str(c.program) for c in result.frontier)
         # some helper (sind/cosd/deg2rad/abs2) should surface
@@ -83,5 +83,5 @@ class TestAcothOnFdlibm:
 
     def test_full_compile_uses_library_internal(self, fdlibm):
         core = core_named("acoth")
-        result = compile_fpcore(core, fdlibm, CONFIG, SAMPLES)
+        result = compile_core(core, fdlibm, CONFIG, SAMPLES)
         assert result.frontier.best_error().error < result.input_candidate.error

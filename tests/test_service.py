@@ -1,17 +1,20 @@
 """Tests for the batch compilation service: cache, scheduler, serialization."""
 
+import itertools
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.accuracy import SampleConfig
+from repro.api import ChassisSession
 from repro.benchsuite import core_named
 from repro.cli import main
 from repro.core import CompileConfig
-from repro.core.chassis import compile_fpcore
+from repro.core.pipeline import compile_core
+from repro.egraph.stats import time_limited
 from repro.service import (
     CompileCache,
-    compile_many,
     core_fingerprint,
     job_fingerprint,
     result_from_dict,
@@ -31,7 +34,7 @@ def sqrt_sub():
 
 @pytest.fixture(scope="module")
 def compiled(sqrt_sub, c99):
-    return compile_fpcore(sqrt_sub, c99, FAST, SAMPLES)
+    return compile_core(sqrt_sub, c99, FAST, SAMPLES)
 
 
 class TestSerialization:
@@ -167,6 +170,15 @@ def _payload_no_elapsed(outcome):
     return json.dumps(data, sort_keys=True)
 
 
+def session_batch(specs, jobs=1, cache=None, timeout=None):
+    """One ``compile_many`` call on a fresh ``jobs``-wide session."""
+    with ChassisSession(
+        config=FAST, sample_config=SAMPLES, jobs=jobs, cache=cache,
+        timeout=timeout,
+    ) as session:
+        return session.compile_many(specs)
+
+
 class TestCompileMany:
     SPECS_TARGETS = ("c99", "arith")
 
@@ -176,24 +188,18 @@ class TestCompileMany:
 
     def test_serial_parallel_identical(self):
         """--jobs 1 and --jobs 4 must produce identical results."""
-        serial = compile_many(self._specs(), config=FAST, sample_config=SAMPLES, jobs=1)
-        parallel = compile_many(
-            self._specs(), config=FAST, sample_config=SAMPLES, jobs=4
-        )
+        serial = session_batch(self._specs(), jobs=1)
+        parallel = session_batch(self._specs(), jobs=4)
         assert [o.status for o in serial] == [o.status for o in parallel]
         for a, b in zip(serial, parallel):
             assert _payload_no_elapsed(a) == _payload_no_elapsed(b)
 
     def test_warm_cache_all_hits(self, tmp_path):
         cache = CompileCache(tmp_path)
-        cold = compile_many(
-            self._specs(), config=FAST, sample_config=SAMPLES, jobs=2, cache=cache
-        )
+        cold = session_batch(self._specs(), jobs=2, cache=cache)
         assert all(o.ok and not o.cached for o in cold)
         assert cache.stats.stores == len(cold)
-        warm = compile_many(
-            self._specs(), config=FAST, sample_config=SAMPLES, jobs=2, cache=cache
-        )
+        warm = session_batch(self._specs(), jobs=2, cache=cache)
         assert all(o.ok and o.cached for o in warm)
         assert cache.stats.hits == len(warm)
         for a, b in zip(cold, warm):
@@ -204,10 +210,8 @@ class TestCompileMany:
 
         # An unsatisfiable precondition -> SamplingError, recorded per job.
         bad = parse_fpcore("(FPCore nopoints (x) :pre (and (< 2 x) (< x 1)) x)")
-        outcomes = compile_many(
+        outcomes = session_batch(
             [(bad, "arith"), (core_named("sqrt-sub"), "arith")],
-            config=FAST,
-            sample_config=SAMPLES,
             cache=CompileCache(tmp_path),
         )
         assert outcomes[0].status == "failed"
@@ -221,28 +225,20 @@ class TestCompileMany:
 
         if not hasattr(signal, "SIGALRM"):
             pytest.skip("no SIGALRM on this platform")
-        outcomes = compile_many(
-            [(core_named("sqrt-sub"), "c99")],
-            config=FAST,
-            sample_config=SAMPLES,
-            timeout=0.01,
-        )
+        outcomes = session_batch([(core_named("sqrt-sub"), "c99")], timeout=0.01)
         assert outcomes[0].status == "timeout"
         assert outcomes[0].error_type == "JobTimeout"
         assert outcomes[0].payload is None
 
     def test_deterministic_ordering(self):
-        outcomes = compile_many(self._specs(), config=FAST, sample_config=SAMPLES, jobs=3)
+        outcomes = session_batch(self._specs(), jobs=3)
         assert [o.index for o in outcomes] == list(range(len(self._specs())))
 
     def test_custom_target_runs_inline(self, c99):
         custom = c99.extend("c99-retuned", override_costs={"add.f64": 7.0})
-        outcomes = compile_many(
-            [(core_named("sqrt-sub"), custom)],
-            config=FAST,
-            sample_config=SAMPLES,
-            jobs=4,
-        )
+        with ChassisSession(config=FAST, sample_config=SAMPLES, jobs=4) as session:
+            outcomes = session.compile_many([(core_named("sqrt-sub"), custom)])
+            assert session.pool_info()["generation"] == 0  # no worker started
         assert outcomes[0].ok
         assert outcomes[0].target == "c99-retuned"
 
@@ -250,9 +246,7 @@ class TestCompileMany:
         """Deserialized frontiers are real exprs that can be re-scored."""
         from repro.accuracy.scoring import score_program
 
-        (outcome,) = compile_many(
-            [(core_named("sqrt-sub"), "c99")], config=FAST, sample_config=SAMPLES
-        )
+        (outcome,) = session_batch([(core_named("sqrt-sub"), "c99")])
         result = outcome.result
         best = result.frontier.best_error()
         rescored = score_program(
@@ -263,6 +257,63 @@ class TestCompileMany:
             result.core.precision,
         )
         assert rescored == pytest.approx(best.error)
+
+
+class TestTimeLimitedNotCached:
+    """A compile whose saturation stopped on its wall-clock time limit
+    depends on machine load: it is returned but never cached."""
+
+    @pytest.fixture
+    def time_limited_runs(self, monkeypatch):
+        """Every saturation run sees its time limit pass at the first poll."""
+        from repro.egraph import runner
+
+        ticks = itertools.count(step=1000.0)
+        monkeypatch.setattr(
+            runner, "time", SimpleNamespace(monotonic=lambda: next(ticks))
+        )
+
+    def _session(self, tmp_path, jobs=1):
+        return ChassisSession(
+            config=FAST, sample_config=SAMPLES, cache=CompileCache(tmp_path),
+            jobs=jobs,
+        )
+
+    def test_inline_compile_not_cached(self, tmp_path, time_limited_runs):
+        core = core_named("sqrt-sub")
+        with self._session(tmp_path) as session:
+            for _ in range(2):
+                payload, cached = session.compile_payload(core, "c99")
+                assert payload["frontier"] and not cached
+                assert session.last_provenance()["record"]["cache"] == "bypass"
+            assert session.stats.engine.stop_reasons["time-limit"] > 0
+            assert session.stats.cache_hits == 0
+            assert len(session.cache) == 0
+
+    def test_compile_many_not_cached(self, tmp_path, time_limited_runs):
+        specs = [(core_named("sqrt-sub"), "c99")]
+        with self._session(tmp_path) as session:
+            [cold] = session.compile_many(specs)
+            [again] = session.compile_many(specs)
+            assert cold.ok and time_limited(cold.engine)
+            assert again.ok and not again.cached
+            assert len(session.cache) == 0
+            records = session.provenance_for(cold.fingerprint)
+            assert [record["cache"] for record in records] == ["bypass"] * 2
+
+    def test_pooled_compiles_not_cached(self, tmp_path, time_limited_runs):
+        with self._session(tmp_path, jobs=2) as session:
+            session.worker_pool().start()
+            if session.pool_info()["start_method"] != "fork":
+                pytest.skip("workers inherit the patched clock only by fork")
+            core = core_named("sqrt-sub")
+            _payload, cached = session.compile_payload(core, "c99")
+            [outcome] = session.compile_many([(core, "c99")])
+            assert not cached and not outcome.cached
+            assert time_limited(outcome.engine)
+            assert len(session.cache) == 0
+            records = session.provenance_for(outcome.fingerprint)
+            assert [record["cache"] for record in records] == ["bypass"] * 2
 
 
 class TestBatchCLI:

@@ -176,37 +176,20 @@ class TestChassisSession:
         json.dumps(info)
 
 
-class TestDeprecatedShims:
-    def test_compile_fpcore_warns_but_works(self, c99):
-        from repro import compile_fpcore, parse_fpcore
+def test_jobspec_is_a_real_alias_not_a_string():
+    from repro.service.api import JobSpec
 
-        with pytest.warns(DeprecationWarning, match="ChassisSession"):
-            result = compile_fpcore(parse_fpcore(SRC), c99, FAST, SAMPLES)
-        assert len(result.frontier) >= 1
+    assert not isinstance(JobSpec, str)
 
-    def test_compile_many_warns_but_works(self):
-        from repro import parse_fpcore
-        from repro.service import compile_many
 
-        with pytest.warns(DeprecationWarning, match="ChassisSession"):
-            outcomes = compile_many(
-                [(parse_fpcore(SRC), "c99")], config=FAST, sample_config=SAMPLES
-            )
-        assert outcomes[0].ok
-
-    def test_jobspec_is_a_real_alias_not_a_string(self):
-        from repro.service.api import JobSpec
-
-        assert not isinstance(JobSpec, str)
-
-    def test_progress_event_shapes_match_for_hits_and_fresh_jobs(self, tmp_path):
-        """Cache-hit and fresh-job progress events share one constructor."""
-        session = ChassisSession(
-            config=FAST, sample_config=SAMPLES, cache=CompileCache(tmp_path)
-        )
-        core = session.parse(SRC)
-        cold_events, warm_events = [], []
-        session.compile_many([(core, "c99")], progress=cold_events.append)
-        session.compile_many([(core, "c99")], progress=warm_events.append)
-        assert not cold_events[0]["cached"] and warm_events[0]["cached"]
-        assert set(cold_events[0]) == set(warm_events[0])
+def test_progress_event_shapes_match_for_hits_and_fresh_jobs(tmp_path):
+    """Cache-hit and fresh-job progress events share one constructor."""
+    session = ChassisSession(
+        config=FAST, sample_config=SAMPLES, cache=CompileCache(tmp_path)
+    )
+    core = session.parse(SRC)
+    cold_events, warm_events = [], []
+    session.compile_many([(core, "c99")], progress=cold_events.append)
+    session.compile_many([(core, "c99")], progress=warm_events.append)
+    assert not cold_events[0]["cached"] and warm_events[0]["cached"]
+    assert set(cold_events[0]) == set(warm_events[0])

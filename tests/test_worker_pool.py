@@ -9,6 +9,7 @@ in the session stats ``/health`` reports.
 
 import gc
 import json
+import multiprocessing
 import threading
 import urllib.request
 
@@ -271,11 +272,38 @@ class TestPooledCompile:
             assert session.stats.oracle.acquisitions > 0
 
     def test_closed_session_compiles_inline(self):
+        specs = [(core_named("sqrt-sub"), "c99"), (core_named("logistic"), "c99")]
+        with ChassisSession(config=FAST, sample_config=SAMPLES) as inline:
+            expected = [_scrub(o.payload) for o in inline.compile_many(specs)]
         session = ChassisSession(config=FAST, sample_config=SAMPLES, jobs=2)
         session.close()
         result = session.compile(core_named("sqrt-sub"), "c99")
         assert len(result.frontier) > 0
         assert session.stats.oracle.acquisitions > 0
+        # compile_many on the closed session forks no process either:
+        # no child appears while its outcomes come in.
+        before = {child.pid for child in multiprocessing.active_children()}
+        during = set()
+
+        def progress(_event):
+            during.update(
+                child.pid for child in multiprocessing.active_children()
+            )
+
+        outcomes = session.compile_many(specs, progress=progress)
+        assert during <= before
+        assert session.pool_info() is None
+        assert [_scrub(o.payload) for o in outcomes] == expected
+
+    def test_inline_batch_counts_in_oracle_stats(self):
+        """Inline compile_many jobs hold the oracle lock through the
+        accounted ``"compile"`` section, like inline compile() calls."""
+        with ChassisSession(config=FAST, sample_config=SAMPLES) as session:
+            before = session.stats.oracle.acquisitions
+            [outcome] = session.compile_many([(core_named("sqrt-sub"), "c99")])
+            assert outcome.ok
+            assert session.stats.oracle.acquisitions > before
+            assert session.stats.oracle.hold_seconds > 0
 
     def test_pooled_failures_keep_their_type(self, pool_session):
         from repro.accuracy.sampler import SamplingError
