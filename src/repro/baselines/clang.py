@@ -140,7 +140,7 @@ def _dag_cost(expr: Expr, model: TargetCostModel) -> float:
 
 
 _FASTMATH_LIMITS = RunnerLimits(
-    max_iterations=4, max_nodes=2000, max_matches_per_rule=200, time_limit=6.0
+    max_iterations=4, max_nodes=2000, max_matches_per_rule=200
 )
 
 

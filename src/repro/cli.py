@@ -140,8 +140,8 @@ def _cmd_compile(args) -> int:
             # The same deterministic row shape the batch report writer emits
             # (joinable on "benchmark"/"target", no bulky fields), plus this
             # job's engine-counter delta — e-nodes built, rule searches,
-            # stop reasons, saturation-cache hits and per-rule
-            # match-budget truncations (`rules_truncated`) — and its
+            # stop reasons and per-rule match-budget truncations
+            # (`rules_truncated`) — and its
             # per-phase wall-clock breakdown, the observability hooks for
             # tuning node/match budgets and finding the slow phase.
             row = job_row(

@@ -10,7 +10,7 @@ iteration, regime inference fuses complementary candidates with branches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..accuracy.localerror import ExactMemo, local_errors
 from ..accuracy.sampler import SampleSet
@@ -25,7 +25,7 @@ from ..obs.trace import span
 from ..targets.target import Target
 from ..deadline import check_deadline
 from .candidates import Candidate, ParetoFrontier
-from .isel import DEFAULT_ISEL_LIMITS, SaturationCache, instruction_select
+from .isel import DEFAULT_ISEL_LIMITS, instruction_select
 from .regimes import infer_regimes
 from .series import series_candidates
 from .transcribe import transcribe, transcribe_with_poly
@@ -44,7 +44,7 @@ class CompileConfig:
     max_variants: int = 25
     #: Training points used by the (expensive) local-error heuristic.
     localize_points: int = 16
-    isel_limits: RunnerLimits = field(default_factory=lambda: DEFAULT_ISEL_LIMITS)
+    isel_limits: RunnerLimits = DEFAULT_ISEL_LIMITS
     enable_series: bool = True
     series_degree: int = 3
     enable_regimes: bool = True
@@ -76,10 +76,6 @@ class ImprovementLoop:
         self.ty = core.precision
         self.var_types = dict(core.arg_types)
         self._expanded: set[Expr] = set()
-        # Saturated e-graphs shared across this run's candidates: the many
-        # programs sharing subtrees (and re-nominated hot paths across
-        # iterations) saturate each distinct subexpression once.
-        self._saturations = SaturationCache()
         # Point values that live as long as the loop: exact values and
         # node local errors on the localize points (``oracle`` answers
         # them in batches; None builds the environment's backend), and
@@ -87,11 +83,6 @@ class ImprovementLoop:
         self._localize_points = samples.train[: self.config.localize_points]
         self._exact = ExactMemo(target, self._localize_points, oracle)
         self._columns = ColumnMemo(target.impl_registry(), samples.train)
-
-    @property
-    def saturation_hits(self) -> int:
-        """Candidate expansions answered from the saturation cache."""
-        return self._saturations.hits
 
     # --- scoring -------------------------------------------------------------------
 
@@ -159,7 +150,6 @@ class ImprovementLoop:
             var_types=self.var_types,
             limits=self.config.isel_limits,
             max_variants=self.config.max_variants,
-            cache=self._saturations,
         )
         if self.config.enable_series:
             real = self.target.desugar_expr(subexpr)
@@ -214,7 +204,6 @@ class ImprovementLoop:
                     iter_span["attrs"].update(
                         expanded=len(work),
                         scored=len(new_candidates),
-                        saturation_hits=self._saturations.hits,
                     )
             frontier.update(new_candidates)
 

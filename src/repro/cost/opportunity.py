@@ -24,7 +24,7 @@ Path = tuple[int, ...]
 
 #: Lightweight limits: the analysis runs over *every* subexpression, so the
 #: paper keeps this pass much cheaper than the real rewrite pass.
-_LIGHT_LIMITS = RunnerLimits(max_iterations=3, max_nodes=1200, max_matches_per_rule=150, time_limit=3.0)
+_LIGHT_LIMITS = RunnerLimits(max_iterations=3, max_nodes=1200, max_matches_per_rule=150)
 
 
 def infer_types(program: Expr, target: Target, ty: str = F64) -> dict[Path, str]:

@@ -17,7 +17,7 @@ from .extract import (
 )
 from .multi_extract import extract_variants
 from .rewrite import Rewrite, birw, rw
-from .runner import BackoffScheduler, RunnerLimits, RunnerReport, run_rules
+from .runner import RunnerLimits, RunnerReport, run_rules
 from .stats import EngineStats, current_sink, engine_stats_sink, stats_delta
 from .typed_extract import TypedCostModel, TypedExtractor
 from .unionfind import UnionFind
@@ -27,7 +27,7 @@ __all__ = [
     "ematch_class", "search_pattern", "instantiate",
     "lookup_template", "match_is_applied",
     "Rewrite", "rw", "birw",
-    "RunnerLimits", "RunnerReport", "run_rules", "BackoffScheduler",
+    "RunnerLimits", "RunnerReport", "run_rules",
     "Extractor", "extract_best", "ast_size_cost", "real_only_cost",
     "ExtractionError",
     "TypedExtractor", "TypedCostModel", "extract_variants",

@@ -11,15 +11,15 @@ found nothing.  Searches also filter out matches that are already applied
 (the rhs already sits in the matched class), so the per-rule match cap
 counts only graph-changing matches.
 
-Both the search and apply phases poll the cooperative deadline
-(:func:`repro.deadline.check_deadline`) and the runner's own ``time_limit``,
-so a saturation run is interruptible from within, not just between loop
-iterations.
+A run never reads the clock: its result is a pure function of the graph,
+the rules and the budget, so the same inputs give the same graph whatever
+the machine load.  Both the search and apply phases poll the cooperative
+job deadline (:func:`repro.deadline.check_deadline`), which fails the job
+rather than truncating the run.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ..deadline import check_deadline
@@ -29,57 +29,17 @@ from .ematch import instantiate, match_is_applied, search_pattern
 from .rewrite import Rewrite
 from .stats import current_sink
 
-#: How many match applications between deadline/time-limit polls.
+#: How many match applications between deadline polls.
 _APPLY_POLL_EVERY = 64
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunnerLimits:
     """Resource budget for one saturation run."""
 
     max_iterations: int = 6
     max_nodes: int = 4000
     max_matches_per_rule: int = 400
-    time_limit: float = 10.0
-
-    def key(self) -> tuple:
-        """Hashable identity (saturation-cache key component)."""
-        return (
-            self.max_iterations, self.max_nodes,
-            self.max_matches_per_rule, self.time_limit,
-        )
-
-
-@dataclass
-class BackoffScheduler:
-    """egg-style rule scheduler: explosive rules are temporarily banned.
-
-    A rule that produces more than ``match_limit * 2^bans`` matches in one
-    iteration is banned for ``ban_length * 2^bans`` iterations.  This lets
-    cheap structural rules (commutativity, associativity) keep firing while
-    preventing any single rule from exhausting the node budget — the same
-    idea egg uses to stretch saturation budgets.
-    """
-
-    match_limit: int = 300
-    ban_length: int = 2
-
-    def __post_init__(self):
-        self._banned_until: dict[str, int] = {}
-        self._times_banned: dict[str, int] = {}
-
-    def can_fire(self, rule_name: str, iteration: int) -> bool:
-        return self._banned_until.get(rule_name, -1) <= iteration
-
-    def record_matches(self, rule_name: str, n_matches: int, iteration: int) -> bool:
-        """Register a rule's match count; returns False if it gets banned."""
-        bans = self._times_banned.get(rule_name, 0)
-        threshold = self.match_limit * (2**bans)
-        if n_matches > threshold:
-            self._times_banned[rule_name] = bans + 1
-            self._banned_until[rule_name] = iteration + self.ban_length * (2**bans)
-            return False
-        return True
 
 
 @dataclass
@@ -90,7 +50,6 @@ class RunnerReport:
     stop_reason: str = "saturated"
     matches_applied: int = 0
     rule_matches: dict[str, int] = field(default_factory=dict)
-    elapsed: float = 0.0
     #: Effective (graph-changing) matches found across all searches.
     matches_found: int = 0
     #: Rule name -> iterations whose search hit the per-rule match budget
@@ -124,15 +83,13 @@ def run_rules(
     egraph: EGraph,
     rules: list[Rewrite],
     limits: RunnerLimits | None = None,
-    scheduler: BackoffScheduler | None = None,
 ) -> RunnerReport:
     """Apply ``rules`` to saturation within ``limits``.
 
     Each iteration collects matches for *all* rules against the current
     e-graph, then applies them in a batch and rebuilds — the standard egg
     schedule, which keeps rule application order-independent within an
-    iteration.  An optional :class:`BackoffScheduler` temporarily bans rules
-    whose match counts explode.
+    iteration.
 
     When a tracer is armed (:mod:`repro.obs`), the run records one
     ``egraph.run_rules`` span (report counters as attributes) with nested
@@ -140,7 +97,7 @@ def run_rules(
     saturation shows *which* half of which iteration the time went to.
     """
     with span("egraph.run_rules", rules=len(rules)) as run_span:
-        report = _run_rules(egraph, rules, limits, scheduler)
+        report = _run_rules(egraph, rules, limits or RunnerLimits())
         if run_span is not None:
             run_span["attrs"].update(
                 iterations=report.iterations,
@@ -153,19 +110,13 @@ def run_rules(
 
 
 def _run_rules(
-    egraph: EGraph,
-    rules: list[Rewrite],
-    limits: RunnerLimits | None,
-    scheduler: BackoffScheduler | None,
+    egraph: EGraph, rules: list[Rewrite], limits: RunnerLimits
 ) -> RunnerReport:
-    limits = limits or RunnerLimits()
     report = RunnerReport()
-    start = time.monotonic()
     nodes_at_start = egraph.nodes_built
 
     def finish(stop_reason: str) -> RunnerReport:
         report.stop_reason = stop_reason
-        report.elapsed = time.monotonic() - start
         report.enodes_built = egraph.nodes_built - nodes_at_start
         _flush_to_sink(report)
         return report
@@ -180,7 +131,6 @@ def _run_rules(
         # match budget: the apply phase stops at ``max_nodes`` anyway, so
         # effective matches beyond the budget are wasted search time.
         batches = []
-        throttled = False
         collected = 0
         node_budget = limits.max_nodes - egraph.num_nodes
         # Searching adds no nodes, so the heads read here hold for the
@@ -189,9 +139,6 @@ def _run_rules(
         with span("egraph.search", iteration=iteration) as search_span:
             for rule in rules:
                 check_deadline()
-                if scheduler is not None and not scheduler.can_fire(rule.name, iteration):
-                    throttled = True
-                    continue
                 if not present >= rule.heads:
                     continue
                 cap = limits.max_matches_per_rule
@@ -217,21 +164,12 @@ def _run_rules(
                     )
                 collected += len(matches)
                 report.matches_found += len(matches)
-                if scheduler is not None and not scheduler.record_matches(
-                    rule.name, len(matches), iteration
-                ):
-                    throttled = True
-                    continue
                 if matches:
                     batches.append((rule, matches))
-                if time.monotonic() - start > limits.time_limit:
-                    egraph.rebuild()
-                    return finish("time-limit")
             if search_span is not None:
                 search_span["attrs"]["matches"] = collected
 
-        # Apply phase (polls the deadline and time limit as it goes).
-        timed_out = False
+        # Apply phase (polls the deadline as it goes).
         with span("egraph.apply", iteration=iteration) as apply_span:
             applied_total = 0
             for rule, matches in batches:
@@ -241,9 +179,6 @@ def _run_rules(
                         break
                     if index % _APPLY_POLL_EVERY == 0:
                         check_deadline()
-                        if time.monotonic() - start > limits.time_limit:
-                            timed_out = True
-                            break
                     if rule.condition is not None and not rule.condition(egraph, subst):
                         continue
                     new_id = instantiate(egraph, rule.rhs, subst)
@@ -255,26 +190,14 @@ def _run_rules(
                     )
                     report.matches_applied += applied
                     applied_total += applied
-                if timed_out:
-                    break
             if apply_span is not None:
                 apply_span["attrs"]["applied"] = applied_total
 
         egraph.rebuild()
 
-        if timed_out:
-            return finish("time-limit")
         if egraph.num_nodes >= limits.max_nodes:
             return finish("node-limit")
-        if (
-            egraph.version == version_before
-            and egraph.num_nodes == nodes_before
-            and not throttled
-        ):
-            # A banned rule might still fire later, so a quiet iteration
-            # under throttling is not saturation.
+        if egraph.version == version_before and egraph.num_nodes == nodes_before:
             return finish("saturated")
-        if time.monotonic() - start > limits.time_limit:
-            return finish("time-limit")
 
     return finish("iteration-limit")

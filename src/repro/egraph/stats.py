@@ -1,14 +1,13 @@
 """Engine counters: what the e-graph engine did, aggregated per consumer.
 
-The v2 engine (head-indexed e-matching, worklist extraction, saturation
-reuse) is observable: every saturation run, snapshot build and cache
-decision records into the *engine-stats sink* armed on the current thread,
-when one is armed.  The session arms a sink around each pipeline run and
-folds the result into :class:`~repro.session.SessionStats`, so ``/health``
-and ``repro compile --json`` report real engine work — e-nodes built,
-matches found/applied, rule searches, why each saturation stopped, and
-saturation-cache hits — without any engine API threading a stats object
-through every call site.
+The v2 engine (head-indexed e-matching, worklist extraction) is
+observable: every saturation run and snapshot build records into the
+*engine-stats sink* armed on the current thread, when one is armed.  The
+session arms a sink around each pipeline run and folds the result into
+:class:`~repro.session.SessionStats`, so ``/health`` and
+``repro compile --json`` report real engine work — e-nodes built,
+matches found/applied, rule searches and why each saturation stopped —
+without any engine API threading a stats object through every call site.
 
 The sink is thread-local (compilations are serialized per thread by the
 session's oracle lock).  A job compiled by
@@ -31,10 +30,8 @@ class EngineStats:
 
     ``searches`` counts per-rule pattern searches actually run (the
     runner's head filter skips rules that cannot match);
-    ``stop_reasons`` counts saturation runs by why they stopped, so a
-    ``"time-limit"`` truncation is visible.  ``saturation_hits`` counts
-    improvement-loop candidates whose subexpression reused an
-    already-saturated e-graph.
+    ``stop_reasons`` counts saturation runs by why they stopped
+    (``"saturated"``, ``"node-limit"`` or ``"iteration-limit"``).
     """
 
     #: Distinct e-nodes created during saturation runs.
@@ -47,10 +44,6 @@ class EngineStats:
     searches: int = 0
     #: Saturation runs (one per run_rules call).
     saturations: int = 0
-    #: Improvement-loop saturations answered from the per-run cache.
-    saturation_hits: int = 0
-    #: Improvement-loop saturations that had to run the rules.
-    saturation_misses: int = 0
     #: Graph topology snapshots built (one per generation that was
     #: searched or extracted from).
     snapshots_built: int = 0
@@ -59,7 +52,7 @@ class EngineStats:
     snapshot_reuses: int = 0
     #: Rule name -> iterations whose search was truncated by the match budget.
     rules_truncated: dict[str, int] = field(default_factory=dict)
-    #: Stop reason ("saturated", "node-limit", ...) -> saturation runs.
+    #: Stop reason -> saturation runs.
     stop_reasons: dict[str, int] = field(default_factory=dict)
 
     def merge(self, other: "EngineStats") -> None:
@@ -83,16 +76,6 @@ class EngineStats:
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-
-def time_limited(engine: dict | None) -> bool:
-    """True when one job's engine counters (an :meth:`EngineStats.as_dict`
-    dict) show a saturation cut short by its wall-clock ``time_limit``.
-
-    Such a result depends on machine load, so it must never be cached
-    under a fingerprint that promises the same bytes for the same inputs.
-    """
-    return bool(engine) and engine.get("stop_reasons", {}).get("time-limit", 0) > 0
 
 
 def stats_delta(after: dict, before: dict) -> dict:

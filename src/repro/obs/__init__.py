@@ -11,8 +11,8 @@ Two complementary halves, both engineered to be near-zero-cost when off:
   text exposition format by the serve ``/metrics`` route.
 
 Instrumented layers: the six pipeline phases (``core/pipeline.py``),
-improvement-loop iterations and saturation-cache decisions (``core/loop``,
-``core/isel``), ``run_rules`` search/apply (``egraph/runner``), oracle
+improvement-loop iterations (``core/loop``), ``run_rules`` search/apply
+(``egraph/runner``), oracle
 lock wait-vs-hold and evaluation counts (``session``, ``rival/eval``),
 the exec build/run/validate path, and serve request handling.  Pooled
 compile jobs ship their spans and engine counters back through

@@ -51,9 +51,10 @@ from ..service.cache import (
 LEDGER_SCHEMA = 1
 
 #: Values of a record's ``cache`` field.  ``hit`` = served from the
-#: persistent cache; ``store`` = fresh result stored into it; ``none`` =
-#: fresh result, no cache configured; ``bypass`` = fresh result that was
-#: deliberately not cached (customized pipelines, ``use_cache=False``).
+#: persistent cache; ``store`` = fresh result stored into it (every ok
+#: result of a plain job is); ``none`` = no cache configured, or the job
+#: failed; ``bypass`` = a session compile deliberately kept out of a
+#: configured cache (customized pipelines, ``use_cache=False``).
 CACHE_STATES = ("hit", "store", "none", "bypass")
 
 _HOST_LOCK = threading.Lock()

@@ -9,9 +9,8 @@ cache under the session's :class:`~repro.service.pool.WorkerPool`:
 2. misses go to the worker pool when one is given, and run inline
    otherwise — as do targets not resolvable from the registry by name
    (custom targets hold unpicklable closures);
-3. fresh results are stored back (unless a saturation hit its wall-clock
-   time limit), and every ok outcome carries both the JSON payload (for
-   reports) and the deserialized
+3. fresh results are stored back, and every ok outcome carries both the
+   JSON payload (for reports) and the deserialized
    :class:`~repro.core.pipeline.CompileResult` (for re-scoring).
 
 Cached and freshly-compiled outcomes are indistinguishable apart from the
@@ -26,7 +25,6 @@ from typing import Iterable, Sequence, TypeAlias
 
 from ..accuracy.sampler import SampleConfig, SampleSet
 from ..core.loop import CompileConfig
-from ..egraph.stats import time_limited
 from ..ir.fpcore import FPCore
 from ..rival.backends import resolve_backend_name
 from ..targets import get_target
@@ -104,9 +102,7 @@ def run_compile_jobs(
     duck-typed so this module never imports the provenance layer): one
     ``"batch"`` record is appended per job — hits in the lookup loop,
     fresh results as outcomes are rebuilt — always in the *parent*
-    process; workers never touch the journal.  A fresh result whose
-    engine counters show a ``"time-limit"`` stop is not cached and is
-    recorded as ``"bypass"``.
+    process; workers never touch the journal.
 
     ``oracle_backend`` names the oracle backend every job runs (None:
     ``REPRO_ORACLE_BACKEND``, then auto); it rides on each job, so
@@ -201,16 +197,12 @@ def run_compile_jobs(
             phases=outcome_dict.get("phases"),
         )
         cacheable = outcome.ok and cache is not None
-        stored = cacheable and not time_limited(outcome.engine)
-        if stored:
+        if cacheable:
             cache.put(fingerprint, outcome.payload)
         if ledger is not None:
             ledger.record_job(
                 "batch", core, target, config, sample_config, fingerprint,
-                cache=(
-                    "store" if stored
-                    else ("bypass" if cacheable else "none")
-                ),
+                cache="store" if cacheable else "none",
                 status=outcome.status,
                 elapsed=outcome.elapsed,
                 engine=outcome.engine,

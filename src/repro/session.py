@@ -70,7 +70,7 @@ from .deadline import (
     deadline,
     deadline_suspended,
 )
-from .egraph.stats import EngineStats, engine_stats_sink, time_limited
+from .egraph.stats import EngineStats, engine_stats_sink
 from .exec.builder import BuildCache
 from .exec.executable import (
     ExecutableProgram,
@@ -136,7 +136,7 @@ class SessionStats:
     validations: int = 0
     validation_hits: int = 0
     #: E-graph engine counters (e-nodes built, matches found/applied,
-    #: rule searches, stop reasons, saturation-cache hits), accumulated
+    #: rule searches, stop reasons), accumulated
     #: from every in-process pipeline run *and* — shipped back through
     #: ``JobOutcome.engine`` — from every pooled worker-process compile,
     #: so ``/health`` covers the whole session regardless of where jobs
@@ -802,20 +802,17 @@ class ChassisSession:
             with self._lock:
                 self.stats.compiles += 1
             outcome_counter("ok").inc()
-            engine = self._timings_local.engine
-            stored = cacheable and not time_limited(engine)
-            if stored:
+            if cacheable:
                 # Stored before the lock or gate is released, so a waiting
                 # duplicate's re-check above finds it.
                 self.cache.put(fingerprint, payload)
             record(
                 # "bypass": a fresh result deliberately kept out of a
-                # configured cache (customized pipeline, use_cache=False,
-                # or a saturation cut short by its wall-clock time limit).
-                "store" if stored
+                # configured cache (customized pipeline or use_cache=False).
+                "store" if cacheable
                 else ("bypass" if self.cache is not None else "none"),
                 elapsed=elapsed,
-                engine=engine,
+                engine=self._timings_local.engine,
             )
         return payload, False, fingerprint, result
 

@@ -2,11 +2,27 @@
 
 from __future__ import annotations
 
+import itertools
+import time
+
 import pytest
 
 from repro.accuracy import SampleConfig, sample_core
 from repro.ir import parse_fpcore
 from repro.targets import get_target
+
+
+@pytest.fixture
+def jumping_clock(monkeypatch):
+    """Call the returned function to make every later ``time.monotonic()``
+    read 1000 s past the one before: any wall-clock budget checked after
+    that is exceeded at its first check."""
+
+    def arm():
+        ticks = itertools.count(step=1000.0)
+        monkeypatch.setattr(time, "monotonic", lambda: next(ticks))
+
+    return arm
 
 
 @pytest.fixture(scope="session")

@@ -1,50 +1,8 @@
-"""Tests for the command-line interface and the backoff scheduler."""
+"""Tests for the command-line interface."""
 
 import pytest
 
 from repro.cli import main
-from repro.egraph import BackoffScheduler, EGraph, RunnerLimits, run_rules, rw
-from repro.ir import parse_expr
-
-
-class TestBackoffScheduler:
-    def test_allows_by_default(self):
-        s = BackoffScheduler()
-        assert s.can_fire("any", 0)
-
-    def test_bans_explosive_rule(self):
-        s = BackoffScheduler(match_limit=10, ban_length=3)
-        assert not s.record_matches("boom", 50, iteration=0)
-        assert not s.can_fire("boom", 1)
-        assert not s.can_fire("boom", 2)
-        assert s.can_fire("boom", 4)
-
-    def test_ban_length_doubles(self):
-        s = BackoffScheduler(match_limit=10, ban_length=2)
-        s.record_matches("boom", 50, 0)   # banned until 2
-        assert s.can_fire("boom", 2)
-        s.record_matches("boom", 50, 2)   # threshold now 20, still over: ban 4
-        assert not s.can_fire("boom", 5)
-        assert s.can_fire("boom", 6)
-
-    def test_quiet_rule_never_banned(self):
-        s = BackoffScheduler(match_limit=10)
-        for i in range(20):
-            assert s.record_matches("calm", 3, i)
-
-    def test_runner_integration(self):
-        g = EGraph()
-        root = g.add_expr(parse_expr("(+ (+ x 0) 0)"))
-        rules = [
-            rw("id", "(+ a 0)", "a"),
-            rw("comm", "(+ a b)", "(+ b a)"),
-        ]
-        report = run_rules(
-            g, rules, RunnerLimits(max_iterations=6),
-            scheduler=BackoffScheduler(match_limit=1, ban_length=1),
-        )
-        # Still converges to x despite the scheduler throttling comm.
-        assert g.same(root, g.lookup_expr(parse_expr("x")))
 
 
 class TestCLI:

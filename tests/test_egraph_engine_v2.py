@@ -1,8 +1,9 @@
-"""Engine v2 tests: the runner's head-presence rule filter, determinism,
-worklist-extractor parity with the old fixpoint, saturation reuse, the
-per-target rule cache, engine counters, and the runner's
+"""Engine v2 tests: the runner's head-presence rule filter, determinism
+(under hash seeds and a jumping clock), worklist-extractor parity with the
+old fixpoint, the per-target rule cache, engine counters, and the runner's
 deadline/truncation satellites."""
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -15,15 +16,12 @@ from repro.accuracy.sampler import SampleConfig
 from repro.benchsuite import core_named
 from repro.benchsuite.generator import generate_core
 from repro.core import isel
-from repro.core.isel import (
-    DEFAULT_ISEL_LIMITS,
-    SaturationCache,
-    _rules_for,
-    instruction_select,
-)
+from repro.core.isel import DEFAULT_ISEL_LIMITS, _rules_for, instruction_select
 from repro.core.loop import CompileConfig
 from repro.core.transcribe import Untranscribable, transcribe_with_poly
+from repro.cost import opportunity
 from repro.cost.model import TargetCostModel
+from repro.cost.opportunity import cost_opportunities
 from repro.deadline import DeadlineExceeded, deadline
 from repro.egraph import (
     EGraph,
@@ -41,6 +39,7 @@ from repro.egraph import (
 from repro.egraph.ematch import pattern_heads
 from repro.ir import parse_expr
 from repro.ir.printer import expr_to_sexpr
+from repro.service.cache import config_fingerprint
 from repro.service.results import result_to_dict
 from repro.session import ChassisSession
 from repro.targets import get_target
@@ -49,18 +48,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 #: Small budget so saturation tests cover several iterations without CI
 #: cost.
-SMALL = RunnerLimits(
-    max_iterations=3, max_nodes=700, max_matches_per_rule=80, time_limit=5.0
-)
-
-#: The isel budget without its wall-clock cut, so two runs of one input
-#: always build the same graph.
-ISEL_UNTIMED = RunnerLimits(
-    max_iterations=DEFAULT_ISEL_LIMITS.max_iterations,
-    max_nodes=DEFAULT_ISEL_LIMITS.max_nodes,
-    max_matches_per_rule=DEFAULT_ISEL_LIMITS.max_matches_per_rule,
-    time_limit=600.0,
-)
+SMALL = RunnerLimits(max_iterations=3, max_nodes=700, max_matches_per_rule=80)
 
 FILTER_CASES = [
     (name, ty, seed)
@@ -141,7 +129,7 @@ class TestHeadFilter:
 
         monkeypatch.setattr(EGraph, "heads", checked_heads)
         egraph = _generated_graph(get_target(name), ty, seed)
-        report = run_rules(egraph, rules, ISEL_UNTIMED)
+        report = run_rules(egraph, rules, DEFAULT_ISEL_LIMITS)
         assert report.iterations >= 2
         assert skipped  # the filter did skip rules on this input
 
@@ -151,13 +139,13 @@ class TestHeadFilter:
         target = get_target(name)
         rules = _rules_for(target)
         filtered = _generated_graph(target, ty, seed)
-        filtered_report = run_rules(filtered, rules, ISEL_UNTIMED)
+        filtered_report = run_rules(filtered, rules, DEFAULT_ISEL_LIMITS)
 
         # A graph that claims every head any rule needs: nothing is skipped.
         every_head = frozenset().union(*(rule.heads for rule in rules))
         monkeypatch.setattr(EGraph, "heads", lambda egraph: every_head)
         full = _generated_graph(target, ty, seed)
-        full_report = run_rules(full, rules, ISEL_UNTIMED)
+        full_report = run_rules(full, rules, DEFAULT_ISEL_LIMITS)
 
         assert _graph_state(filtered) == _graph_state(full)
         for field in ("iterations", "stop_reason", "matches_found",
@@ -179,7 +167,7 @@ class TestHashSeedDeterminism:
             "e = parse_expr('(- (sqrt (+ x 1)) (sqrt x))')\n"
             "g = EGraph(); root = g.add_expr(e)\n"
             "limits = RunnerLimits(max_iterations=3, max_nodes=500, "
-            "max_matches_per_rule=60, time_limit=10.0)\n"
+            "max_matches_per_rule=60)\n"
             "run_rules(g, _rules_for(t), limits)\n"
             "ex = TypedExtractor(g, TargetCostModel(t), {'x': 'binary64'})\n"
             "for v in extract_variants(g, ex, root, 'binary64'):\n"
@@ -200,6 +188,54 @@ class TestHashSeedDeterminism:
             assert proc.stdout.strip()
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
+
+
+class TestClockIndependence:
+    """Saturations never read the clock: under a clock that jumps 1000 s
+    per read, isel and cost opportunity return what they return
+    otherwise, and every run's counters match."""
+
+    def _select(self, monkeypatch, name: str, target_name: str) -> tuple:
+        reports = []
+
+        def recording(egraph, rules, limits=None):
+            report = run_rules(egraph, rules, limits)
+            reports.append(dataclasses.asdict(report))
+            return report
+
+        monkeypatch.setattr(isel, "run_rules", recording)
+        monkeypatch.setattr(opportunity, "run_rules", recording)
+        target, core = get_target(target_name), core_named(name)
+        program = transcribe_with_poly(core.body, target, core.precision)
+        var_types = dict(core.arg_types)
+        variants = instruction_select(
+            program, target, ty=core.precision, var_types=var_types
+        )
+        opportunities = cost_opportunities(
+            program, target, core.precision, var_types
+        )
+        return [expr_to_sexpr(v) for v in variants], opportunities, reports
+
+    @pytest.mark.parametrize(
+        "name,target_name", [("sqrt-sub", "c99"), ("x-sub-sin", "fdlibm")]
+    )
+    def test_default_limits_ignore_the_clock(self, name, target_name,
+                                             monkeypatch, jumping_clock):
+        steady = self._select(monkeypatch, name, target_name)
+        jumping_clock()
+        jumped = self._select(monkeypatch, name, target_name)
+        assert len(steady[2]) == 2  # one isel and one opportunity run
+        assert jumped == steady
+
+
+class TestFrozenLimits:
+    def test_default_config_limits_cannot_be_mutated(self):
+        before = config_fingerprint(CompileConfig(), None)
+        config = CompileConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.isel_limits.max_nodes = 10
+        assert DEFAULT_ISEL_LIMITS.max_nodes == 2500
+        assert config_fingerprint(CompileConfig(), None) == before
 
 
 def _random_egraph(seed: int) -> EGraph:
@@ -381,17 +417,6 @@ class TestRunnerSatellites:
                 run_rules(g, rules, RunnerLimits(max_iterations=50,
                                                  max_nodes=10**6))
 
-    def test_apply_phase_respects_time_limit(self):
-        g = EGraph()
-        g.add_expr(parse_expr("(+ (+ a b) (+ c d))"))
-        rules = [rw("grow", "(+ a b)", "(+ (* a a) b)")]
-        report = run_rules(
-            g, rules,
-            RunnerLimits(max_iterations=10**6, max_nodes=10**9,
-                         max_matches_per_rule=10**6, time_limit=0.2),
-        )
-        assert report.stop_reason == "time-limit"
-
     def test_truncation_reported(self):
         g = EGraph()
         g.add_expr(parse_expr("(+ (+ (+ a b) (+ c d)) (+ (+ e f) (+ g h)))"))
@@ -455,88 +480,6 @@ class TestExtractionError:
         extractor.best[x_class] = {}  # simulate an unextractable child
         degraded = extract_variants(g, extractor, root, "binary64")
         assert len(degraded) < len(baseline)
-
-
-class TestSaturationCache:
-    def test_hit_on_repeated_subexpression(self):
-        target = get_target("c99")
-        cache = SaturationCache()
-        expr = parse_expr("(- (sqrt (+ x 1)) (sqrt x))")
-        limits = SMALL
-        first = instruction_select(
-            expr, target, var_types={"x": "binary64"}, limits=limits,
-            cache=cache,
-        )
-        second = instruction_select(
-            expr, target, var_types={"x": "binary64"}, limits=limits,
-            cache=cache,
-        )
-        assert cache.hits == 1 and cache.misses == 1
-        assert [expr_to_sexpr(v) for v in first] == [
-            expr_to_sexpr(v) for v in second
-        ]
-
-    def test_cached_matches_uncached(self):
-        target = get_target("c99")
-        cache = SaturationCache()
-        expr = parse_expr("(* (exp x) (exp y))")
-        kwargs = dict(
-            var_types={"x": "binary64", "y": "binary64"}, limits=SMALL
-        )
-        cached = instruction_select(expr, target, cache=cache, **kwargs)
-        uncached = instruction_select(expr, target, **kwargs)
-        assert [expr_to_sexpr(v) for v in cached] == [
-            expr_to_sexpr(v) for v in uncached
-        ]
-
-    def test_distinct_limits_distinct_entries(self):
-        target = get_target("c99")
-        cache = SaturationCache()
-        expr = parse_expr("(+ x 0)")
-        other = RunnerLimits(max_iterations=2, max_nodes=600,
-                             max_matches_per_rule=80, time_limit=5.0)
-        instruction_select(expr, target, limits=SMALL, cache=cache)
-        instruction_select(expr, target, limits=other, cache=cache)
-        assert cache.misses == 2 and cache.hits == 0
-
-    def test_time_limited_run_not_cached(self):
-        cache = SaturationCache()
-        expr = parse_expr("(- (sqrt (+ x 1)) (sqrt x))")
-        timed_out = RunnerLimits(max_iterations=3, max_nodes=700,
-                                 max_matches_per_rule=80, time_limit=0.0)
-        stats = EngineStats()
-        with engine_stats_sink(stats):
-            entry = cache.saturated(expr, get_target("c99"), timed_out)
-        assert entry.report.stop_reason == "time-limit"
-        assert stats.stop_reasons == {"time-limit": 1}
-        assert cache._entries == {}
-        cache.saturated(expr, get_target("c99"), timed_out)
-        assert cache.hits == 0 and cache.misses == 2
-
-    def test_loop_counts_saturation_hits(self):
-        from repro.core.loop import ImprovementLoop
-
-        # A program whose two halves are the same subexpression: the
-        # second localization path must hit the saturation cache.
-        from repro.accuracy.sampler import SampleConfig, sample_core
-        from repro.core.loop import CompileConfig
-        from repro.ir.fpcore import parse_fpcore
-
-        core = parse_fpcore(
-            "(FPCore (x) :pre (< 0.1 x 10) "
-            "(+ (sqrt (+ x 1)) (sqrt (+ x 1))))"
-        )
-        target = get_target("c99")
-        samples = sample_core(core, SampleConfig(n_train=8, n_test=8))
-        config = CompileConfig(
-            iterations=1, localize_points=4,
-            isel_limits=RunnerLimits(max_iterations=2, max_nodes=400,
-                                     max_matches_per_rule=60,
-                                     time_limit=5.0),
-        )
-        loop = ImprovementLoop(core, target, samples, config)
-        loop.run(with_regimes=False)
-        assert loop.saturation_hits + loop._saturations.misses > 0
 
 
 class TestRulesCache:
@@ -620,8 +563,7 @@ class TestEngineStats:
             config=CompileConfig(
                 iterations=1, localize_points=4,
                 isel_limits=RunnerLimits(max_iterations=2, max_nodes=400,
-                                         max_matches_per_rule=60,
-                                         time_limit=5.0),
+                                         max_matches_per_rule=60),
             ),
             sample_config=SampleConfig(n_train=8, n_test=8),
         )

@@ -1,8 +1,6 @@
 """Tests for the batch compilation service: cache, scheduler, serialization."""
 
-import itertools
 import json
-from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +10,6 @@ from repro.benchsuite import core_named
 from repro.cli import main
 from repro.core import CompileConfig
 from repro.core.pipeline import compile_core
-from repro.egraph.stats import time_limited
 from repro.service import (
     CompileCache,
     core_fingerprint,
@@ -259,61 +256,27 @@ class TestCompileMany:
         assert rescored == pytest.approx(best.error)
 
 
-class TestTimeLimitedNotCached:
-    """A compile whose saturation stopped on its wall-clock time limit
-    depends on machine load: it is returned but never cached."""
+class TestClockIndependentCompile:
+    """A compile's result never depends on the clock: under a clock that
+    jumps 1000 s per read, an inline compile returns the same payload and
+    is cached as usual."""
 
-    @pytest.fixture
-    def time_limited_runs(self, monkeypatch):
-        """Every saturation run sees its time limit pass at the first poll."""
-        from repro.egraph import runner
-
-        ticks = itertools.count(step=1000.0)
-        monkeypatch.setattr(
-            runner, "time", SimpleNamespace(monotonic=lambda: next(ticks))
-        )
-
-    def _session(self, tmp_path, jobs=1):
-        return ChassisSession(
-            config=FAST, sample_config=SAMPLES, cache=CompileCache(tmp_path),
-            jobs=jobs,
-        )
-
-    def test_inline_compile_not_cached(self, tmp_path, time_limited_runs):
+    def test_inline_compile_same_payload_and_stored(self, tmp_path,
+                                                    jumping_clock):
         core = core_named("sqrt-sub")
-        with self._session(tmp_path) as session:
-            for _ in range(2):
-                payload, cached = session.compile_payload(core, "c99")
-                assert payload["frontier"] and not cached
-                assert session.last_provenance()["record"]["cache"] == "bypass"
-            assert session.stats.engine.stop_reasons["time-limit"] > 0
-            assert session.stats.cache_hits == 0
-            assert len(session.cache) == 0
-
-    def test_compile_many_not_cached(self, tmp_path, time_limited_runs):
-        specs = [(core_named("sqrt-sub"), "c99")]
-        with self._session(tmp_path) as session:
-            [cold] = session.compile_many(specs)
-            [again] = session.compile_many(specs)
-            assert cold.ok and time_limited(cold.engine)
-            assert again.ok and not again.cached
-            assert len(session.cache) == 0
-            records = session.provenance_for(cold.fingerprint)
-            assert [record["cache"] for record in records] == ["bypass"] * 2
-
-    def test_pooled_compiles_not_cached(self, tmp_path, time_limited_runs):
-        with self._session(tmp_path, jobs=2) as session:
-            session.worker_pool().start()
-            if session.pool_info()["start_method"] != "fork":
-                pytest.skip("workers inherit the patched clock only by fork")
-            core = core_named("sqrt-sub")
-            _payload, cached = session.compile_payload(core, "c99")
-            [outcome] = session.compile_many([(core, "c99")])
-            assert not cached and not outcome.cached
-            assert time_limited(outcome.engine)
-            assert len(session.cache) == 0
-            records = session.provenance_for(outcome.fingerprint)
-            assert [record["cache"] for record in records] == ["bypass"] * 2
+        with ChassisSession(config=FAST, sample_config=SAMPLES) as session:
+            steady, _cached = session.compile_payload(core, "c99")
+        jumping_clock()
+        with ChassisSession(
+            config=FAST, sample_config=SAMPLES, cache=CompileCache(tmp_path),
+        ) as session:
+            jumped, cached = session.compile_payload(core, "c99")
+            assert not cached
+            assert session.last_provenance()["record"]["cache"] == "store"
+            assert len(session.cache) == 1
+        steady.pop("elapsed")
+        jumped.pop("elapsed")
+        assert jumped == steady
 
 
 class TestBatchCLI:

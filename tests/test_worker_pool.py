@@ -318,7 +318,8 @@ class TestPooledCompile:
     def test_pooled_failures_raise_the_inline_type(self):
         """A failure outside the expected pair comes home with its own
         type, not as a RuntimeError string."""
-        broken = CompileConfig(iterations=1, localize_points=6, isel_limits=None)
+        # Not a RunnerLimits: the runner's budget reads raise AttributeError.
+        broken = CompileConfig(iterations=1, localize_points=6, isel_limits="broken")
         raised = []
         for jobs in (1, 2):
             with ChassisSession(
