@@ -120,26 +120,6 @@ def bench_benchmark(name: str, n_points: int, repeats: int) -> dict:
     }
 
 
-#: Benchmarks re-sampled through a live jobs=2 worker pool; the pooled
-#: sampler iterations must reproduce the ladder's SampleSets bit-exactly.
-POOL_CHECK = ("sqrt-sub", "cos-frac")
-
-
-def check_pool_identity(names, n_points: int) -> dict[str, bool]:
-    """Bit-identity of pooled sampler iterations against the ladder."""
-    from repro.api import ChassisSession
-
-    config = SampleConfig(n_train=n_points, n_test=n_points)
-    results: dict[str, bool] = {}
-    with ChassisSession(jobs=2, oracle_backend="pool") as session:
-        for name in names:
-            core = core_named(name)
-            reference = sample_core(core, config, oracle=_fresh("mpmath"))
-            pooled = sample_core(core, config, oracle=session.oracle)
-            results[name] = _sample_key(pooled) == _sample_key(reference)
-    return results
-
-
 #: Regression gates: the cascade must keep at least this fraction of all
 #: points off the ladder, and the dd rung must keep settling the
 #: cancellation-heavy cos-frac core (the round-2 motivating case).
@@ -172,15 +152,9 @@ def main(argv=None) -> int:
             f"dd {row['dd_fraction']:.0%}){marker}"
         )
 
-    pool_identity = check_pool_identity(POOL_CHECK, n_points)
-    for name, same in pool_identity.items():
-        marker = "identical" if same else "** MISMATCH **"
-        print(f"pool sampling {name}: {marker}")
-
     speedups = [row["speedup"] for row in rows]
     geomean = math.exp(sum(math.log(s) for s in speedups) / len(speedups))
     all_identical = all(row["identical"] for row in rows)
-    pool_identical = all(pool_identity.values())
 
     def _mean(key: str) -> float:
         return round(sum(row[key] for row in rows) / len(rows), 4)
@@ -194,7 +168,6 @@ def main(argv=None) -> int:
         "dd_fraction": _mean("dd_fraction"),
         "ladder_fraction": _mean("ladder_fraction"),
         "identical": all_identical,
-        "pool_identical": pool_identical,
     }
     print(
         f"\ngeomean speedup {geomean:.1f}x over "
@@ -221,11 +194,6 @@ def main(argv=None) -> int:
         failures.append(
             f"backends disagree on {', '.join(bad)} — fast paths must be "
             "bit-identical acceptance filters"
-        )
-    if not pool_identical:
-        bad = [name for name, same in pool_identity.items() if not same]
-        failures.append(
-            f"pooled sampler iterations diverge on {', '.join(bad)}"
         )
     if summary["fastpath_fraction"] <= FASTPATH_GATE:
         failures.append(

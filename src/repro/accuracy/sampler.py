@@ -165,7 +165,7 @@ def sample_core(
     Candidates are drawn in blocks and oracled per block through an
     :class:`~repro.rival.backends.OracleBackend` (``oracle``, defaulting
     to one built from ``evaluator`` and the ``REPRO_ORACLE_BACKEND``
-    knob), so vectorized/pooled backends see whole point sets at once.
+    knob), so the vectorized backend sees whole point sets at once.
     Every backend is an acceptance filter over the same ladder semantics,
     so the sampled points, exact values, and acceptance ratio are
     bit-identical to the historical draw-at-a-time loop for any backend
@@ -195,10 +195,7 @@ def sample_core(
             for _ in range(batch_size)
         ]
         # One backend call per sampler iteration: precondition filter
-        # plus body evaluation.  Sharding backends run the whole
-        # iteration worker-side (the pool's ``sample_batch`` override);
-        # in-process backends compose eval_bool_batch + eval_batch, so
-        # results are bit-identical either way.
+        # plus body evaluation.
         outcomes = oracle.sample_batch(
             core.pre, core.body, candidates, core.precision
         )

@@ -2,7 +2,6 @@
 
 from .egraph import EClass, EGraph, GraphSnapshot
 from .ematch import (
-    ematch_class,
     instantiate,
     lookup_template,
     match_is_applied,
@@ -24,7 +23,7 @@ from .unionfind import UnionFind
 
 __all__ = [
     "EClass", "EGraph", "GraphSnapshot", "UnionFind",
-    "ematch_class", "search_pattern", "instantiate",
+    "search_pattern", "instantiate",
     "lookup_template", "match_is_applied",
     "Rewrite", "rw", "birw",
     "RunnerLimits", "RunnerReport", "run_rules",

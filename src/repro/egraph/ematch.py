@@ -2,9 +2,10 @@
 
 Patterns are ordinary :class:`~repro.ir.expr.Expr` trees in which
 :class:`~repro.ir.expr.Var` nodes act as pattern variables.  A match binds
-each pattern variable to an e-class id.  This is the straightforward
-backtracking matcher (sufficient at our e-graph sizes); egg's relational
-virtual machine is an optimization of the same semantics.
+each pattern variable to an e-class id.  :func:`search_pattern` is the
+one matcher: a backtracking search over the graph's per-generation
+snapshot (sufficient at our e-graph sizes); egg's relational virtual
+machine is an optimization of the same semantics.
 
 Root candidates come from the e-graph's head index (O(candidates) instead
 of O(classes)), and matches can be filtered by an ``accept`` predicate
@@ -23,44 +24,6 @@ from .egraph import EGraph
 from .enode import head_of_expr
 
 Subst = dict[str, int]
-
-
-def ematch_class(
-    egraph: EGraph, pattern: Expr, class_id: int, subst: Subst | None = None
-) -> Iterator[Subst]:
-    """Yield every substitution making ``pattern`` match e-class ``class_id``."""
-    yield from _match(egraph, pattern, egraph.find(class_id), subst or {})
-
-
-def _match(egraph: EGraph, pattern: Expr, class_id: int, subst: Subst) -> Iterator[Subst]:
-    if isinstance(pattern, Var):
-        bound = subst.get(pattern.name)
-        if bound is None:
-            new = dict(subst)
-            new[pattern.name] = class_id
-            yield new
-        elif egraph.same(bound, class_id):
-            yield subst
-        return
-    if not isinstance(pattern, App):
-        # Leaf literal/constant: matches iff this class contains that leaf.
-        if egraph.represents(class_id, pattern):
-            yield subst
-        return
-    arity = len(pattern.args)
-    for node in egraph.nodes_of(class_id):
-        head, args = node
-        if head != pattern.op or len(args) != arity:
-            continue
-        yield from _match_args(egraph, pattern.args, args, 0, subst)
-
-
-def _match_args(egraph, patterns, arg_classes, index, subst) -> Iterator[Subst]:
-    if index == len(patterns):
-        yield subst
-        return
-    for sub in _match(egraph, patterns[index], arg_classes[index], subst):
-        yield from _match_args(egraph, patterns, arg_classes, index + 1, sub)
 
 
 def pattern_heads(pattern: Expr) -> frozenset:

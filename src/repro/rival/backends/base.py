@@ -5,8 +5,8 @@ expressions — the correctly rounded value at a point (the Rival contract,
 paper section 3.1) and exact boolean decisions for preconditions — and,
 new in this subsystem, answers them for **whole point sets at once**
 through :meth:`OracleBackend.eval_batch`.  Batch entry points let a
-backend amortize work across points (vectorized interval arithmetic,
-process-pool sharding) that the point-at-a-time API cannot express.
+backend amortize work across points (vectorized interval arithmetic)
+that the point-at-a-time API cannot express.
 
 Batch calls never raise per-point failures: each point comes back as a
 :class:`PointResult` carrying a status (`"ok"`, `"domain-error"`,
@@ -39,7 +39,7 @@ INVALID = "invalid"
 
 #: Backend names accepted by :func:`repro.rival.backends.make_backend`
 #: and the ``REPRO_ORACLE_BACKEND`` environment knob.
-BACKEND_NAMES = ("numpy", "mpmath", "pool")
+BACKEND_NAMES = ("numpy", "mpmath")
 
 #: Name aliases: ``auto`` (and empty) mean the vectorized fast path with
 #: the mpmath ladder as its escalation rung.
@@ -72,11 +72,11 @@ class OracleCounters:
     """Backend-level work counters, mergeable across processes.
 
     ``evals``/``escalations`` mirror :class:`RivalEvaluator`'s per-rung
-    counters but are non-zero only for evaluator instances *owned* by a
-    backend on the far side of a process boundary (pool workers); the
-    in-process backends share the session evaluator, whose own counters
-    remain authoritative, so the session can sum both without double
-    counting.
+    counters.  Backends leave them zero: they share their caller's
+    evaluator, whose own counters stay authoritative.  Only a pooled
+    job's outcome fills them in, from its private worker evaluator (see
+    :func:`repro.service.scheduler.run_job`), so the session can sum both
+    without double counting.
     """
 
     evals: int = 0
@@ -85,7 +85,6 @@ class OracleCounters:
     batch_points: int = 0
     fastpath_hits: int = 0
     escalated_points: int = 0
-    pool_chunks: int = 0
     #: Points settled by the double-double rung specifically (a subset of
     #: ``fastpath_hits``; ``fastpath_hits - dd_hits`` is the longdouble
     #: sweep's share, ``escalated_points`` the ladder's).
@@ -176,11 +175,8 @@ class OracleBackend:
 
         Returns one entry per candidate point: ``None`` where the
         precondition is not certainly true (the point never reaches the
-        body), otherwise the body's :class:`PointResult`.  The default
-        composes :meth:`eval_bool_batch` and :meth:`eval_batch`
-        in-process; sharding backends override it so the *whole* sampler
-        iteration (filtering and evaluation) crosses the process
-        boundary once instead of twice.
+        body), otherwise the body's :class:`PointResult`.  It composes
+        :meth:`eval_bool_batch` and :meth:`eval_batch`.
         """
         if pre is not None:
             verdicts = self.eval_bool_batch(pre, points)

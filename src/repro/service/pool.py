@@ -27,7 +27,9 @@ One :class:`WorkerPool` is owned by a
 shared by plain :meth:`~repro.session.ChassisSession.compile` cache misses
 (so serve ``/compile`` and ``submit``), ``compile_many``, the serve
 ``/batch`` endpoint, ``repro batch`` and the experiment runners;
-:meth:`shutdown` drains it in ``session.close()``.
+:meth:`shutdown` drains it in ``session.close()``.  Every caller
+dispatches through :meth:`run_batch`, whole compile jobs only; oracle
+work never crosses the pool on its own.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import multiprocessing
 import threading
 import time
 
-from ..deadline import check_deadline
 from .scheduler import BatchJob, job_event, observe_worker_phases, run_job
 
 #: Parent-side slack (seconds) on top of the per-job timeout before the
@@ -302,36 +303,3 @@ class WorkerPool:
                     self._stale = True
                 self._condition.notify_all()
         return outcomes
-
-    def run_tasks(self, fn, tasks: list) -> list:
-        """Run small picklable tasks on the warm workers, in task order.
-
-        The lightweight sibling of :meth:`run_batch` for sub-job work —
-        oracle batch shards, not whole compilations.  ``fn`` must be a
-        module-level function of one task.  No watchdog rides along (an
-        oracle shard has no per-job timeout to measure against); instead
-        the *caller's* cooperative deadline is polled while waiting, so a
-        timed-out compile abandons its shards — results land in the pool
-        machinery and are dropped — without wedging or recycling the
-        pool.  Worker exceptions re-raise here.
-        """
-        with self._condition:
-            pool = self._ensure()
-            pending = [pool.apply_async(fn, (task,)) for task in tasks]
-            self._active += 1
-            self._progress_mark = time.monotonic()
-        results: list = []
-        try:
-            for handle in pending:
-                while True:
-                    try:
-                        results.append(handle.get(WATCHDOG_POLL))
-                        self._progress_mark = time.monotonic()
-                        break
-                    except multiprocessing.TimeoutError:
-                        check_deadline()
-        finally:
-            with self._condition:
-                self._active -= 1
-                self._condition.notify_all()
-        return results

@@ -46,7 +46,7 @@ from ..deadline import DeadlineExceeded, deadline
 from ..egraph.stats import EngineStats, engine_stats_sink
 from ..ir.fpcore import parse_fpcore
 from ..obs.trace import Trace, span, tracing
-from ..rival.backends import make_backend, resolve_backend_name
+from ..rival.backends import make_backend
 from ..rival.eval import RivalEvaluator
 from ..targets import get_target
 from .results import result_to_dict
@@ -233,14 +233,9 @@ def run_job(job: BatchJob, target=None) -> dict:
 
     # Per-job oracle: a private evaluator (its counters ship home on the
     # outcome — worker instances cannot touch the session's) behind the
-    # backend the job names.  "pool" degrades to the in-process fast
-    # path: a job is already on a worker; it must not nest pools.
+    # backend the job names.
     evaluator = RivalEvaluator()
-    oracle_name = resolve_backend_name(job.oracle_backend)
-    oracle = make_backend(
-        "numpy" if oracle_name == "pool" else oracle_name,
-        evaluator=evaluator,
-    )
+    oracle = make_backend(job.oracle_backend, evaluator=evaluator)
 
     # The cooperative deadline (armed below) bounds the compile on any
     # thread; SIGALRM rides along as a hard backstop, but it only arms in

@@ -559,7 +559,6 @@ class ChassisServer(ThreadingHTTPServer):
                 ("Correctly-rounded oracle ladder evaluations, in-process "
                  "plus folded back from pooled workers.",
                  lambda: (session.evaluator.evals
-                          + session.oracle.counters().evals
                           + session.stats.rival.evals)),
             "repro_oracle_fastpath_points":
                 ("Batched oracle points settled by the vectorized fast "

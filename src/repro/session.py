@@ -293,18 +293,16 @@ class ChassisSession:
         #: (the global-lock dedup this replaces serialized all sampling).
         self._sample_gates: dict[str, threading.Lock] = {}
         #: Per-fingerprint gates serializing duplicate *pooled compiles*;
-        #: see :meth:`_compile_gate`.
+        #: see :meth:`_gate`.
         self._compile_gates: dict[str, threading.Lock] = {}
-        #: The session's batched oracle backend.  It shares ``evaluator``
-        #: (whose counters stay authoritative for in-process work), takes
-        #: the oracle lock only around mpmath ladder runs, and — for the
-        #: ``pool`` backend — shards batches over the persistent worker
-        #: pool (degrading to in-process when ``jobs == 1``).
+        #: The session's batched oracle backend for in-process work.  It
+        #: shares ``evaluator`` (whose counters stay authoritative) and
+        #: takes the oracle lock only around mpmath ladder runs.  Pooled
+        #: compiles build their own per job (see ``scheduler.run_job``).
         self.oracle = make_backend(
             self.oracle_backend,
             evaluator=self.evaluator,
             lock=lambda: self._oracle_section("ladder"),
-            pool_provider=self.worker_pool,
         )
         # Keyed by id() (targets are unhashable frozen objects); entries
         # are evicted by a weakref.finalize when their target dies, so a
@@ -466,14 +464,13 @@ class ChassisSession:
             return cached
         with self._lock:
             self.stats.sample_misses += 1
-            gate = self._sample_gates.setdefault(key, threading.Lock())
         # Sampling no longer holds the session oracle lock wholesale — the
         # backend takes it only around mpmath ladder runs — so duplicate
         # requests are deduplicated by a per-fingerprint gate instead: a
         # concurrent identical request samples once, and the one that
         # waited re-checks the cache.  (A contended duplicate therefore
         # records one miss and one hit, as before.)
-        with gate:
+        with self._gate(self._sample_gates, key):
             cached = self._sample_cache_get(key)
             if cached is not None:
                 return cached
@@ -483,11 +480,10 @@ class ChassisSession:
                         core, sample_config, self.evaluator,
                         oracle=self.oracle,
                     )
-        with self._lock:
-            self._samples[key] = samples
-            while len(self._samples) > self._max_sample_entries:
-                self._samples.popitem(last=False)
-            self._sample_gates.pop(key, None)
+            with self._lock:
+                self._samples[key] = samples
+                while len(self._samples) > self._max_sample_entries:
+                    self._samples.popitem(last=False)
         return samples
 
     # --- single compilations --------------------------------------------------------
@@ -747,7 +743,7 @@ class ChassisSession:
         if pool is None:
             section = self._oracle_section("compile")
         elif cacheable:
-            section = self._compile_gate(fingerprint)
+            section = self._gate(self._compile_gates, fingerprint)
         else:
             section = nullcontext()
         with section:
@@ -817,20 +813,22 @@ class ChassisSession:
         return payload, False, fingerprint, result
 
     @contextmanager
-    def _compile_gate(self, fingerprint: str):
-        """Serialize concurrent pooled compiles of one job fingerprint, so
-        a duplicate waits and then finds the first one's cache entry
-        instead of compiling again (the same idiom as the sampling gates;
-        inline compiles get this from the oracle lock)."""
+    def _gate(self, gates: dict[str, threading.Lock], key: str):
+        """Serialize concurrent work on one fingerprint (sampling, or a
+        pooled compile), so a duplicate waits and then finds the first
+        one's cache entry instead of redoing it (inline compiles get this
+        from the oracle lock).  The entry leaves ``gates`` however the
+        work ends, failures included, and only while it is still this
+        gate."""
         with self._lock:
-            gate = self._compile_gates.setdefault(fingerprint, threading.Lock())
+            gate = gates.setdefault(key, threading.Lock())
         with gate:
             try:
                 yield
             finally:
                 with self._lock:
-                    if self._compile_gates.get(fingerprint) is gate:
-                        del self._compile_gates[fingerprint]
+                    if gates.get(key) is gate:
+                        del gates[key]
 
     def _run_on_pool(
         self, pool: WorkerPool, core: FPCore, target: Target,
@@ -1322,16 +1320,15 @@ class ChassisSession:
         """The liveness/statistics payload behind the serve ``/health``
         route and ``repro health``: session counters (including engine
         totals folded back from pooled workers), persistent-cache stats,
-        worker-pool state, and oracle activity (correctly-rounded
-        evaluations plus lock wait-vs-hold)."""
-        backend = self.oracle.counters()
+        worker-pool state, and oracle activity (in-process work plus the
+        counters pooled jobs ship home, and lock wait-vs-hold)."""
+        oracle = self.oracle.counters()
         with self._lock:
             stats = self.stats.as_dict()
-            folded = OracleCounters()
-            folded.merge(self.stats.rival)
-        # In-process backends share ``self.evaluator`` (their own
-        # ``evals`` stay zero); worker-side work arrives pre-folded in
-        # ``stats.rival`` — summing all three never double-counts.
+            oracle.merge(self.stats.rival)
+        # The session backend shares ``self.evaluator`` (its own ``evals``
+        # stay zero); worker-side work arrives pre-folded in
+        # ``stats.rival`` — summing them never double-counts.
         return {
             "ok": True,
             "stats": stats,
@@ -1345,31 +1342,17 @@ class ChassisSession:
             ),
             "oracle": {
                 "backend": self.oracle_backend,
-                "evals": self.evaluator.evals + backend.evals + folded.evals,
-                "escalations": (
-                    self.evaluator.escalations + backend.escalations
-                    + folded.escalations
-                ),
-                "batch_calls": backend.batch_calls + folded.batch_calls,
-                "batch_points": backend.batch_points + folded.batch_points,
-                "fastpath_hits": (
-                    backend.fastpath_hits + folded.fastpath_hits
-                ),
-                "escalated_points": (
-                    backend.escalated_points + folded.escalated_points
-                ),
-                "pool_chunks": backend.pool_chunks + folded.pool_chunks,
-                # Per-rung cascade breakdown (in-process + pooled sources
-                # alike: worker dd hits fold home through JobOutcome).
+                "evals": self.evaluator.evals + oracle.evals,
+                "escalations": self.evaluator.escalations + oracle.escalations,
+                "batch_calls": oracle.batch_calls,
+                "batch_points": oracle.batch_points,
+                "fastpath_hits": oracle.fastpath_hits,
+                "escalated_points": oracle.escalated_points,
+                # Per-rung cascade breakdown.
                 "rungs": {
-                    "longdouble_hits": (
-                        backend.fastpath_hits + folded.fastpath_hits
-                        - backend.dd_hits - folded.dd_hits
-                    ),
-                    "dd_hits": backend.dd_hits + folded.dd_hits,
-                    "ladder_points": (
-                        backend.escalated_points + folded.escalated_points
-                    ),
+                    "longdouble_hits": oracle.fastpath_hits - oracle.dd_hits,
+                    "dd_hits": oracle.dd_hits,
+                    "ladder_points": oracle.escalated_points,
                 },
             },
         }

@@ -7,9 +7,9 @@ Three layers of pinning, mirroring the rung's own soundness argument:
 * the dd transcendental kernels stay inside their declared margins
   (checked against mpmath at 200 bits on randomized points);
 * the cascade keeps the acceptance-filter contract end to end — sampled
-  points and exact values are bit-identical across ``numpy``, ``mpmath``
-  and ``pool`` backends, serial or pooled, because dd only ever settles
-  points whose enclosure already rounds uniquely.
+  points and exact values are bit-identical across the ``numpy`` and
+  ``mpmath`` backends, because dd only ever settles points whose
+  enclosure already rounds uniquely.
 """
 
 import math
@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.accuracy.sampler import SampleConfig, sample_core
-from repro.api import ChassisSession, CompileConfig
 from repro.benchsuite.suite import core_named
 from repro.ir.parser import parse_expr
 from repro.ir.types import F32, F64
@@ -40,14 +39,7 @@ from repro.rival.backends.dd import (
     two_prod,
     two_sum,
 )
-from repro.rival.backends.pool_backend import (
-    PoolOracleBackend,
-    _resolve_min_pool_points,
-)
 from repro.rival.eval import RivalEvaluator
-
-FAST = CompileConfig(iterations=1, localize_points=6, max_variants=12)
-SAMPLES = SampleConfig(n_train=8, n_test=8)
 
 #: Finite specials: signed zeros, denormals, powers straddling the
 #: binade structure, and the format's extremes.
@@ -247,29 +239,6 @@ class TestCascade:
             assert _bits(got.value) == _bits(want.value)
 
 
-class TestMinBatchKnob:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ORACLE_POOL_MIN_BATCH", raising=False)
-        assert _resolve_min_pool_points() == 64
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ORACLE_POOL_MIN_BATCH", "7")
-        assert _resolve_min_pool_points() == 7
-
-    def test_constructor_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ORACLE_POOL_MIN_BATCH", "7")
-        backend = PoolOracleBackend(_fresh("numpy"), min_pool_points=3)
-        assert backend.min_pool_points == 3
-
-    def test_non_integer_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ORACLE_POOL_MIN_BATCH", "many")
-        with pytest.raises(ValueError, match="REPRO_ORACLE_POOL_MIN_BATCH"):
-            _resolve_min_pool_points()
-
-    def test_floor_of_one(self):
-        assert _resolve_min_pool_points(0) == 1
-
-
 def _sample_key(samples):
     points = tuple(
         tuple(sorted((k, _bits(v)) for k, v in point.items()))
@@ -280,8 +249,8 @@ def _sample_key(samples):
 
 
 class TestEndToEndIdentity:
-    """Sampling through the cascade and through pooled sampler iterations
-    must be bit-identical to the mpmath ladder."""
+    """Sampling through the cascade must be bit-identical to the mpmath
+    ladder."""
 
     @pytest.mark.parametrize("name", ["cos-frac", "expm1-naive"])
     def test_backends_bit_identical(self, name):
@@ -291,21 +260,3 @@ class TestEndToEndIdentity:
         assert _sample_key(
             sample_core(core, config, oracle=_fresh("numpy"))
         ) == want
-
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_pooled_sampling_bit_identical(self, jobs):
-        config = SampleConfig(n_train=16, n_test=16)
-        cores = [core_named(n) for n in ("cos-frac", "expm1-naive")]
-        want = [
-            _sample_key(sample_core(c, config, oracle=_fresh("mpmath")))
-            for c in cores
-        ]
-        with ChassisSession(
-            config=FAST, sample_config=SAMPLES, jobs=jobs,
-            oracle_backend="pool",
-        ) as session:
-            got = [
-                _sample_key(sample_core(c, config, oracle=session.oracle))
-                for c in cores
-            ]
-        assert got == want

@@ -2,8 +2,8 @@
 
 Every oracle backend is an *acceptance filter* over the same escalation-
 ladder semantics — never an approximation — so points, exact values and
-statuses must be bit-identical across ``numpy``, ``mpmath`` and ``pool``,
-and across ``jobs=1`` vs pooled execution.  These tests pin that contract
+statuses must be bit-identical across ``numpy`` and ``mpmath``, and
+across ``jobs=1`` vs pooled execution.  These tests pin that contract
 on curated benchmarks, adversarial special points (signed zeros,
 infinities, NaN, overflow-scale magnitudes) and randomized generated
 expressions.
@@ -200,8 +200,11 @@ class TestBackendSelection:
         assert resolve_backend_name("NumPy") == "numpy"
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown oracle backend"):
-            resolve_backend_name("cuda")
+        # "pool" named a backend that no longer exists; it must not fall
+        # back silently to another one.
+        for name in ("cuda", "pool"):
+            with pytest.raises(ValueError, match="unknown oracle backend"):
+                resolve_backend_name(name)
 
     def test_environment_knob(self, monkeypatch):
         monkeypatch.setenv("REPRO_ORACLE_BACKEND", "mpmath")
@@ -218,11 +221,16 @@ class TestBackendSelection:
         assert session.oracle_backend == "numpy"
         assert isinstance(session.oracle, NumpyBackend)
 
-    def test_session_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            ChassisSession(oracle_backend="quantum")
+    def test_session_rejects_unknown_backend(self, monkeypatch):
+        for name in ("quantum", "pool"):
+            with pytest.raises(ValueError, match="unknown oracle backend"):
+                ChassisSession(oracle_backend=name)
+            monkeypatch.setenv("REPRO_ORACLE_BACKEND", name)
+            with pytest.raises(ValueError, match="unknown oracle backend"):
+                ChassisSession(config=FAST, sample_config=SAMPLES)
 
     def test_all_names_constructible(self):
+        assert BACKEND_NAMES == ("numpy", "mpmath")
         for name in BACKEND_NAMES:
             backend = make_backend(name, evaluator=RivalEvaluator())
             assert backend.name == name
@@ -302,45 +310,3 @@ class TestCounterFolding:
             assert any(o.oracle for o in outcomes)
             assert pooled.stats.rival.evals > 0
 
-
-class TestPoolBackend:
-    def test_sharded_batch_bit_identical(self):
-        expr = parse_expr("(- (sqrt (+ x 1)) (sqrt x))")
-        import random
-
-        rng = random.Random(11)
-        points = [{"x": rng.uniform(0.0, 1e6)} for _ in range(300)]
-        want = [_key(r) for r in _fresh("mpmath").eval_batch(expr, points, F64)]
-        with ChassisSession(
-            config=FAST, sample_config=SAMPLES, jobs=2, oracle_backend="pool"
-        ) as session:
-            got = [
-                _key(r)
-                for r in session.oracle.eval_batch(expr, points, F64)
-            ]
-            assert got == want
-            counters = session.oracle.counters()
-            assert counters.pool_chunks >= 2
-            assert counters.batch_points == len(points)
-
-    def test_without_pool_degrades_to_fastpath(self):
-        # jobs=1 sessions have no worker pool; the pool backend must run
-        # everything in-process and still match the ladder.
-        session = ChassisSession(
-            config=FAST, sample_config=SAMPLES, jobs=1, oracle_backend="pool"
-        )
-        expr = parse_expr("(log (+ 1 x))")
-        points = [{"x": 0.5 * i} for i in range(80)]
-        got = [_key(r) for r in session.oracle.eval_batch(expr, points, F64)]
-        want = [
-            _key(r) for r in _fresh("mpmath").eval_batch(expr, points, F64)
-        ]
-        assert got == want
-
-    def test_small_batches_stay_in_process(self):
-        with ChassisSession(
-            config=FAST, sample_config=SAMPLES, jobs=2, oracle_backend="pool"
-        ) as session:
-            expr = parse_expr("(* x x)")
-            session.oracle.eval_batch(expr, [{"x": 2.0}] * 8, F64)
-            assert session.oracle.counters().pool_chunks == 0

@@ -150,6 +150,27 @@ class TestStatsAccounting:
         # invariant that matters: misses recorded, but only one sampling)
         assert session.stats.sample_hits + session.stats.sample_misses >= 4
         assert len(session._samples) == 1
+        assert session._sample_gates == {}
+
+    def test_failed_sampling_releases_its_gate(self):
+        """A SamplingError or DeadlineExceeded must not leave the
+        fingerprint's gate behind in the session."""
+        from repro.accuracy.sampler import SamplingError
+        from repro.deadline import DeadlineExceeded
+        from repro.ir import parse_fpcore
+
+        session = ChassisSession(config=FAST, sample_config=SAMPLES)
+        for bound in (1, 2, 3):
+            bad = parse_fpcore(
+                f"(FPCore nopoints{bound} (x) "
+                f":pre (and (< {bound + 1} x) (< x {bound})) x)"
+            )
+            with pytest.raises(SamplingError):
+                session.samples_for(bad)
+        with pytest.raises(DeadlineExceeded):
+            session.samples_for(core_named("sqrt-sub"), timeout=1e-9)
+        assert session._sample_gates == {}
+        assert len(session._samples) == 0
 
 
 class TestKeepaliveEviction:
