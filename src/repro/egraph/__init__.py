@@ -1,12 +1,7 @@
 """E-graph engine: equality saturation, typed and multi extraction."""
 
 from .egraph import EClass, EGraph, GraphSnapshot
-from .ematch import (
-    instantiate,
-    lookup_template,
-    match_is_applied,
-    search_pattern,
-)
+from .ematch import instantiate, rule_program, search_pattern
 from .extract import (
     ExtractionError,
     Extractor,
@@ -23,8 +18,7 @@ from .unionfind import UnionFind
 
 __all__ = [
     "EClass", "EGraph", "GraphSnapshot", "UnionFind",
-    "search_pattern", "instantiate",
-    "lookup_template", "match_is_applied",
+    "search_pattern", "instantiate", "rule_program",
     "Rewrite", "rw", "birw",
     "RunnerLimits", "RunnerReport", "run_rules",
     "Extractor", "extract_best", "ast_size_cost", "real_only_cost",

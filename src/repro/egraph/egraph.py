@@ -103,11 +103,11 @@ class EGraph:
 
     def canonicalize(self, node: ENode) -> ENode:
         head, args = node
-        return (head, tuple(self._uf.find(a) for a in args))
+        return (head, tuple(map(self._uf.find, args)))
 
     def add_node(self, head, args: Iterable[int]) -> int:
         """Insert an e-node, returning its e-class id (deduplicated)."""
-        node = (head, tuple(self._uf.find(a) for a in args))
+        node = (head, tuple(map(self._uf.find, args)))
         existing = self._hashcons.get(node)
         if existing is not None:
             return self._uf.find(existing)
@@ -315,7 +315,7 @@ class GraphSnapshot:
             entries = self.nodes.setdefault(class_id, [])
             heads = self.by_head.setdefault(class_id, {})
             for node in eclass.nodes:
-                canon_args = tuple(find(a) for a in node[1])
+                canon_args = tuple(map(find, node[1]))
                 entries.append((node[0], canon_args, node))
                 heads.setdefault(node[0], []).append(canon_args)
             parents.setdefault(class_id, {})

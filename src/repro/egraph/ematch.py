@@ -1,29 +1,37 @@
 """E-matching: finding instances of a pattern inside an e-graph.
 
-Patterns are ordinary :class:`~repro.ir.expr.Expr` trees in which
-:class:`~repro.ir.expr.Var` nodes act as pattern variables.  A match binds
-each pattern variable to an e-class id.  :func:`search_pattern` is the
-one matcher: a backtracking search over the graph's per-generation
-snapshot (sufficient at our e-graph sizes); egg's relational virtual
-machine is an optimization of the same semantics.
-
-Root candidates come from the e-graph's head index (O(candidates) instead
-of O(classes)), and matches can be filtered by an ``accept`` predicate
-*inside* the enumeration so match limits count only matches the caller
-will keep.  :func:`pattern_heads` names the heads a pattern needs, which
-lets the saturation runner skip a rule without searching when one of them
-is absent from the graph.
+Patterns are :class:`~repro.ir.expr.Expr` trees whose
+:class:`~repro.ir.expr.Var` nodes are pattern variables; a match binds each
+to an e-class id.  Each rule compiles once, on its first search, into a
+:class:`RuleProgram` (:func:`rule_program`, cached per distinct ``(lhs,
+rhs)`` and shared by every target): the e-matching abstract machine of de
+Moura and Bjørner (CADE 2007) that egg also uses, specialised to Python
+source.  Its search is a nest of ``for`` loops over the snapshot's
+``by_head``, one per lhs operator node in left-to-right depth-first order,
+with variables in local slots; given an rhs, it drops already-applied
+matches (the rhs already sits in the matched class) by inline hashcons
+lookups, so a limit counts only graph-changing matches.  Its instantiate
+function is a straight-line chain of ``add_node`` calls.  Heads and
+variable names are namespace constants: no rule text enters the source.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+import functools
+import hashlib
+import sys
+from types import CodeType
+from typing import NamedTuple
 
 from ..ir.expr import App, Expr, Var
 from .egraph import EGraph
 from .enode import head_of_expr
 
 Subst = dict[str, int]
+
+#: CPython refuses more than 20 statically nested loops in one function;
+#: a search needs one per lhs operator node plus one over the roots.
+_MAX_PATTERN_OPS = 19
 
 
 def pattern_heads(pattern: Expr) -> frozenset:
@@ -40,193 +48,189 @@ def pattern_heads(pattern: Expr) -> frozenset:
     )
 
 
-def root_candidates(egraph: EGraph, pattern: Expr) -> list[int]:
-    """Canonical e-class ids that could host a match of ``pattern``.
+class RuleProgram(NamedTuple):
+    """``search(egraph, snapshot, limit >= 1)`` -> matches and
+    ``instantiate(add_node, subst)`` -> rhs class (None if not built)."""
 
-    App and leaf patterns resolve through the head index; a bare variable
-    pattern matches every class.
-    """
-    if isinstance(pattern, App):
-        return egraph.classes_with_head(pattern.op)
-    if isinstance(pattern, Var):
-        seen: dict[int, None] = {}
-        for eclass in egraph.classes():
-            seen[egraph.find(eclass.id)] = None
-        return list(seen)
-    return egraph.classes_with_head(head_of_expr(pattern))
+    search: object
+    instantiate: object
+
+    def matches(self, egraph: EGraph, limit: int | None = None) -> list:
+        """Matches in the graph's current snapshot, at most ``limit``."""
+        if limit is not None and limit <= 0:
+            return []
+        return self.search(egraph, egraph.snapshot(), limit or sys.maxsize)
 
 
-# Compiled pattern forms (tuples, matched against a GraphSnapshot):
-#   ("var", name)            pattern variable
-#   ("leaf", class_id|None)  literal/constant, resolved to its class once
-#   ("app", op, subpatterns) operator application
-def _compile(egraph: EGraph, pattern: Expr):
-    if isinstance(pattern, Var):
-        return ("var", pattern.name)
-    if isinstance(pattern, App):
-        return ("app", pattern.op,
-                tuple(_compile(egraph, a) for a in pattern.args))
-    # A leaf matches exactly the class that holds it; resolving it here
-    # turns every leaf check during the search into an int comparison.
-    return ("leaf", egraph.lookup_node(head_of_expr(pattern), ()))
+#: Source digest -> code.  Rules of one shape (equal up to heads and
+#: variable names, which live in each program's namespace) generate the
+#: same source, so they share one code object: less memory per process.
+_CODE: dict[bytes, CodeType] = {}
 
 
-def _match_snapshot(snap, prog, class_id: int, subst: Subst) -> Iterator[Subst]:
-    """Match a compiled pattern against one snapshot class.
-
-    All ids are canonical at the snapshot's generation, so variable
-    consistency and leaf checks are integer comparisons and no union-find
-    or node-head filtering happens inside the hot loop.
-    """
-    tag = prog[0]
-    if tag == "var":
-        name = prog[1]
-        bound = subst.get(name)
-        if bound is None:
-            new = dict(subst)
-            new[name] = class_id
-            yield new
-        elif bound == class_id:
-            yield subst
-        return
-    if tag == "leaf":
-        if prog[1] == class_id:
-            yield subst
-        return
-    subpats = prog[2]
-    arity = len(subpats)
-    for args in snap.by_head.get(class_id, _EMPTY).get(prog[1], ()):
-        if len(args) != arity:
-            continue
-        yield from _match_snapshot_args(snap, subpats, args, 0, subst)
+@functools.cache
+def rule_program(lhs: Expr | None, rhs: Expr | None) -> RuleProgram:
+    """Rule ``lhs => rhs``'s program; without ``rhs`` the search keeps
+    every match, without ``lhs`` there is only an instantiate function."""
+    gen = _Generator()
+    if lhs is not None:
+        gen.search(lhs, rhs)
+    if rhs is not None:
+        gen.instantiate(rhs)
+    source = "\n".join(gen.lines)
+    key = hashlib.blake2b(source.encode(), digest_size=16).digest()
+    if key not in _CODE:
+        _CODE[key] = compile(source, "<rule program>", "exec")
+    namespace = dict(gen.consts)
+    exec(_CODE[key], namespace)
+    return RuleProgram(namespace.get("search"), namespace.get("instantiate"))
 
 
-_EMPTY: dict = {}
+class _Generator:
+    """Writes one rule program's source: its own locals (``c0``, ``tN``,
+    ``vN``, ``LN``, ``rN``, ``xN``) and ``HN`` namespace constants only."""
 
+    def __init__(self):
+        self.lines: list[str] = []
+        self.consts: dict[str, object] = {}
+        self._names: dict[object, str] = {}
+        self.leaves: dict[object, str] = {}
+        self.slots: dict[str, str] = {}
 
-def _match_snapshot_args(snap, subpats, args, index, subst) -> Iterator[Subst]:
-    """Match the remaining subpatterns against sibling arg classes.
+    def const(self, value) -> str:
+        if value not in self._names:
+            name = self._names[value] = sys.intern(f"H{len(self._names)}")
+            self.consts[name] = value
+        return self._names[value]
 
-    Variable and leaf subpatterns are consumed inline (they bind or fail
-    without branching), so generator recursion — the expensive part of the
-    backtracking search — happens only at nested App subpatterns.
-    """
-    n = len(subpats)
-    binds = None
-    while index < n:
-        prog = subpats[index]
-        tag = prog[0]
-        if tag == "var":
-            name = prog[1]
-            class_id = args[index]
-            bound = subst.get(name)
-            if bound is None and binds is not None:
-                bound = binds.get(name)
-            if bound is None:
-                if binds is None:
-                    binds = {}
-                binds[name] = class_id
-            elif bound != class_id:
-                return
-        elif tag == "leaf":
-            if prog[1] != args[index]:
-                return
-        else:
-            break
-        index += 1
-    if binds:
-        subst = {**subst, **binds}
-    if index == n:
-        yield subst
-        return
-    for sub in _match_snapshot(snap, subpats[index], args[index], subst):
-        yield from _match_snapshot_args(snap, subpats, args, index + 1, sub)
+    def emit(self, depth: int, *lines: str) -> None:
+        self.lines += ["    " * depth + line for line in lines]
 
+    def local(self, node: Expr) -> str:
+        """The local holding a variable's or a leaf's class id."""
+        if isinstance(node, Var):
+            return self.slots[node.name]
+        return self.leaves[head_of_expr(node)]
 
-def search_pattern(
-    egraph: EGraph,
-    pattern: Expr,
-    limit: int | None = None,
-    accept: Callable[[int, Subst], bool] | None = None,
-) -> list[tuple[int, Subst]]:
-    """Find matches of ``pattern`` anywhere in the e-graph.
-
-    Returns ``(class_id, subst)`` pairs; ``class_id`` is the class the whole
-    pattern matched in.  ``limit`` bounds the number of matches collected.
-    ``accept`` filters matches during enumeration; rejected matches do not
-    count against ``limit``, so a truncated search is truncated at the same
-    *kept* match regardless of how many rejected ones the enumeration
-    passed over.
-
-    The search runs against the graph's per-generation snapshot with the
-    pattern compiled once, so repeated searches of one saturation iteration
-    share all canonicalization work.
-    """
-    results: list[tuple[int, Subst]] = []
-    snap = egraph.snapshot()
-    prog = _compile(egraph, pattern)
-    seen: set[int] = set()
-    for class_id in root_candidates(egraph, pattern):
-        canon = egraph.find(class_id)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        for subst in _match_snapshot(snap, prog, canon, {}):
-            if accept is not None and not accept(canon, subst):
+    def resolve_leaves(self, pattern: Expr, required: bool) -> None:
+        """Look each literal leaf's class up once per search; a required
+        (lhs) leaf the graph lacks means nothing can match."""
+        for _path, node in pattern.subexprs():
+            head = head_of_expr(node)
+            if isinstance(node, (App, Var)) or head in self.leaves:
                 continue
-            results.append((canon, subst))
-            if limit is not None and len(results) >= limit:
-                return results
-    return results
+            local = self.leaves[head] = f"L{len(self.leaves)}"
+            self.emit(1, f"{local} = egraph.lookup_node({self.const(head)}, ())")
+            if required:
+                self.emit(1, f"if {local} is None:", "    return []")
+
+    def search(self, lhs: Expr, rhs: Expr | None) -> None:
+        ops = sum(isinstance(node, App) for _path, node in lhs.subexprs())
+        if ops > _MAX_PATTERN_OPS:
+            raise ValueError(f"pattern has {ops} operator nodes; compiled "
+                             f"rules support at most {_MAX_PATTERN_OPS}")
+        self.emit(0, "def search(egraph, snap, limit):")
+        self.emit(1, "by_head = snap.by_head", "out = []")
+        self.resolve_leaves(lhs, required=True)
+        if rhs is not None:
+            self.resolve_leaves(rhs, required=False)
+            self.emit(1, "hc = egraph._hashcons", "find = egraph._uf.find")
+        if isinstance(lhs, App):
+            roots = f"egraph.classes_with_head({self.const(lhs.op)})"
+        elif isinstance(lhs, Var):
+            roots = "by_head"
+            self.slots[lhs.name] = "c0"
+        else:
+            roots = f"({self.local(lhs)},)"
+        self.emit(1, f"for c0 in {roots}:")
+        depth = 2
+        # One loop per operator node, in pre-order.  A loop checks its
+        # variable and leaf arguments before the loops of its operator
+        # arguments: pure filters, so the match order is unchanged.
+        steps = [(lhs, "c0")] if isinstance(lhs, App) else []
+        while steps:
+            node, cls = steps.pop(0)
+            tup = f"t{depth}"
+            self.emit(depth, f"for {tup} in by_head[{cls}].get"
+                             f"({self.const(node.op)}, ()):",
+                      f"    if len({tup}) != {len(node.args)}:",
+                      "        continue")
+            depth += 1
+            nested = []
+            for index, arg in enumerate(node.args):
+                item = f"{tup}[{index}]"
+                if isinstance(arg, App):
+                    nested.append((arg, item))
+                elif isinstance(arg, Var) and arg.name not in self.slots:
+                    self.slots[arg.name] = f"v{len(self.slots)}"
+                    self.emit(depth, f"{self.slots[arg.name]} = {item}")
+                else:
+                    self.emit(depth, f"if {item} != {self.local(arg)}:",
+                              "    continue")
+            steps[:0] = nested
+        if rhs is not None:
+            self.applied_check(rhs, depth)
+        subst = ", ".join(
+            f"{self.const(name)}: {slot}" for name, slot in self.slots.items()
+        )
+        self.emit(depth, f"out.append((c0, {{{subst}}}))",
+                  "if len(out) == limit:", "    return out")
+        self.emit(1, "return out")
+
+    def applied_check(self, rhs: Expr, depth: int) -> None:
+        """``continue`` when the rhs already sits in ``c0``: its operator
+        nodes are looked up in post-order, each once all earlier ones were
+        found (an absent leaf or node means the match is not applied)."""
+        lookups: list[str] = []
+
+        def post(node: Expr) -> str:
+            if not isinstance(node, App):
+                return self.local(node)
+            args = _tuple([post(arg) for arg in node.args])
+            lookups.append(f"hc.get(({self.const(node.op)}, {args}))")
+            return f"find(r{len(lookups) - 1})"
+
+        root = post(rhs)
+        for index, lookup in enumerate(lookups):
+            self.emit(depth, f"r{index} = {lookup}",
+                      f"if r{index} is not None:")
+            depth += 1
+        self.emit(depth, f"if {root} == c0:", "    continue")
+
+    def instantiate(self, rhs: Expr) -> None:
+        self.emit(0, "def instantiate(add, subst):")
+        built: dict[str, str] = {}
+
+        def post(node: Expr) -> str:
+            if isinstance(node, Var):
+                if node.name not in built:
+                    built[node.name] = f"x{len(self.lines)}"
+                    self.emit(1, f"{built[node.name]} = "
+                                 f"subst[{self.const(node.name)}]")
+                return built[node.name]
+            if isinstance(node, App):
+                head, args = node.op, [post(arg) for arg in node.args]
+            else:
+                head, args = head_of_expr(node), []
+            local = f"x{len(self.lines)}"
+            self.emit(1, f"{local} = add({self.const(head)}, {_tuple(args)})")
+            return local
+
+        self.emit(1, f"return {post(rhs)}")
 
 
-def lookup_template(
-    egraph: EGraph, template: Expr, subst: Subst
-) -> int | None:
-    """The e-class ``template`` (under ``subst``) already occupies, if any.
-
-    The read-only twin of :func:`instantiate`: returns None as soon as any
-    node of the instantiated template is absent from the hashcons.
-    """
-    if isinstance(template, Var):
-        return subst.get(template.name)
-    if isinstance(template, App):
-        args = []
-        for arg in template.args:
-            class_id = lookup_template(egraph, arg, subst)
-            if class_id is None:
-                return None
-            args.append(class_id)
-        return egraph.lookup_node(template.op, args)
-    return egraph.lookup_node(head_of_expr(template), ())
+def _tuple(items: list[str]) -> str:
+    return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
 
 
-def match_is_applied(
-    egraph: EGraph, rhs: Expr, class_id: int, subst: Subst
-) -> bool:
-    """True when applying ``rhs`` at this match cannot change the e-graph.
-
-    A rewrite application inserts the instantiated rhs and merges it with
-    the matched class; when the rhs already exists *in that same class*,
-    both steps are no-ops.  Matches stay applied forever (classes never
-    un-merge), so the saturation runner filters them out of every search,
-    and only graph-changing matches count against its per-rule match cap.
-    """
-    found = lookup_template(egraph, rhs, subst)
-    return found is not None and egraph.same(found, class_id)
+def search_pattern(egraph: EGraph, pattern: Expr,
+                   limit: int | None = None) -> list[tuple[int, Subst]]:
+    """Up to ``limit`` ``(class_id, subst)`` matches of ``pattern``, in
+    depth-first order; ``class_id`` is the class the pattern matched in."""
+    return rule_program(pattern, None).matches(egraph, limit)
 
 
 def instantiate(egraph: EGraph, template: Expr, subst: Subst) -> int:
     """Insert ``template`` (with pattern vars bound by ``subst``) and return
-    its e-class id."""
-    if isinstance(template, Var):
-        try:
-            return subst[template.name]
-        except KeyError:
-            raise KeyError(
-                f"unbound pattern variable {template.name!r} in rewrite rhs"
-            ) from None
-    if isinstance(template, App):
-        args = tuple(instantiate(egraph, a, subst) for a in template.args)
-        return egraph.add_node(template.op, args)
-    return egraph.add_node(head_of_expr(template), ())
+    its e-class id; an unbound variable raises :class:`KeyError`."""
+    return rule_program(None, template).instantiate(egraph.add_node, subst)

@@ -16,8 +16,8 @@ from ..ir.parser import parse_expr
 from .egraph import EGraph
 from .ematch import Subst, instantiate, pattern_heads, search_pattern
 
-#: Optional side condition; receives the substitution and the e-graph and
-#: returns whether the rule may fire for that match.
+#: Optional side condition, called as ``condition(egraph, subst)``; returns
+#: whether the rule may fire for that match.
 Condition = Callable[[EGraph, Subst], bool]
 
 

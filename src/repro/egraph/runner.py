@@ -7,9 +7,10 @@ here is smaller because pure Python is slower, and is configurable.
 Each iteration searches only the rules that can match: a rule whose
 left-hand side needs an operator, literal or constant head the graph does
 not hold (:meth:`EGraph.heads`) is skipped, exactly as if its search had
-found nothing.  Searches also filter out matches that are already applied
-(the rhs already sits in the matched class), so the per-rule match cap
-counts only graph-changing matches.
+found nothing.  A search runs the rule's generated program
+(:func:`~repro.egraph.ematch.rule_program`), which skips matches that are
+already applied (the rhs already sits in the matched class), so the
+per-rule match cap counts only graph-changing matches.
 
 A run never reads the clock: its result is a pure function of the graph,
 the rules and the budget, so the same inputs give the same graph whatever
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from ..deadline import check_deadline
 from ..obs.trace import span
 from .egraph import EGraph
-from .ematch import instantiate, match_is_applied, search_pattern
+from .ematch import rule_program
 from .rewrite import Rewrite
 from .stats import current_sink
 
@@ -150,13 +151,8 @@ def _run_rules(
                 if cap is None or budget_left < cap:
                     cap = budget_left
                 report.searches += 1
-
-                def effective(class_id, subst, _rhs=rule.rhs):
-                    return not match_is_applied(egraph, _rhs, class_id, subst)
-
-                matches = search_pattern(
-                    egraph, rule.lhs, limit=cap + 1, accept=effective,
-                )
+                program = rule_program(rule.lhs, rule.rhs)
+                matches = program.matches(egraph, cap + 1)
                 if len(matches) > cap:
                     matches = matches[:cap]
                     report.rules_truncated[rule.name] = (
@@ -165,14 +161,15 @@ def _run_rules(
                 collected += len(matches)
                 report.matches_found += len(matches)
                 if matches:
-                    batches.append((rule, matches))
+                    batches.append((rule, program.instantiate, matches))
             if search_span is not None:
                 search_span["attrs"]["matches"] = collected
 
         # Apply phase (polls the deadline as it goes).
         with span("egraph.apply", iteration=iteration) as apply_span:
             applied_total = 0
-            for rule, matches in batches:
+            add_node = egraph.add_node
+            for rule, build, matches in batches:
                 applied = 0
                 for index, (class_id, subst) in enumerate(matches):
                     if egraph.num_nodes >= limits.max_nodes:
@@ -181,7 +178,7 @@ def _run_rules(
                         check_deadline()
                     if rule.condition is not None and not rule.condition(egraph, subst):
                         continue
-                    new_id = instantiate(egraph, rule.rhs, subst)
+                    new_id = build(add_node, subst)
                     egraph.union(egraph.find(class_id), new_id)
                     applied += 1
                 if applied:

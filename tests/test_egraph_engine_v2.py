@@ -1,6 +1,7 @@
-"""Engine v2 tests: the runner's head-presence rule filter, determinism
-(under hash seeds and a jumping clock), worklist-extractor parity with the
-old fixpoint, the per-target rule cache, engine counters, and the runner's
+"""Engine v2 tests: the runner's head-presence rule filter, the compiled
+rule programs against a brute-force reference matcher, determinism (under
+hash seeds and a jumping clock), worklist-extractor parity with the old
+fixpoint, the per-target rule cache, engine counters, and the runner's
 deadline/truncation satellites."""
 
 import dataclasses
@@ -11,6 +12,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from ematch_reference import (
+    reference_applied,
+    reference_lookup,
+    reference_matches,
+)
 
 from repro.accuracy.sampler import SampleConfig
 from repro.benchsuite import core_named
@@ -33,11 +39,13 @@ from repro.egraph import (
     engine_stats_sink,
     extract_variants,
     run_rules,
+    rule_program,
     rw,
     search_pattern,
 )
 from repro.egraph.ematch import pattern_heads
 from repro.ir import parse_expr
+from repro.ir.expr import App, Num, Var
 from repro.ir.printer import expr_to_sexpr
 from repro.service.cache import config_fingerprint
 from repro.service.results import result_to_dict
@@ -152,6 +160,119 @@ class TestHeadFilter:
                       "matches_applied", "rule_matches", "rules_truncated"):
             assert getattr(filtered_report, field) == getattr(full_report, field)
         assert filtered_report.searches < full_report.searches
+
+
+class TestCompiledPrograms:
+    """Each rule's generated search returns what the brute-force reference
+    matcher (``tests/ematch_reference.py``) returns, in the same order, and
+    its fused applied filter keeps exactly the matches the reference's
+    rhs lookup calls graph-changing."""
+
+    @pytest.mark.parametrize("name,ty,seed", FILTER_CASES)
+    def test_programs_match_reference(self, name, ty, seed):
+        target = get_target(name)
+        rules = _rules_for(target)
+        egraph = _generated_graph(target, ty, seed)
+        # A saturated graph (merged classes, already-applied matches) small
+        # enough for the brute-force reference.
+        run_rules(egraph, rules, RunnerLimits(max_iterations=3, max_nodes=400))
+        kept = rejected = 0
+        for rule in rules:
+            expected = reference_matches(egraph, rule.lhs)
+            assert search_pattern(egraph, rule.lhs) == expected, rule.name
+            for limit in (0, 1, 3):
+                assert search_pattern(egraph, rule.lhs, limit=limit) == (
+                    expected[:limit]
+                ), rule.name
+            effective = [
+                match for match in expected
+                if not reference_applied(egraph, rule.rhs, match)
+            ]
+            program = rule_program(rule.lhs, rule.rhs)
+            assert program.matches(egraph) == effective, rule.name
+            assert program.matches(egraph, 2) == effective[:2], rule.name
+            kept += len(effective)
+            rejected += len(expected) - len(effective)
+        assert kept and rejected
+
+    ROOT_KINDS = [
+        # (lhs, rhs): bare-variable and literal lhs roots; variable,
+        # literal and constant rhs roots; rhs leaves absent from the graph.
+        ("a", "(neg (neg a))"),
+        ("1", "(exp 0)"),
+        ("(* a 1)", "a"),
+        ("(- a a)", "0"),
+        ("(/ a a)", "1"),
+        ("(acos -1)", "PI"),
+        ("(exp 0)", "E"),
+        ("(+ a b)", "(+ b 7)"),
+    ]
+
+    @pytest.mark.parametrize("lhs,rhs", ROOT_KINDS)
+    def test_root_kinds(self, lhs, rhs):
+        egraph = EGraph()
+        for text in ("(+ (* x 1) (- y y))", "(exp 0)", "(acos -1)", "PI"):
+            egraph.add_expr(parse_expr(text))
+        # Two already-applied matches: x = (neg (neg x)) and (/ x x) = 1.
+        for left, right in (("x", "(neg (neg x))"), ("(/ x x)", "1")):
+            egraph.union(egraph.add_expr(parse_expr(left)),
+                         egraph.add_expr(parse_expr(right)))
+        egraph.rebuild()
+        lhs_expr, rhs_expr = parse_expr(lhs), parse_expr(rhs)
+        expected = reference_matches(egraph, lhs_expr)
+        assert expected
+        assert search_pattern(egraph, lhs_expr) == expected
+        program = rule_program(lhs_expr, rhs_expr)
+        assert program.matches(egraph) == [
+            match for match in expected
+            if not reference_applied(egraph, rhs_expr, match)
+        ]
+        _class_id, subst = expected[-1]
+        built = program.instantiate(egraph.add_node, subst)
+        assert reference_lookup(egraph, rhs_expr, subst) == built
+
+    def test_arity_absent_leaves_and_an_unrebuilt_graph(self):
+        x, a, b = Var("x"), Var("a"), Var("b")
+        twice = App("neg", (App("neg", (x,)),))
+        egraph = EGraph()
+        for expr in (App("f", (x,)), App("f", (x, Var("y"))), twice):
+            egraph.add_expr(expr)
+        # Left pending: the hashcons still maps (neg (neg x)) to the
+        # merged-away class, so the applied check must canonicalize.
+        egraph.union(egraph.lookup_expr(x), egraph.lookup_expr(twice))
+        cases = [
+            (App("f", (a, b)), App("f", (b, a))),  # only the binary f
+            (a, App("neg", (App("neg", (a,)),))),
+            (Num(7), Num(8)),  # an absent lhs leaf, at the root
+            (App("f", (a, Num(7))), a),  # and under an operator
+        ]
+        for lhs, rhs in cases:
+            expected = reference_matches(egraph, lhs)
+            assert search_pattern(egraph, lhs) == expected
+            assert rule_program(lhs, rhs).matches(egraph) == [
+                match for match in expected
+                if not reference_applied(egraph, rhs, match)
+            ]
+        assert search_pattern(egraph, cases[1][0]) != (
+            rule_program(*cases[1]).matches(egraph)
+        )
+
+    def test_programs_shared_per_rule_and_code_per_shape(self):
+        rule = rw("comm", "(+ a b)", "(+ b a)")
+        twin = rw("comm-again", "(+ a b)", "(+ b a)")
+        other = rw("mul-comm", "(* p q)", "(* q p)")
+        program = rule_program(rule.lhs, rule.rhs)
+        assert rule_program(twin.lhs, twin.rhs) is program
+        shaped = rule_program(other.lhs, other.rhs)
+        assert shaped is not program
+        assert shaped.search.__code__ is program.search.__code__
+
+    def test_deep_pattern_rejected_with_a_clear_error(self):
+        deep = "x"
+        for _ in range(25):
+            deep = f"(neg {deep})"
+        with pytest.raises(ValueError, match="operator nodes"):
+            search_pattern(EGraph(), parse_expr(deep.replace("x", "a")))
 
 
 class TestHashSeedDeterminism:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.egraph import (
     EGraph,
+    Rewrite,
     RunnerLimits,
     extract_best,
     instantiate,
@@ -12,6 +13,7 @@ from repro.egraph import (
     search_pattern,
 )
 from repro.ir import parse_expr
+from repro.ir.expr import App, Num, Var
 
 
 def matches_in(g, pattern, class_id):
@@ -69,6 +71,26 @@ class TestEMatch:
         g.add_expr(parse_expr("(+ (+ a b) (+ c d))"))
         assert len(search_pattern(g, parse_expr("(+ p q)"), limit=2)) == 2
 
+    def test_search_pattern_limit_zero(self):
+        g = EGraph()
+        g.add_expr(parse_expr("(+ (+ a b) (+ c d))"))
+        assert search_pattern(g, parse_expr("(+ p q)"), limit=0) == []
+
+    def test_hostile_names_stay_data(self):
+        # Operator and variable names that would break (or inject into)
+        # generated source if pasted into it.
+        op = 'f"\'\n) or __import__("os")#'
+        var = "q'\"\nx"
+        g = EGraph()
+        root = g.add_expr(App(op, (Var("x"), Num(2))))
+        lhs = App(op, (Var(var), Num(2)))
+        ((found, subst),) = search_pattern(g, lhs)
+        assert found == root and set(subst) == {var}
+        rule = Rewrite("hostile", lhs, App(op, (Num(2), Var(var))))
+        report = run_rules(g, [rule])
+        assert report.matches_applied == 1
+        assert g.represents(root, App(op, (Num(2), Var("x"))))
+
     def test_instantiate(self):
         g = EGraph()
         root = g.add_expr(parse_expr("(+ x y)"))
@@ -94,6 +116,13 @@ class TestRewrite:
     def test_rhs_unbound_rejected(self):
         with pytest.raises(ValueError):
             rw("bad", "(+ a a)", "(+ a b)")
+
+    def test_limit_zero_applies_nothing(self):
+        g = EGraph()
+        g.add_expr(parse_expr("(+ q q)"))
+        before = g.generation
+        assert rw("double", "(+ a a)", "(* 2 a)").apply(g, limit=0) == 0
+        assert g.generation == before
 
     def test_condition_blocks(self):
         g = EGraph()
