@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for three of Chassis' design choices.
 
 1. *Cost-opportunity localization* (5.2): disable the heuristic (local error
    only) and measure the lost speedup on a reciprocal-heavy benchmark.

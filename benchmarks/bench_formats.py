@@ -17,9 +17,8 @@ outputs against the oracle (``session.validate``).  Three gates:
   not regress beyond ``TOLERANCE_BITS`` against the committed baseline in
   ``benchmarks/data/format_baseline.json``.
 
-The run summary is written to ``results/format_bench.json``;
-``bench_compile_smoke.py`` folds it into the committed ``BENCH_egraph.json``
-trajectory.  Regenerate the baseline after an *intentional* accuracy
+The run summary is written to ``results/format_bench.json`` (a CI
+artifact).  Regenerate the baseline after an *intentional* accuracy
 change with ``--update-baseline``.
 """
 

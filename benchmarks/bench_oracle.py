@@ -1,13 +1,13 @@
 """Oracle-backend throughput benchmark (standalone).
 
-Like ``bench_egraph.py`` this is a plain script CI runs directly::
+A plain script CI runs directly::
 
     PYTHONPATH=src python benchmarks/bench_oracle.py [--smoke] [--out PATH]
 
 It measures batched ground-truth evaluation over benchsuite sample sets —
 the oracle-bound inner loop of sampling — for two backends:
 
-* ``mpmath`` — the pre-PR path: every point climbs the escalation ladder
+* ``mpmath`` — the reference path: every point climbs the escalation ladder
   alone, serialized on process-global precision state.
 * ``numpy``  — the vectorized fast path: one outward-rounded interval
   sweep over the whole point set, with only the unsettled residue
@@ -22,9 +22,7 @@ the script exits non-zero.
 Reported throughput is oracle points per second of ``eval_batch`` over
 the benchmark's own sampled (precondition-respecting) points, plus the
 fraction of points the fast path settled without touching the ladder.
-Results land in ``results/oracle_bench.json``;
-``bench_compile_smoke.py`` folds the summary into the committed
-``BENCH_egraph.json`` trajectory.
+Results land in ``results/oracle_bench.json`` (a CI artifact).
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ Scale knobs (environment variables):
 * ``REPRO_BENCH_ITERS``   — improvement-loop iterations (default 1)
 
 Raising them approaches the paper's settings (547 benchmarks, 10 000
-points); the shapes reported in EXPERIMENTS.md already appear at the
-defaults.
+points); the shapes of the tables ``repro report`` regenerates (README,
+"Reports & provenance") already appear at the defaults.
 """
 
 from __future__ import annotations

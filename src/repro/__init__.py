@@ -18,9 +18,9 @@ Quickstart (the curated surface lives in :mod:`repro.api`)::
     for candidate in result.frontier:
         print(candidate.cost, candidate.error, candidate.program)
 
-:func:`compile_core` compiles once without session state.  See DESIGN.md
-for the system inventory and EXPERIMENTS.md for the paper-vs-measured
-record of every reproduced table and figure.
+:func:`compile_core` compiles once without session state.  The README's
+"Architecture map" is the system inventory; ``repro report`` regenerates
+every reproduced table and figure (README, "Reports & provenance").
 """
 
 from .accuracy import SampleConfig, bits_of_error, sample_core, score_program

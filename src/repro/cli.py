@@ -468,6 +468,24 @@ def _cmd_serve(args) -> int:
     return serve(session, host=args.host, port=args.port, verbose=not args.quiet)
 
 
+def _int_at_least(bound: int):
+    """An argparse ``type`` for integers >= ``bound``; a smaller value is a
+    usage error (exit 2), as serve's request validation rejects it."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < bound:
+            raise argparse.ArgumentTypeError(f"must be >= {bound}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_positive_int = _int_at_least(1)  # --points, report --benchmarks
+_non_negative_int = _int_at_least(0)  # --iterations
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -492,8 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="path to a target description in the S-expression DSL "
         "(overrides --target; links resolve against repro.fpeval)",
     )
-    p_compile.add_argument("--iterations", type=int, default=2)
-    p_compile.add_argument("--points", type=int, default=48)
+    p_compile.add_argument("--iterations", type=_non_negative_int, default=2)
+    p_compile.add_argument("--points", type=_positive_int, default=48)
     p_compile.add_argument("--seed", type=int, default=20250401)
     p_compile.add_argument("--code", action="store_true", help="emit target-language code")
     p_compile.add_argument("--infix", action="store_true", help="print programs in infix form")
@@ -554,8 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-job compile timeout in seconds",
     )
     p_batch.add_argument("--report", help="write a JSONL report to this path")
-    p_batch.add_argument("--iterations", type=int, default=2)
-    p_batch.add_argument("--points", type=int, default=48)
+    p_batch.add_argument("--iterations", type=_non_negative_int, default=2)
+    p_batch.add_argument("--points", type=_positive_int, default=48)
     p_batch.add_argument("--seed", type=int, default=20250401)
     p_batch.add_argument(
         "--quiet", action="store_true", help="suppress per-job progress lines"
@@ -589,8 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
         "inline compiles in handler threads alike (clients may override "
         "per request with a 'timeout' field)",
     )
-    p_serve.add_argument("--iterations", type=int, default=2)
-    p_serve.add_argument("--points", type=int, default=48)
+    p_serve.add_argument("--iterations", type=_non_negative_int, default=2)
+    p_serve.add_argument("--points", type=_positive_int, default=48)
     p_serve.add_argument("--seed", type=int, default=20250401)
     p_serve.add_argument(
         "--quiet", action="store_true", help="suppress per-request log lines"
@@ -599,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="sample valid inputs for an FPCore")
     p_sample.add_argument("input")
-    p_sample.add_argument("--points", type=int, default=32)
+    p_sample.add_argument("--points", type=_positive_int, default=32)
     p_sample.add_argument("--seed", type=int, default=20250401)
     p_sample.add_argument("--show", type=int, default=0, help="print the first N points")
     p_sample.set_defaults(fn=_cmd_sample)
@@ -620,8 +638,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="float program to execute (defaults to the most accurate "
             "compiled frontier output)",
         )
-        p.add_argument("--iterations", type=int, default=2)
-        p.add_argument("--points", type=int, default=48)
+        p.add_argument("--iterations", type=_non_negative_int, default=2)
+        p.add_argument("--points", type=_positive_int, default=48)
         p.add_argument("--seed", type=int, default=20250401)
         p.add_argument(
             "--cache-dir",
@@ -678,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("input")
     p_score.add_argument("--target", choices=TARGET_NAMES, default="c99")
     p_score.add_argument("--program", help="float program (defaults to the transcribed input)")
-    p_score.add_argument("--points", type=int, default=64)
+    p_score.add_argument("--points", type=_positive_int, default=64)
     p_score.set_defaults(fn=_cmd_score)
 
     p_prov = sub.add_parser(
@@ -722,11 +740,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--figures", default=None,
         help="comma-separated subset of fig6,fig7,fig8,fig9,fig10 (default all)",
     )
-    p_report.add_argument("--benchmarks", type=int, default=6,
+    p_report.add_argument("--benchmarks", type=_positive_int, default=6,
                           help="benchmark-suite prefix size")
-    p_report.add_argument("--points", type=int, default=24,
+    p_report.add_argument("--points", type=_positive_int, default=24,
                           help="sample points per split")
-    p_report.add_argument("--iterations", type=int, default=1,
+    p_report.add_argument("--iterations", type=_non_negative_int, default=1,
                           help="improvement-loop iterations")
     p_report.add_argument("--seed", type=int, default=20250401)
     p_report.add_argument("--jobs", type=int, default=1, help="worker-pool width")

@@ -33,7 +33,7 @@ from .transcribe import transcribe, transcribe_with_poly
 
 @dataclass
 class CompileConfig:
-    """Resource/quality knobs for one compilation (see DESIGN.md scale knobs)."""
+    """Resource/quality knobs for one compilation."""
 
     iterations: int = 2
     #: How many frontier programs to expand per iteration.

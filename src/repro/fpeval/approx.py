@@ -9,8 +9,8 @@ significand by zeroing low mantissa bits and injecting a deterministic,
 input-dependent perturbation at the retained-precision scale.  This
 preserves what matters for Chassis: the operators are measurably less
 accurate than their exact counterparts by the documented margin, so the
-accuracy model learns their true cost (see DESIGN.md substitution 3 — the
-*speed* advantage is modeled by the performance simulator, not here).
+accuracy model learns their true cost (the *speed* advantage is modeled
+by the performance simulator, :mod:`repro.perf`, not here).
 """
 
 from __future__ import annotations

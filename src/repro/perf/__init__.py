@@ -1,4 +1,4 @@
-"""Performance simulation (testbed substitute; see DESIGN.md)."""
+"""Performance simulation: a deterministic stand-in for the paper's testbed."""
 
 from .simulator import PerfSimulator
 

@@ -866,8 +866,8 @@ class DoubleDoubleRung(Rung):
 
     name = "dd"
 
-    def __init__(self, max_programs: int = 256):
-        self._cache = ProgramCache(max_programs)
+    def __init__(self):
+        self._cache = ProgramCache()
 
     def _program(self, expr: Expr) -> _Program | None:
         def build():

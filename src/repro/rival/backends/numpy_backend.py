@@ -774,8 +774,8 @@ class LongDoubleRung(Rung):
 
     name = "longdouble"
 
-    def __init__(self, max_programs: int = 256):
-        self._cache = ProgramCache(max_programs)
+    def __init__(self):
+        self._cache = ProgramCache()
 
     def _real_program(self, expr: Expr, ty: str) -> _Program | None:
         fmt = _format_for(ty)
@@ -849,15 +849,11 @@ class NumpyBackend(OracleBackend):
 
     name = "numpy"
 
-    #: Compiled-program cache bound per rung (programs are small;
-    #: expressions churn during improvement loops).
-    max_programs = 256
-
     def __init__(self, fallback: MpmathBackend):
         self.fallback = fallback
         self.evaluator = fallback.evaluator
-        self._longdouble = LongDoubleRung(self.max_programs)
-        self._dd = DoubleDoubleRung(self.max_programs)
+        self._longdouble = LongDoubleRung()
+        self._dd = DoubleDoubleRung()
         self._rungs = (self._longdouble, self._dd)
         self._counters = OracleCounters()
         self._counters_lock = threading.Lock()

@@ -36,21 +36,25 @@ from typing import Sequence
 
 from .base import PointResult
 
+#: Compiled programs each rung keeps (programs are small; expressions
+#: churn during improvement loops).
+MAX_PROGRAMS = 256
+
 
 class Unsupported(Exception):
     """The expression has no faithful vector mirror on this rung."""
 
 
 class ProgramCache:
-    """Bounded LRU of compiled straight-line programs, keyed by caller.
+    """LRU of at most :data:`MAX_PROGRAMS` compiled straight-line programs,
+    keyed by caller.
 
     ``None`` entries are cached too: an expression a rung cannot compile
     (an :class:`Unsupported` op) stays unsupported, and re-raising the
     builder on every batch would dominate small-batch calls.
     """
 
-    def __init__(self, max_programs: int = 256):
-        self.max_programs = max_programs
+    def __init__(self):
         self._programs: OrderedDict[tuple, object | None] = OrderedDict()
         self._lock = threading.Lock()
 
@@ -65,7 +69,7 @@ class ProgramCache:
             program = None
         with self._lock:
             self._programs[key] = program
-            while len(self._programs) > self.max_programs:
+            while len(self._programs) > MAX_PROGRAMS:
                 self._programs.popitem(last=False)
         return program
 

@@ -103,6 +103,9 @@ from .service.scheduler import BatchJob, JobOutcome, JobTimeout, rebuild_error
 from .targets import all_targets, get_target
 from .targets.target import Target
 
+#: Sample sets a session keeps (least recently used evicted first).
+MAX_SAMPLE_ENTRIES = 256
+
 
 @dataclass
 class OracleStats:
@@ -235,7 +238,6 @@ class ChassisSession:
         cache: CompileCache | str | None = None,
         jobs: int = 1,
         timeout: float | None = None,
-        max_sample_entries: int = 256,
         oracle_backend: str | None = None,
         ledger: ProvenanceLedger | str | None = None,
     ):
@@ -288,7 +290,6 @@ class ChassisSession:
         #: client opts in, so warm hits never pay a ledger scan.
         self._prov_local = threading.local()
         self._samples: OrderedDict[str, SampleSet] = OrderedDict()
-        self._max_sample_entries = max_sample_entries
         #: Per-fingerprint gates serializing duplicate *sampling* requests
         #: (the global-lock dedup this replaces serialized all sampling).
         self._sample_gates: dict[str, threading.Lock] = {}
@@ -482,7 +483,7 @@ class ChassisSession:
                     )
             with self._lock:
                 self._samples[key] = samples
-                while len(self._samples) > self._max_sample_entries:
+                while len(self._samples) > MAX_SAMPLE_ENTRIES:
                     self._samples.popitem(last=False)
         return samples
 

@@ -35,7 +35,7 @@ class OperatorDef:
     #: Cost-model cost (what Chassis' search sees).
     cost: float
     #: True per-invocation latency in the performance simulator (hidden from
-    #: the compiler; see DESIGN.md substitution 3).
+    #: the compiler; see :mod:`repro.perf`).
     true_latency: float
     #: Linked implementation, or None to synthesize a correctly-rounded one.
     impl: Callable[..., float] | None = field(default=None, compare=False)

@@ -47,6 +47,18 @@ class TestCLI:
         assert main(["score", "sqrt-sub", "--target", "c99", "--points", "16"]) == 0
         assert "bits of error" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["score", "sqrt-sub", "--points", "0"],
+        ["sample", "sqrt-sub", "--points", "0"],
+        ["compile", "sqrt-sub", "--iterations", "-1"],
+        ["batch", "sqrt-sub", "--points", "-3"],
+        ["report", "--benchmarks", "0"],
+    ])
+    def test_size_flags_reject_out_of_range_values(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_missing_input_fails(self):
         with pytest.raises(SystemExit):
             main(["compile", "/nonexistent/file.fpcore"])

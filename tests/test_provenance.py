@@ -1,7 +1,6 @@
 """Tests for the provenance subsystem: ledger, session/batch/server
 integration, and the ``repro report`` generator's lineage contract."""
 
-import importlib.util
 import json
 import threading
 import urllib.error
@@ -618,77 +617,3 @@ class TestCli:
             assert "appended" in out
         finally:
             session.close()
-
-
-# --- bench trajectory schema (satellite) ------------------------------------------------
-
-
-def _load_bench_smoke():
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_compile_smoke.py"
-    spec = importlib.util.spec_from_file_location("bench_compile_smoke", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestTrajectorySchema:
-    GOOD = {
-        "commit": "abc123", "date": "2026-01-01T00:00:00+00:00",
-        "target": "c99",
-        "compile": {
-            "benchmarks": [{"benchmark": "sqrt-sub", "seconds": 0.5,
-                            "phases": {"improve": 0.3},
-                            "phase_coverage": 0.97}],
-            "total_seconds": 0.5, "min_phase_coverage": 0.97,
-        },
-        "engine": {"summary": {"ops": 1}},
-        "oracle": {"geomean_speedup": 15.0, "fastpath_fraction": 0.98,
-                   "longdouble_fraction": 0.82, "dd_fraction": 0.16,
-                   "ladder_fraction": 0.02, "identical": True},
-        "formats": {"fp16": {"all_validated": True}},
-    }
-
-    def test_complete_record_passes(self):
-        bench = _load_bench_smoke()
-        assert bench.validate_trajectory_record(self.GOOD) == []
-
-    def test_oracle_summary_requires_rung_fractions(self):
-        bench = _load_bench_smoke()
-        oracle = {k: v for k, v in self.GOOD["oracle"].items()
-                  if k != "dd_fraction"}
-        problems = bench.validate_trajectory_record(
-            {**self.GOOD, "oracle": oracle}
-        )
-        assert any("dd_fraction" in p for p in problems)
-
-    def test_missing_summaries_fail_loudly(self):
-        bench = _load_bench_smoke()
-        record = {**self.GOOD, "engine": None, "oracle": {}, "formats": None}
-        problems = bench.validate_trajectory_record(record)
-        assert len(problems) == 3
-        # --allow-partial relaxes exactly these three
-        assert bench.validate_trajectory_record(
-            record, require_summaries=False
-        ) == []
-
-    def test_empty_compile_rows_fail_even_partial(self):
-        bench = _load_bench_smoke()
-        record = {**self.GOOD, "compile": {**self.GOOD["compile"],
-                                           "benchmarks": []}}
-        assert bench.validate_trajectory_record(record, require_summaries=False)
-
-    def test_row_missing_phases_fails(self):
-        bench = _load_bench_smoke()
-        row = {"benchmark": "x", "seconds": 1.0, "phases": {},
-               "phase_coverage": 0.99}
-        record = {**self.GOOD, "compile": {**self.GOOD["compile"],
-                                           "benchmarks": [row]}}
-        problems = bench.validate_trajectory_record(record)
-        assert any("phase breakdown" in p for p in problems)
-
-    def test_append_refuses_non_trajectory_files(self, tmp_path):
-        bench = _load_bench_smoke()
-        path = tmp_path / "BENCH.json"
-        path.write_text('{"something": "else"}')
-        with pytest.raises(ValueError):
-            bench.append_trajectory(path, {"commit": "abc"})
