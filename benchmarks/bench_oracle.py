@@ -9,9 +9,9 @@ the oracle-bound inner loop of sampling — for two backends:
 
 * ``mpmath`` — the reference path: every point climbs the escalation ladder
   alone, serialized on process-global precision state.
-* ``numpy``  — the vectorized fast path: one outward-rounded interval
-  sweep over the whole point set, with only the unsettled residue
-  escalating to the same ladder.
+* ``numpy``  — the vectorized fast path: one outward-rounded
+  double-double interval sweep over the whole point set, with only the
+  unsettled residue escalating to the same ladder.
 
 For every benchmark the script first verifies the *bit-identity*
 contract: ``sample_core`` under each backend must produce byte-identical
@@ -83,7 +83,7 @@ def bench_benchmark(name: str, n_points: int, repeats: int) -> dict:
 
     points = reference.train + reference.test
     throughput: dict[str, float] = {}
-    rungs = {"longdouble": 0.0, "dd": 0.0, "ladder": 0.0}
+    rungs = {"dd": 0.0, "ladder": 0.0}
     fastpath_fraction = 0.0
     for backend_name in ("mpmath", "numpy"):
         backend = _fresh(backend_name)
@@ -98,9 +98,6 @@ def bench_benchmark(name: str, n_points: int, repeats: int) -> dict:
             total = max(1, counters.batch_points)
             fastpath_fraction = counters.fastpath_hits / total
             rungs["dd"] = counters.dd_hits / total
-            rungs["longdouble"] = (
-                counters.fastpath_hits - counters.dd_hits
-            ) / total
             rungs["ladder"] = counters.escalated_points / total
 
     speedup = throughput["numpy"] / max(throughput["mpmath"], 1e-9)
@@ -112,13 +109,12 @@ def bench_benchmark(name: str, n_points: int, repeats: int) -> dict:
         "numpy_points_per_s": round(throughput["numpy"], 1),
         "speedup": round(speedup, 2),
         "fastpath_fraction": round(fastpath_fraction, 4),
-        "longdouble_fraction": round(rungs["longdouble"], 4),
         "dd_fraction": round(rungs["dd"], 4),
         "ladder_fraction": round(rungs["ladder"], 4),
     }
 
 
-#: Regression gates: the cascade must keep at least this fraction of all
+#: Regression gates: the dd rung must keep at least this fraction of all
 #: points off the ladder, and the dd rung must keep settling the
 #: cancellation-heavy cos-frac core (the round-2 motivating case).
 FASTPATH_GATE = 0.95
@@ -162,7 +158,6 @@ def main(argv=None) -> int:
         "min_speedup": min(speedups),
         "max_speedup": max(speedups),
         "fastpath_fraction": _mean("fastpath_fraction"),
-        "longdouble_fraction": _mean("longdouble_fraction"),
         "dd_fraction": _mean("dd_fraction"),
         "ladder_fraction": _mean("ladder_fraction"),
         "identical": all_identical,
@@ -172,9 +167,7 @@ def main(argv=None) -> int:
         f"{len(rows)} benchmarks "
         f"(min {summary['min_speedup']:.1f}x, "
         f"max {summary['max_speedup']:.1f}x); "
-        f"fastpath {summary['fastpath_fraction']:.1%} "
-        f"(longdouble {summary['longdouble_fraction']:.1%} "
-        f"+ dd {summary['dd_fraction']:.1%})"
+        f"fastpath {summary['fastpath_fraction']:.1%}"
     )
 
     out = Path(args.out)

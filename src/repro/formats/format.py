@@ -19,8 +19,8 @@ the TensorFloat-style truncated formats, but not binary128 or posits
 
 Rounding is the **compound** rounding the whole oracle stack agrees on:
 first round the significand to ``precision`` bits half-even at unbounded
-exponent (the mpmath ladder's ``mp.workprec`` re-round, the numpy
-backend's ``_round_sig``), then apply the storage cast that carries
+exponent (the mpmath ladder's ``mp.workprec`` re-round, the dd
+rung's ``_round_sig``), then apply the storage cast that carries
 overflow and subnormal semantics.  Defining every layer against the same
 compound guarantees the fast path stays bit-identical with the ladder
 for every registered format.
@@ -45,7 +45,7 @@ _ABS32 = 0x7FFFFFFF
 def _round_sig_scalar(x: float, bits: int) -> float:
     """Round to a ``bits``-bit significand, half-even, unbounded exponent.
 
-    The scalar twin of the numpy backend's ``_round_sig``: ``frexp`` →
+    The scalar twin of the dd rung's ``_round_sig``: ``frexp`` →
     scale → round-half-even → ``ldexp``, all exact in binary64 for
     ``bits <= 53``.
     """
@@ -297,8 +297,8 @@ class FloatFormat:
         """Vectorized :meth:`storage_clamp` for the oracle fast path.
 
         Returns None when the format has no vectorized cast (generic
-        custom formats) — the numpy backend then stands down and every
-        point takes the mpmath ladder.
+        custom formats) — the dd rung then stands down and every point
+        takes the mpmath ladder.
         """
         codec = self.codec
         # Out-of-range values legitimately cast to inf here (that IS the

@@ -2,11 +2,11 @@
 
 Two strategies behind one :class:`OracleBackend` protocol:
 
-* ``numpy`` (alias ``auto``, the default) — the vectorized rung cascade
-  (:mod:`.rungs`): an extended-precision interval sweep, then batched
-  double-double interval arithmetic (:mod:`.dd`), each accepting only
-  points whose outward-rounded enclosure already rounds uniquely in the
-  target format; the residue escalates to the mpmath ladder.
+* ``numpy`` (alias ``auto``, the default) — one batched double-double
+  interval program per expression (:mod:`.dd`), accepting only points
+  whose outward-rounded enclosure already rounds uniquely in the target
+  format (or whose condition verdict is certain); the residue escalates
+  to the mpmath ladder.
 * ``mpmath`` — the original escalation ladder alone (the reference
   semantics the fast path must match bit-for-bit).
 

@@ -85,9 +85,12 @@ class OracleCounters:
     batch_points: int = 0
     fastpath_hits: int = 0
     escalated_points: int = 0
-    #: Points settled by the double-double rung specifically (a subset of
-    #: ``fastpath_hits``; ``fastpath_hits - dd_hits`` is the longdouble
-    #: sweep's share, ``escalated_points`` the ladder's).
+    #: Points settled by the double-double rung: the numpy backend's only
+    #: vector engine, so this equals ``fastpath_hits``.  Kept because
+    #: perfbench's ``per_layer`` and ``run_serve`` read it (``/health``
+    #: ``rungs.dd_hits``) for ``oracle.dd_frac`` and take the rest of the
+    #: fast path as the deleted longdouble rung's share; without it they
+    #: would report dd's work as longdouble's.
     dd_hits: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -195,9 +198,7 @@ class OracleBackend:
 
     # --- shared instrumentation -----------------------------------------------
 
-    def _record_batch(
-        self, points: int, fastpath: int, escalated: int, dd: int = 0
-    ) -> None:
+    def _record_batch(self, points: int, fastpath: int, escalated: int) -> None:
         """Bump batch metrics for one ``eval_batch``/``eval_bool_batch``."""
         METRICS.counter(
             "repro_oracle_batch_points",
@@ -210,16 +211,12 @@ class OracleBackend:
             "(no mpmath escalation).",
             backend=self.name,
         ).inc(fastpath)
-        for rung, hits in (
-            ("longdouble", fastpath - dd),
-            ("dd", dd),
-            ("ladder", escalated),
-        ):
+        for rung, hits in (("dd", fastpath), ("ladder", escalated)):
             if hits:
                 METRICS.counter(
                     "repro_oracle_rung_points",
-                    "Batched points settled per cascade rung "
-                    "(longdouble sweep, double-double, mpmath ladder).",
+                    "Batched points settled per oracle rung "
+                    "(double-double, mpmath ladder).",
                     backend=self.name,
                     rung=rung,
                 ).inc(hits)

@@ -1,26 +1,24 @@
-"""Rung 2 of the oracle cascade: batched double-double interval arithmetic.
+"""The numpy oracle's vector engine: batched double-double interval arithmetic.
 
-The longdouble sweep (rung 1) has ~11 bits of headroom over binary64 —
-not enough for cancellation-dominated sample sets, where ordinal-uniform
-sampling concentrates mass at tiny magnitudes and ``1 - cos(x)``-style
-subtractions wipe out 40+ bits.  This rung re-evaluates the residue in
-**double-double** arithmetic: every value is an unevaluated sum of two
-binary64 floats ``hi + lo`` with ``|lo| <= ulp(hi)/2``, giving ~106
-effective significand bits, built from the classic error-free
-transforms (Knuth two-sum, Dekker split/two-product — numpy has no
-vectorized fma, so products split).  Everything is plain numpy ufunc
-arithmetic over float64 arrays, so a whole residue block is swept in a
-handful of vector passes.
+Every value is an unevaluated sum of two binary64 floats ``hi + lo`` with
+``|lo| <= ulp(hi)/2``, giving ~106 effective significand bits, built from
+the classic error-free transforms (Knuth two-sum, Dekker split/two-product
+— numpy has no vectorized fma, so products split).  Everything is plain
+numpy ufunc arithmetic over float64 arrays, so a whole batch is swept in a
+handful of vector passes.  The headroom matters most for
+cancellation-dominated sample sets, where ordinal-uniform sampling
+concentrates mass at tiny magnitudes and ``1 - cos(x)``-style
+subtractions wipe out 40+ bits.
 
-The acceptance contract is the same as rung 1's: each operator produces
-an outward-widened *interval* (endpoints are double-double values) whose
-margin strictly exceeds the kernel's worst-case error, so every lane's
-enclosure contains the true real value; a point is settled only when
-both endpoints round to the same single nonzero finite binary64 value.
-Everything else — possible domain errors, non-unique rounding, rounding
-ties, results that round to zero or into the subnormal range, operators
-without a dd kernel — escalates to the mpmath ladder.  Bit-identity with
-the ladder therefore holds by construction.
+Each operator produces an outward-widened *interval* (endpoints are
+double-double values) whose margin strictly exceeds the kernel's
+worst-case error, so every lane's enclosure contains the true real value.
+A real-valued point is settled only when both endpoints round to the same
+single nonzero value of the target format; a condition point only when
+its verdict is certain.  Everything else — possible domain errors,
+non-unique rounding, results that round to zero, operators without a dd
+kernel — escalates to the mpmath ladder.  Bit-identity with the ladder
+therefore holds by construction.
 
 Soundness notes:
 
@@ -34,32 +32,53 @@ Soundness notes:
   error terms, and per-lane ``|k| * 2**-102`` for trig argument
   reduction (the dd pi/2 constant's representation error scales with
   the quadrant count).
-* **Certain verdicts need only containment.**  Unlike rung 1, whose
-  ``cert`` lanes rely on enclosure *nesting* inside the ladder's
-  first-rung margins, a dd enclosure is far tighter than any ladder
-  rung's — but a certain domain violation (e.g. a sqrt argument whose
-  enclosure upper endpoint is negative) is safe from containment alone:
-  the true value is then certainly outside the domain, and the ladder
-  classifies such a point as a domain error on every path (a certain
-  violation at some precision raises immediately; a possible violation
-  persisting at maximum precision raises the same error).
-* **Rounding is exact or refused.**  A dd value is rounded to binary64
-  by comparing ``lo`` against half the gap to ``hi``'s neighbor — exact
-  because both are binary64 quantities.  Rounding *ties*, gaps that
-  underflow, near-overflow endpoints, and results inside (or near) the
-  subnormal range — where the ladder's compound rounding (53-bit
-  significand, then storage cast) can double-round differently from a
-  single round-to-nearest — all escalate instead of guessing.
-* **Binary64 targets only.**  Narrower formats have >= 29 bits of
-  headroom in rung 1's float64 sweep already; the cancellation residue
-  this rung exists for is a binary64 phenomenon.  (The rung also works
-  on platforms whose ``long double`` aliases ``double``, where rung 1
-  stands down entirely.)
+* **Certain errors of real values need only containment.**  A certain
+  domain violation (e.g. a sqrt argument whose enclosure upper endpoint
+  is negative) means the true value is certainly outside the domain, and
+  the ladder classifies such a point as a domain error on every path (a
+  certain violation at some precision raises immediately; a possible
+  violation persisting at maximum precision raises the same error).
+* **Conditions need nesting: the condition floor.**  The ladder's
+  ``eval_bool`` raises ``DomainError`` on any *possible* error it sees at
+  its first rung (80 bits), so a certain verdict here is only safe when
+  this enclosure contains the ladder's 80-bit one: then "no possible
+  error here" implies "no possible error there".  Condition programs
+  therefore widen every computed slot (and every non-integer literal and
+  constant) by a further ``2**-76`` relative plus ``2**-1070`` absolute,
+  against the ladder's per-operation ``2**-77`` relative and
+  ``2**-1160`` absolute plus its own 80-bit rounding; variables and
+  integer literals stay exact points, as they are on the ladder.
+  Induction over the program nests every slot, provided each ladder
+  operation is *one* widened evaluation: conditions use only those
+  operators (:data:`_COND_OPS`), without the fused cancellation kernels.
+  ``cos`` (a shifted ``sin``), ``pow`` and ``exp2`` (``exp(b * log a)``)
+  compound several ladder widenings; conditions using them take the
+  ladder.
+* **Binary64 rounding is exact or refused.**  A dd value is rounded to
+  binary64 by comparing ``lo`` against half the gap to ``hi``'s
+  neighbor — exact because both are binary64 quantities.  Rounding
+  *ties*, gaps that underflow, near-overflow endpoints, and results
+  inside (or near) the subnormal range — where the ladder's compound
+  rounding (53-bit significand, then storage cast) can double-round
+  differently from a single round-to-nearest — all escalate instead of
+  guessing.
+* **Narrow rounding is exact or refused.**  Formats of at most 24
+  significand bits with a vectorized storage cast (binary32, fp16, bf16)
+  round the hi limb with the ladder's compound rounding: ``_round_sig``
+  to ``p`` bits, then the storage cast.  The true value lies between
+  ``hi`` and its binary64 neighbour toward ``lo``, and every ``p``-bit
+  rounding boundary is itself a binary64 value, so when ``hi`` and that
+  neighbour round alike the value rounds the same (the compound rounding
+  is monotone); otherwise the lane escalates.  Overflow to infinity is
+  the storage cast's own semantics and settles like any other value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
+from collections import OrderedDict
 from fractions import Fraction
 from typing import Sequence
 
@@ -67,10 +86,47 @@ import mpmath
 import numpy as np
 from mpmath import mp, mpf
 
+from ...formats import UnknownFormatError, get_format
 from ...ir.expr import App, Const, Expr, Num, Var
 from ...ir.types import F64
 from .base import DOMAIN_ERROR, INVALID, OK, PointResult
-from .rungs import ProgramCache, Rung, Unsupported
+
+#: Compiled programs the rung keeps (programs are small; expressions
+#: churn during improvement loops).
+MAX_PROGRAMS = 256
+
+
+class Unsupported(Exception):
+    """The expression has no faithful dd program; use the ladder."""
+
+
+class ProgramCache:
+    """LRU of at most :data:`MAX_PROGRAMS` compiled straight-line programs.
+
+    ``None`` entries are cached too: an expression the rung cannot
+    compile (an :class:`Unsupported` op) stays unsupported, and re-raising
+    the builder on every batch would dominate small-batch calls.
+    """
+
+    def __init__(self):
+        self._programs: OrderedDict[tuple, object | None] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple, build):
+        with self._lock:
+            if key in self._programs:
+                self._programs.move_to_end(key)
+                return self._programs[key]
+        try:
+            program = build()
+        except Unsupported:
+            program = None
+        with self._lock:
+            self._programs[key] = program
+            while len(self._programs) > MAX_PROGRAMS:
+                self._programs.popitem(last=False)
+        return program
+
 
 # --- widening margins ---------------------------------------------------------
 
@@ -99,6 +155,10 @@ _TINY = 2.0 ** -1070
 #: roundoff (~k * 2**-105.3) give ~k * 2**-104.9 observed worst-case;
 #: 2**-102 keeps >4x headroom.
 _RED_STEP = 2.0 ** -102
+#: The condition floor: extra relative widening of every computed slot of
+#: a condition program, over the ladder's first-rung ``2**-77`` (see the
+#: soundness notes).
+_REL_FLOOR = 2.0 ** -76
 
 #: Trig argument reduction trusts np.rint(a * 2/pi) only while the
 #: product stays well under 2**52; larger arguments escalate.
@@ -437,7 +497,7 @@ def _widen(lo, hi, rel, extra=None):
 
 def _seal(lo, hi, err, cert) -> _Iv:
     """Non-finite limbs (overflow, split overflow, domain nans) and
-    inverted endpoints escalate, mirroring rung 1's sealing."""
+    inverted endpoints escalate."""
     bad = (
         ~np.isfinite(lo[0]) | ~np.isfinite(lo[1])
         | ~np.isfinite(hi[0]) | ~np.isfinite(hi[1])
@@ -487,7 +547,7 @@ def _d_div(a, b):
     err, cert = _flags(a, b)
     straddle = _le_zero(b.lo) & _ge_zero(b.hi)
     # Exact-chain point zeros are certain errors (pointness transfers to
-    # the ladder, as in rung 1); straddles merely escalate.
+    # the ladder); straddles merely escalate.
     point_zero = (
         (b.lo[0] == 0) & (b.lo[1] == 0) & (b.hi[0] == 0) & (b.hi[1] == 0)
         & ~b.err
@@ -581,10 +641,9 @@ def _d_exp2(a):
 
 def _d_pow(a, b):
     # General branch only: a**b = exp(b * log a) on a certainly > 0.
-    # Integer-exponent powers of non-positive bases escalate (rung 1
-    # already settles the easy ones; the ladder owns the rest) — and
-    # log's *certain* domain verdict must not leak, since pow(-2, 2) is
-    # no domain error.
+    # Integer-exponent powers of non-positive bases escalate (the ladder
+    # owns them) — and log's *certain* domain verdict must not leak,
+    # since pow(-2, 2) is no domain error.
     err, cert = _flags(a, b)
     lo, hi = _log_core(a)
     lg = _seal(lo, hi, err | ~_gt_zero(a.lo), cert)
@@ -600,7 +659,7 @@ def _periodic_hits(lo_q, hi_q):
     quotient error by ~2**-51.5 * (1 + |q|); a 2**-50 slack covers that
     with headroom.  Erring toward "extremum present" only widens
     enclosures, but the slack must stay *small*: an absolute slack like
-    rung 1's 1e-6 would make every tiny argument "contain" a cos
+    1e-6 would make every tiny argument "contain" a cos
     extremum and escalate exactly the cancellation lanes this rung
     exists for."""
     slack = 2.0 ** -50 * (1.0 + np.abs(lo_q) + np.abs(hi_q))
@@ -702,6 +761,28 @@ _D_OPS = {
 }
 
 
+def _floored(fn):
+    """``fn`` with the condition floor applied to its result."""
+
+    def kernel(*args):
+        iv = fn(*args)
+        lo, hi = _widen(iv.lo, iv.hi, _REL_FLOOR)
+        return _seal(lo, hi, iv.err, iv.cert)
+
+    return kernel
+
+
+#: Condition-program kernels: the operators whose ladder interval is one
+#: widened evaluation (see the soundness notes), each floored.
+_COND_OPS = {
+    op: _floored(_D_OPS[op])
+    for op in (
+        "+", "-", "*", "/", "neg", "fabs", "fmin", "fmax", "sqrt",
+        "exp", "expm1", "log", "log2", "log10", "log1p", "sin",
+    )
+}
+
+
 # --- expression compilation ---------------------------------------------------
 
 
@@ -726,10 +807,19 @@ def _const_endpoints(pair):
     return dd_add(pair, (-pad, 0.0)), dd_add(pair, (pad, 0.0))
 
 
-class _Builder:
-    """Compiles an Expr into a CSE'd straight-line dd interval program."""
+_CMPS = ("<", "<=", ">", ">=", "==", "!=")
 
-    def __init__(self):
+
+class _Builder:
+    """Compiles an Expr into a CSE'd straight-line dd interval program.
+
+    ``condition`` builds the real operands of a condition program: the
+    :data:`_COND_OPS` kernels only, no fused kernels, and the condition
+    floor on non-integer literals and constants.
+    """
+
+    def __init__(self, condition: bool = False):
+        self.condition = condition
         self.instrs: list[tuple] = []
         self.memo: dict[Expr, int] = {}
 
@@ -743,24 +833,32 @@ class _Builder:
         self.memo[expr] = slot
         return slot
 
+    def _leaf(self, lo, hi, exact: bool) -> tuple:
+        if self.condition and not exact:
+            lo, hi = _widen(lo, hi, _REL_FLOOR)
+        return ("num", lo, hi)
+
     def _real_instr(self, expr: Expr) -> tuple:
         if isinstance(expr, Var):
             return ("var", expr.name)
         if isinstance(expr, Num):
             lo, hi = _num_endpoints(expr.value)
-            return ("num", lo, hi)
+            return self._leaf(lo, hi, expr.value.denominator == 1)
         if isinstance(expr, Const):
             if expr.name == "PI":
-                return ("num", *_const_endpoints(_PI))
+                return self._leaf(*_const_endpoints(_PI), False)
             if expr.name == "E":
-                return ("num", *_const_endpoints(_E))
+                return self._leaf(*_const_endpoints(_E), False)
             raise Unsupported(f"constant {expr.name}")
         if isinstance(expr, App):
-            if expr.op == "-" and len(expr.args) == 2:
-                fused = self._fused_sub(expr.args[0], expr.args[1])
-                if fused is not None:
-                    return fused
-            fn = _D_OPS.get(expr.op)
+            if self.condition:
+                fn = _COND_OPS.get(expr.op)
+            else:
+                if expr.op == "-" and len(expr.args) == 2:
+                    fused = self._fused_sub(expr.args[0], expr.args[1])
+                    if fused is not None:
+                        return fused
+                fn = _D_OPS.get(expr.op)
             if fn is None:
                 raise Unsupported(expr.op)
             return ("app", fn, tuple(self.real(arg) for arg in expr.args))
@@ -793,17 +891,92 @@ class _Builder:
                 return ("app", _d_expm1, (self.real(u),))
         return None
 
+    def boolean(self, expr: Expr) -> tuple:
+        if isinstance(expr, Const) and expr.name in ("TRUE", "FALSE"):
+            return ("const", expr.name == "TRUE")
+        if not isinstance(expr, App):
+            raise Unsupported("boolean leaf")
+        if expr.op in ("and", "or") and len(expr.args) == 2:
+            return (expr.op, self.boolean(expr.args[0]), self.boolean(expr.args[1]))
+        if expr.op == "not" and len(expr.args) == 1:
+            return ("not", self.boolean(expr.args[0]))
+        if expr.op in _CMPS and len(expr.args) == 2:
+            return ("cmp", expr.op, self.real(expr.args[0]), self.real(expr.args[1]))
+        raise Unsupported(expr.op)
+
+
+#: Condition verdict lattice (int8): certain False / certain True /
+#: undecided here (escalate to the ladder) / certain domain error.
+_FALSE, _TRUE, _ESCALATE, _CERT_ERROR = 0, 1, 2, 3
+
+
+def _dd_eq(a, b):
+    return (a[0] == b[0]) & (a[1] == b[1])
+
+
+def _cmp_verdict(op: str, l: _Iv, r: _Iv):
+    if op == "<":
+        true = dd_lt(l.hi, r.lo)
+        false = ~dd_lt(l.lo, r.hi)
+    elif op == "<=":
+        true = ~dd_lt(r.lo, l.hi)
+        false = dd_lt(r.hi, l.lo)
+    elif op == ">":
+        true = dd_lt(r.hi, l.lo)
+        false = ~dd_lt(r.lo, l.hi)
+    elif op == ">=":
+        true = ~dd_lt(l.lo, r.hi)
+        false = dd_lt(l.hi, r.lo)
+    else:  # == / !=
+        point_eq = _dd_eq(l.lo, l.hi) & _dd_eq(r.lo, r.hi) & _dd_eq(l.lo, r.lo)
+        disjoint = dd_lt(l.hi, r.lo) | dd_lt(r.hi, l.lo)
+        true, false = (point_eq, disjoint) if op == "==" else (disjoint, point_eq)
+    verdict = np.where(
+        true, np.int8(_TRUE), np.where(false, np.int8(_FALSE), np.int8(_ESCALATE))
+    )
+    # Operand errors come first, mirroring the ladder's _eval_bool: a
+    # possible error means its first rung may raise DomainError, so
+    # escalate; a certain error means it must.
+    verdict = np.where(l.err | r.err, np.int8(_ESCALATE), verdict)
+    return np.where(l.cert | r.cert, np.int8(_CERT_ERROR), verdict).astype(np.int8)
+
+
+def _bool_verdict(node: tuple, slots: list, n: int):
+    kind = node[0]
+    if kind == "const":
+        return np.full(n, _TRUE if node[1] else _FALSE, dtype=np.int8)
+    if kind == "cmp":
+        return _cmp_verdict(node[1], slots[node[2]], slots[node[3]])
+    if kind == "not":
+        v = _bool_verdict(node[1], slots, n)
+        return np.where(
+            v == _FALSE, np.int8(_TRUE), np.where(v == _TRUE, np.int8(_FALSE), v)
+        ).astype(np.int8)
+    a = _bool_verdict(node[1], slots, n)
+    b = _bool_verdict(node[2], slots, n)
+    # Short-circuit mirror: the first operand's certain verdicts and
+    # errors win; only a certain-True "and" / certain-False "or" defers.
+    if kind == "and":
+        return np.where(a == _TRUE, b, a).astype(np.int8)
+    return np.where(a == _FALSE, b, a).astype(np.int8)
+
 
 class _Program:
-    """A compiled straight-line dd interval program."""
+    """A compiled straight-line dd interval program.
 
-    __slots__ = ("instrs", "root")
+    ``root`` is the result slot of a real program, the verdict tree of a
+    condition program; ``rounding`` maps a real program's dd endpoints
+    into its target format.
+    """
 
-    def __init__(self, instrs, root):
+    __slots__ = ("instrs", "root", "rounding")
+
+    def __init__(self, instrs, root, rounding=None):
         self.instrs = instrs
         self.root = root
+        self.rounding = rounding
 
-    def run(self, points) -> _Iv:
+    def _slots(self, points) -> list[_Iv]:
         n = len(points)
         false = np.zeros(n, dtype=bool)
         slots: list[_Iv] = []
@@ -818,15 +991,26 @@ class _Program:
                     )
                     zero = np.zeros(n, dtype=np.float64)
                     pair = (vals, zero)
+                    # Non-finite inputs escalate: mpmath's treatment of
+                    # infinities is op-specific, so the ladder stays the
+                    # authority for those lanes.
                     slots.append(_Iv(pair, pair, ~np.isfinite(vals), false))
                 else:  # num
                     lo = (np.full(n, instr[1][0]), np.full(n, instr[1][1]))
                     hi = (np.full(n, instr[2][0]), np.full(n, instr[2][1]))
                     slots.append(_Iv(lo, hi, false, false))
-        return slots[self.root]
+        return slots
+
+    def run(self, points) -> _Iv:
+        return self._slots(points)[self.root]
+
+    def verdicts(self, points):
+        slots = self._slots(points)
+        with np.errstate(all="ignore"):
+            return _bool_verdict(self.root, slots, len(points))
 
 
-# --- exact dd -> binary64 rounding --------------------------------------------
+# --- exact dd -> target-format rounding ---------------------------------------
 
 
 def round_dd_to_f64(hi, lo):
@@ -858,31 +1042,85 @@ def round_dd_to_f64(hi, lo):
     return rounded, escalate
 
 
+def _round_f64(hi, lo):
+    rounded, escalate = round_dd_to_f64(hi, lo)
+    return rounded, escalate | ~np.isfinite(rounded)
+
+
+def _round_sig(x, bits: int):
+    """Round to a ``bits``-bit significand, half-even, unbounded exponent
+    (the ladder's ``mp.workprec(bits)`` re-rounding step; exact in
+    binary64 for ``bits <= 52``)."""
+    mantissa, exponent = np.frexp(x)
+    scaled = np.rint(np.ldexp(mantissa, bits))
+    return np.where(np.isfinite(x), np.ldexp(scaled, exponent - bits), x)
+
+
+def _round_narrow(bits: int, storage_cast, hi, lo):
+    """Round dd values into a narrow format, or refuse (see the soundness
+    notes): the compound rounding of ``hi`` must match that of ``hi``'s
+    binary64 neighbour toward ``lo``."""
+
+    def compound(x):
+        return storage_cast(_round_sig(x, bits)).astype(np.float64)
+
+    with np.errstate(all="ignore"):
+        rounded = compound(hi)
+        toward = compound(np.nextafter(hi, np.where(lo > 0.0, np.inf, -np.inf)))
+    return rounded, (lo != 0.0) & (rounded != toward)
+
+
+def _rounding_for(ty: str):
+    """The endpoint rounding into ``ty``; Unsupported for formats wider
+    than 24 bits (binary64 aside) or without a vectorized storage cast."""
+    if ty == F64:
+        return _round_f64
+    try:
+        fmt = get_format(ty)
+    except UnknownFormatError:
+        raise Unsupported(f"format {ty}") from None
+    if fmt.precision > 24 or fmt.numpy_storage_cast(np.zeros(1)) is None:
+        raise Unsupported(f"format {ty}")
+    return functools.partial(_round_narrow, fmt.precision, fmt.numpy_storage_cast)
+
+
 # --- the rung -----------------------------------------------------------------
 
 
-class DoubleDoubleRung(Rung):
-    """Batched double-double acceptance filter for binary64 targets."""
+class DoubleDoubleRung:
+    """Batched double-double acceptance filter: real values in binary64
+    and narrow formats, and condition verdicts.
 
-    name = "dd"
+    Both entry points return one entry per point — a settled
+    :class:`PointResult`, or ``None`` where the ladder must decide — or
+    ``None`` instead of a list when the expression (or format) has no dd
+    program at all.
+    """
 
     def __init__(self):
         self._cache = ProgramCache()
 
-    def _program(self, expr: Expr) -> _Program | None:
+    def _real_program(self, expr: Expr, ty: str) -> _Program | None:
         def build():
+            rounding = _rounding_for(ty)
             builder = _Builder()
             root = builder.real(expr)
+            return _Program(builder.instrs, root, rounding)
+
+        return self._cache.get((expr, ty), build)
+
+    def _condition_program(self, expr: Expr) -> _Program | None:
+        def build():
+            builder = _Builder(condition=True)
+            root = builder.boolean(expr)
             return _Program(builder.instrs, root)
 
-        return self._cache.get((expr, F64), build)
+        return self._cache.get((expr, "bool"), build)
 
     def evaluate(
         self, expr: Expr, points: Sequence[dict], ty: str
     ) -> list[PointResult | None] | None:
-        if ty != F64 or not points:
-            return None
-        program = self._program(expr)
+        program = self._real_program(expr, ty)
         if program is None:
             return None
         try:
@@ -892,12 +1130,13 @@ class DoubleDoubleRung(Rung):
             # the per-point KeyError the ladder would raise).
             return [PointResult(INVALID)] * len(points)
         with np.errstate(all="ignore"):
-            rlo, esc_lo = round_dd_to_f64(*result.lo)
-            rhi, esc_hi = round_dd_to_f64(*result.hi)
+            rlo, esc_lo = program.rounding(*result.lo)
+            rhi, esc_hi = program.rounding(*result.hi)
             accept = (
-                ~result.err & ~esc_lo & ~esc_hi
-                & np.isfinite(rlo) & (rlo == rhi) & (rlo != 0)
+                ~result.err & ~esc_lo & ~esc_hi & (rlo == rhi) & (rlo != 0)
             )
+        # Pull masks/values into Python objects once; per-element numpy
+        # scalar indexing would dominate the batch on large sample sets.
         cert_list = result.cert.tolist()
         accept_list = accept.tolist()
         value_list = rlo.tolist()
@@ -909,6 +1148,26 @@ class DoubleDoubleRung(Rung):
                 out.append(PointResult(OK, value_list[i]))
             else:
                 out.append(None)
+        return out
+
+    def evaluate_bool(
+        self, expr: Expr, points: Sequence[dict]
+    ) -> list[PointResult | None] | None:
+        program = self._condition_program(expr)
+        if program is None:
+            return None
+        try:
+            verdicts = program.verdicts(points)
+        except KeyError:
+            return [PointResult(INVALID)] * len(points)
+        out: list[PointResult | None] = []
+        for v in verdicts.tolist():
+            if v == _CERT_ERROR:
+                out.append(PointResult(DOMAIN_ERROR))
+            elif v == _ESCALATE:
+                out.append(None)
+            else:
+                out.append(PointResult(OK, 1.0 if v == _TRUE else 0.0))
         return out
 
 

@@ -565,11 +565,6 @@ class ChassisServer(ThreadingHTTPServer):
                  "path without touching the mpmath ladder.",
                  lambda: (session.oracle.counters().fastpath_hits
                           + session.stats.rival.fastpath_hits)),
-            "repro_oracle_dd_points":
-                ("Batched oracle points settled by the double-double "
-                 "rung specifically (subset of the fast-path points).",
-                 lambda: (session.oracle.counters().dd_hits
-                          + session.stats.rival.dd_hits)),
         }
         for name, (help_text, fn) in gauges.items():
             METRICS.gauge_fn(name, fn, help_text)

@@ -1349,9 +1349,10 @@ class ChassisSession:
                 "batch_points": oracle.batch_points,
                 "fastpath_hits": oracle.fastpath_hits,
                 "escalated_points": oracle.escalated_points,
-                # Per-rung cascade breakdown.
+                # Per-rung breakdown.  ``dd_hits`` equals ``fastpath_hits``
+                # (dd is the only vector engine); perfbench's ``run_serve``
+                # reads it for ``oracle.dd_frac``.
                 "rungs": {
-                    "longdouble_hits": oracle.fastpath_hits - oracle.dd_hits,
                     "dd_hits": oracle.dd_hits,
                     "ladder_points": oracle.escalated_points,
                 },

@@ -1,4 +1,4 @@
-"""Tests for the double-double middle rung (:mod:`repro.rival.backends.dd`).
+"""Tests for the double-double rung (:mod:`repro.rival.backends.dd`).
 
 Three layers of pinning, mirroring the rung's own soundness argument:
 
@@ -6,7 +6,7 @@ Three layers of pinning, mirroring the rung's own soundness argument:
   rational arithmetic over specials, denormals and signed zeros);
 * the dd transcendental kernels stay inside their declared margins
   (checked against mpmath at 200 bits on randomized points);
-* the cascade keeps the acceptance-filter contract end to end — sampled
+* the rung keeps the acceptance-filter contract end to end — sampled
   points and exact values are bit-identical across the ``numpy`` and
   ``mpmath`` backends, because dd only ever settles points whose
   enclosure already rounds uniquely.
@@ -205,10 +205,41 @@ class TestCascade:
         for r in settled:
             assert r.status == "ok" and 0.48 < r.value <= 0.5
 
-    def test_dd_declines_non_f64(self):
-        rung = DoubleDoubleRung()
-        body = parse_expr("(* x x)")
-        assert rung.evaluate(body, [{"x": 2.0}], F32) is None
+    @pytest.mark.parametrize("fmt", [F32, "fp16", "bf16"])
+    def test_dd_settles_narrow_formats(self, fmt):
+        rng = random.Random(37)
+        body = parse_expr("(- (sqrt (+ x 1)) (sqrt x))")
+        points = [{"x": rng.uniform(0.1, 100.0)} for _ in range(64)]
+        results = DoubleDoubleRung().evaluate(body, points, fmt)
+        assert results is not None
+        settled = [(i, r) for i, r in enumerate(results) if r is not None]
+        assert len(settled) >= 60
+        ref = _fresh("mpmath").eval_batch(
+            body, [points[i] for i, _ in settled], fmt
+        )
+        for (_, got), want in zip(settled, ref):
+            assert got.status == want.status
+            assert _bits(got.value) == _bits(want.value)
+
+    @pytest.mark.parametrize("fmt, bits", [(F32, 24), ("fp16", 11), ("bf16", 8)])
+    def test_narrow_rounding_boundary_matches_ladder(self, fmt, bits):
+        # x is a rounding midpoint of the target format (halfway between
+        # two p-bit values, even and odd neighbours both ways), so the
+        # correctly rounded x + y goes the way of y's sign.  The dd hi
+        # limb is x itself: rounding it alone would round half-even.
+        body = parse_expr("(+ x y)")
+        points = []
+        for k in (1, 3):
+            for scale in (1.0, 2.0 ** -5, 2.0 ** 7):
+                for sign in (1.0, -1.0):
+                    x = sign * scale * (1.0 + k * 2.0 ** -bits)
+                    for direction in (1.0, -1.0):
+                        points.append({"x": x, "y": direction * 2.0 ** -60 * x})
+        got = _fresh("numpy").eval_batch(body, points, fmt)
+        want = _fresh("mpmath").eval_batch(body, points, fmt)
+        assert [(r.status, _bits(r.value)) for r in got] == [
+            (r.status, _bits(r.value)) for r in want
+        ]
 
     def test_numpy_backend_counts_dd_hits(self):
         backend = _fresh("numpy")
@@ -249,7 +280,7 @@ def _sample_key(samples):
 
 
 class TestEndToEndIdentity:
-    """Sampling through the cascade must be bit-identical to the mpmath
+    """Sampling through the dd rung must be bit-identical to the mpmath
     ladder."""
 
     @pytest.mark.parametrize("name", ["cos-frac", "expm1-naive"])

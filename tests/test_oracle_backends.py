@@ -9,6 +9,7 @@ infinities, NaN, overflow-scale magnitudes) and randomized generated
 expressions.
 """
 
+import dataclasses
 import math
 import struct
 
@@ -69,6 +70,8 @@ BOOL_EXPRS = (
     "(or (< x 0) (> y 1))",
     "(== x y)",
     "(<= (sqrt x) y)",
+    # A non-integer literal is an interval on the ladder, never a point.
+    "(== x 0.5)",
 )
 
 
@@ -156,10 +159,34 @@ class TestBatchEquivalence:
 
     def test_missing_variable_is_invalid_everywhere(self):
         expr = parse_expr("(+ x y)")
+        cond = parse_expr("(< x y)")
         points = [{"x": 1.0}] * 3
         for name in ("numpy", "mpmath"):
-            results = _fresh(name).eval_batch(expr, points, F64)
+            backend = _fresh(name)
+            results = backend.eval_batch(expr, points, F64)
             assert [r.status for r in results] == ["invalid"] * 3
+            verdicts = backend.eval_bool_batch(cond, points)
+            assert [r.status for r in verdicts] == ["invalid"] * 3
+            counters = backend.counters()
+            assert counters.batch_points == 6
+            assert (
+                counters.fastpath_hits + counters.escalated_points
+                == counters.batch_points
+            )
+
+    def test_condition_floor_nests_ladder_enclosures(self):
+        # From x = 2**77 on, the ladder's 80-bit enclosure of
+        # (+ x 1) - x straddles 0, so its first rung raises DomainError
+        # inside the condition; the dd enclosure alone stays error-free
+        # up to 2**99, and only the condition floor makes it escalate.
+        expr = parse_expr("(< (log (- (+ x 1) x)) 1)")
+        points = [{"x": 2.0 ** k} for k in range(60, 111)]
+        fast = _fresh("numpy")
+        got = fast.eval_bool_batch(expr, points)
+        want = _fresh("mpmath").eval_bool_batch(expr, points)
+        assert want[90 - 60].status == "domain-error"
+        assert [_key(r) for r in got] == [_key(r) for r in want]
+        assert fast.counters().fastpath_hits > 0
 
 
 class TestSamplerEquivalence:
@@ -173,9 +200,20 @@ class TestSamplerEquivalence:
         fast = sample_core(core, config, oracle=_fresh("numpy"))
         assert _sample_key(fast) == _sample_key(reference)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_generated_cores_property(self, seed):
-        core = generate_core(seed, n_vars=2, depth=4)
+    @pytest.mark.parametrize(
+        "seed, precision",
+        # The binary64 cases keep their bare-seed ids.
+        [pytest.param(seed, F64, id=str(seed)) for seed in range(6)]
+        + [
+            pytest.param(seed, fmt, id=f"{seed}-{fmt}")
+            for fmt in (F32, "fp16", "bf16")
+            for seed in range(6)
+        ],
+    )
+    def test_generated_cores_property(self, seed, precision):
+        core = dataclasses.replace(
+            generate_core(seed, n_vars=2, depth=4), precision=precision
+        )
         config = SampleConfig(n_train=12, n_test=12)
         reference = sample_core(core, config, oracle=_fresh("mpmath"))
         fast = sample_core(core, config, oracle=_fresh("numpy"))
