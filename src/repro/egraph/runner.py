@@ -62,6 +62,10 @@ class RunnerReport:
     searches: int = 0
     #: E-nodes created during this run.
     enodes_built: int = 0
+    #: Class repairs run by rebuilds, and the stale e-nodes (own nodes and
+    #: parent entries holding a merged-away id) they re-canonicalized.
+    rebuild_repairs: int = 0
+    rebuild_stale_nodes: int = 0
 
 
 def _flush_to_sink(report: RunnerReport) -> None:
@@ -73,6 +77,8 @@ def _flush_to_sink(report: RunnerReport) -> None:
     sink.matches_found += report.matches_found
     sink.matches_applied += report.matches_applied
     sink.searches += report.searches
+    sink.rebuild_repairs += report.rebuild_repairs
+    sink.rebuild_stale_nodes += report.rebuild_stale_nodes
     sink.stop_reasons[report.stop_reason] = (
         sink.stop_reasons.get(report.stop_reason, 0) + 1
     )
@@ -94,8 +100,9 @@ def run_rules(
 
     When a tracer is armed (:mod:`repro.obs`), the run records one
     ``egraph.run_rules`` span (report counters as attributes) with nested
-    ``egraph.search`` / ``egraph.apply`` spans per iteration, so a slow
-    saturation shows *which* half of which iteration the time went to.
+    ``egraph.search`` / ``egraph.apply`` / ``egraph.rebuild`` spans per
+    iteration, so a slow saturation shows *which* step of which iteration
+    the time went to.
     """
     with span("egraph.run_rules", rules=len(rules)) as run_span:
         report = _run_rules(egraph, rules, limits or RunnerLimits())
@@ -115,10 +122,13 @@ def _run_rules(
 ) -> RunnerReport:
     report = RunnerReport()
     nodes_at_start = egraph.nodes_built
+    repairs_at_start, stale_at_start = egraph.repairs, egraph.stale_nodes
 
     def finish(stop_reason: str) -> RunnerReport:
         report.stop_reason = stop_reason
         report.enodes_built = egraph.nodes_built - nodes_at_start
+        report.rebuild_repairs = egraph.repairs - repairs_at_start
+        report.rebuild_stale_nodes = egraph.stale_nodes - stale_at_start
         _flush_to_sink(report)
         return report
 
@@ -190,7 +200,14 @@ def _run_rules(
             if apply_span is not None:
                 apply_span["attrs"]["applied"] = applied_total
 
-        egraph.rebuild()
+        with span("egraph.rebuild", iteration=iteration) as rebuild_span:
+            repairs, stale = egraph.repairs, egraph.stale_nodes
+            egraph.rebuild()
+            if rebuild_span is not None:
+                rebuild_span["attrs"].update(
+                    repairs=egraph.repairs - repairs,
+                    stale_nodes=egraph.stale_nodes - stale,
+                )
 
         if egraph.num_nodes >= limits.max_nodes:
             return finish("node-limit")

@@ -44,6 +44,11 @@ class EngineStats:
     searches: int = 0
     #: Saturation runs (one per run_rules call).
     saturations: int = 0
+    #: Class repairs run by rebuilds.
+    rebuild_repairs: int = 0
+    #: Stale e-nodes (own nodes and parent entries holding a merged-away
+    #: class id) that rebuilds re-canonicalized.
+    rebuild_stale_nodes: int = 0
     #: Graph topology snapshots built (one per generation that was
     #: searched or extracted from).
     snapshots_built: int = 0

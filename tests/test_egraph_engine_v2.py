@@ -653,6 +653,28 @@ class TestEngineStats:
         assert stats.enodes_built >= 0
         assert stats.any()
 
+    def test_rebuild_counters_repeat_and_match_spans(self):
+        from repro.obs.trace import Trace, tracing
+
+        target = get_target("c99")
+        runs = []
+        for _ in range(2):
+            stats, trace = EngineStats(), Trace(name="rebuild")
+            with engine_stats_sink(stats), tracing(trace):
+                report = run_rules(_generated_graph(target, "binary64", 2),
+                                   _rules_for(target), DEFAULT_ISEL_LIMITS)
+            rebuilds = trace.find("egraph.rebuild")
+            assert len(rebuilds) == report.iterations
+            assert sum(s["attrs"]["repairs"] for s in rebuilds) == (
+                stats.rebuild_repairs
+            )
+            assert sum(s["attrs"]["stale_nodes"] for s in rebuilds) == (
+                stats.rebuild_stale_nodes
+            )
+            runs.append((stats.rebuild_repairs, stats.rebuild_stale_nodes))
+        assert runs[0] == runs[1]
+        assert all(runs[0])
+
     def test_sink_restored_after_region(self):
         from repro.egraph import current_sink
 
@@ -696,3 +718,4 @@ class TestEngineStats:
         assert engine["enodes_built"] > 0
         assert engine["saturations"] > 0
         assert engine["matches_applied"] > 0
+        assert engine["rebuild_repairs"] > 0

@@ -229,7 +229,7 @@ class TestInstrumentedCompile:
                 "compile", "phase.parse", "phase.sample", "phase.transcribe",
                 "phase.improve", "phase.regimes", "phase.score",
                 "improve.iteration", "egraph.run_rules", "egraph.search",
-                "egraph.apply", "oracle.wait", "oracle.hold",
+                "egraph.apply", "egraph.rebuild", "oracle.wait", "oracle.hold",
             } <= names
             # acceptance: phase spans account for >= 90% of the compile span
             root = trace.find("compile")[0]

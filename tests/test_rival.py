@@ -197,3 +197,27 @@ class TestRivalEvaluator:
 
         oracle = self.ev.eval(parse_expr("(log x)"), {"x": x})
         assert ulps_between(oracle, math.log(x)) <= 1
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP 'Signed zeros from the oracle': a tiny enclosure "
+        "straddles zero and settles as -0.0 because -0.0 == 0.0",
+    )
+    def test_tiny_positive_value_rounds_to_positive_zero(self):
+        """A positive true value below the smallest subnormal rounds to
+        +0.0 on every backend, whatever the sign of the input."""
+        from repro.rival.backends import make_backend
+
+        cases = [
+            ("(* x x)", 3.6976030963555856e-192),   # ~1.4e-383
+            ("(* x x)", -3.6976030963555856e-192),
+            ("(- x (sin x))", 1e-250),              # ~x**3/6
+        ]
+        for backend in ("numpy", "mpmath"):
+            oracle = make_backend(backend)
+            for text, x in cases:
+                expr = parse_expr(text)
+                (batched,) = oracle.eval_batch(expr, [{"x": x}])
+                for value in (oracle.eval(expr, {"x": x}), batched.value):
+                    assert value == 0.0, (backend, text, x)
+                    assert math.copysign(1.0, value) == 1.0, (backend, text, x)
