@@ -8,7 +8,7 @@ It measures batched ground-truth evaluation over benchsuite sample sets —
 the oracle-bound inner loop of sampling — for two backends:
 
 * ``mpmath`` — the reference path: every point climbs the escalation ladder
-  alone, serialized on process-global precision state.
+  alone (libmp interval arithmetic at 80 to 1280 bits).
 * ``numpy``  — the vectorized fast path: one outward-rounded
   double-double interval sweep over the whole point set, with only the
   unsettled residue escalating to the same ladder.

@@ -19,7 +19,7 @@ the TensorFloat-style truncated formats, but not binary128 or posits
 
 Rounding is the **compound** rounding the whole oracle stack agrees on:
 first round the significand to ``precision`` bits half-even at unbounded
-exponent (the mpmath ladder's ``mp.workprec`` re-round, the dd
+exponent (the ladder's ``mpf_pos(value, precision)`` re-round, the dd
 rung's ``_round_sig``), then apply the storage cast that carries
 overflow and subnormal semantics.  Defining every layer against the same
 compound guarantees the fast path stays bit-identical with the ladder
@@ -167,7 +167,7 @@ class FloatFormat:
 
         The second half of the compound rounding: the input is assumed to
         carry at most ``precision`` significand bits (the ladder's
-        ``workprec`` re-round or ``_round_sig`` guarantees it), so this
+        ``mpf_pos`` re-round or ``_round_sig`` guarantees it), so this
         step only decides overflow-to-infinity and subnormal re-rounding.
         """
         codec = self.codec

@@ -1049,7 +1049,7 @@ def _round_f64(hi, lo):
 
 def _round_sig(x, bits: int):
     """Round to a ``bits``-bit significand, half-even, unbounded exponent
-    (the ladder's ``mp.workprec(bits)`` re-rounding step; exact in
+    (the ladder's ``mpf_pos(value, bits)`` re-rounding step; exact in
     binary64 for ``bits <= 52``)."""
     mantissa, exponent = np.frexp(x)
     scaled = np.rint(np.ldexp(mantissa, bits))

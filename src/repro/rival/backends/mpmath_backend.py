@@ -1,13 +1,14 @@
-"""The mpmath escalation ladder as an oracle backend.
+"""The escalation ladder as an oracle backend.
 
-This wraps the original :class:`RivalEvaluator` (interval arithmetic at
-escalating ``mp.workprec``) behind the :class:`OracleBackend` protocol.
-It is both a standalone backend (``REPRO_ORACLE_BACKEND=mpmath``) and
-the hard-point fallback rung of the numpy fast path: batch calls loop
-point-at-a-time, but take the serialization lock **once per batch**
-instead of once per point, so a session's ``_oracle_lock`` now guards
-only the mpmath rung (``mp.workprec`` is process-global state) rather
-than entire sampling or scoring passes.
+This wraps :class:`RivalEvaluator` (interval arithmetic on raw libmp
+values at escalating explicit precision) behind the
+:class:`OracleBackend` protocol.  It is both a standalone backend
+(``REPRO_ORACLE_BACKEND=mpmath``) and the hard-point fallback rung of
+the numpy fast path: batch calls loop point-at-a-time, but take the
+caller's section **once per batch** instead of once per point.  The
+ladder itself reads no process-global mpmath state; the section is the
+session's oracle lock, which still serializes inline compiles because
+series expansion and operator synthesis use the global ``mp`` context.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ class MpmathBackend(OracleBackend):
         #: The escalation ladder; shared with the owning session so its
         #: ``evals``/``escalations`` counters stay authoritative.
         self.evaluator = evaluator if evaluator is not None else RivalEvaluator()
-        #: Zero-arg callable returning a context manager that serializes
-        #: access to the process-global mpmath state (a session passes
-        #: its instrumented ``_oracle_section``); None means the caller
-        #: guarantees single-threaded use.
+        #: Zero-arg callable returning a context manager held around each
+        #: ladder call (a session passes its instrumented
+        #: ``_oracle_section``); None runs the ladder unlocked, which is
+        #: safe: it shares no mpmath state between threads.
         self._lock = lock
         self._counters = OracleCounters()
         self._counters_lock = threading.Lock()

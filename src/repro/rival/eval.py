@@ -5,20 +5,25 @@ rounded* result in a target float format: evaluate with interval arithmetic
 at escalating working precision until the enclosure rounds to a single
 floating-point value, exactly as Herbie/Chassis use the Rival library
 (paper section 3.1).
+
+Each rung passes its precision explicitly to every interval operation
+(:mod:`repro.rival.interval`); nothing here touches mpmath's global ``mp``
+context, so evaluators on different threads need no lock between them.
+A point's variables are converted once and shared by every rung.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-import mpmath
-from mpmath import mp, mpf
+from mpmath.libmp import (
+    finf, fnan, mpf_eq, mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_pos, to_float,
+)
 
 from ..formats import get_format
 from ..ir.expr import App, Const, Expr, Num, Var
 from ..ir.types import F64
-from .interval import INTERVAL_OPS, DomainError, Interval
+from .interval import INTERVAL_OPS, RND, DomainError, Interval, constant
 
 #: Working precisions tried in order (bits of significand).
 DEFAULT_PRECISIONS = (80, 160, 320, 640, 1280)
@@ -28,123 +33,131 @@ class PrecisionExhausted(ArithmeticError):
     """The enclosure failed to converge at the highest working precision."""
 
 
-def round_to_format(value: mpf, ty) -> float:
-    """Round an mpf correctly into float format ``ty`` (returned as Python float).
+def round_to_format(value: tuple, ty) -> float:
+    """Round a raw libmp value correctly into float format ``ty``.
 
     Every registered format's values are representable exactly in a
     Python float, so the return type is float for all of them.  This is
     the compound rounding the numpy fast path mirrors: re-round the
-    significand to the format's precision half-even at unbounded exponent
-    (``mp.workprec``), then apply the format's storage cast for
-    overflow/subnormal semantics.
+    significand to the format's precision half-even at unbounded exponent,
+    then apply the format's storage cast for overflow/subnormal semantics.
     """
-    if mpmath.isnan(value):
+    if value == fnan:
         return math.nan
     fmt = get_format(ty)
-    with mp.workprec(fmt.precision):
-        rounded = +value  # unary plus re-rounds to the context precision
-    return fmt.storage_clamp(float(rounded))
+    return fmt.storage_clamp(to_float(mpf_pos(value, fmt.precision, RND), rnd=RND))
 
 
-def _interval_of_leaf(expr: Expr, point: dict[str, float]) -> Interval:
-    if isinstance(expr, Var):
-        try:
-            return Interval.point(point[expr.name])
-        except KeyError:
-            raise KeyError(f"no value for variable {expr.name!r}") from None
-    if isinstance(expr, Num):
-        value = expr.value
-        if value.denominator == 1:
-            return Interval.point(value)
-        num = Interval.point(Fraction(value.numerator))
-        den = Interval.point(Fraction(value.denominator))
-        return INTERVAL_OPS["/"](num, den)
-    if isinstance(expr, Const):
-        if expr.name == "PI":
-            pi = mpmath.pi()
-            return Interval(pi * (1 - mpf(2) ** (2 - mp.prec)), pi * (1 + mpf(2) ** (2 - mp.prec)))
-        if expr.name == "E":
-            e = mpmath.e()
-            return Interval(e * (1 - mpf(2) ** (2 - mp.prec)), e * (1 + mpf(2) ** (2 - mp.prec)))
-        if expr.name == "INFINITY":
-            return Interval.point(mpf("inf"))
-        if expr.name == "NAN":
-            return Interval.error()
-        raise DomainError(f"constant {expr.name} is not a real value")
-    raise TypeError(f"not a leaf: {expr!r}")
+_INFINITY = Interval(finf, finf)
 
 
 class Ambiguous(Exception):
     """A boolean condition could not be decided at this precision."""
 
 
-def _eval_interval(expr: Expr, point: dict[str, float]) -> Interval:
-    """One interval-arithmetic pass at the current working precision."""
-    if isinstance(expr, App):
-        if expr.op == "if":
-            cond = _eval_bool(expr.args[0], point)
-            return _eval_interval(expr.args[1 if cond else 2], point)
-        fn = INTERVAL_OPS.get(expr.op)
-        if fn is None:
-            raise KeyError(f"no interval semantics for operator {expr.op!r}")
-        args = [_eval_interval(a, point) for a in expr.args]
-        return fn(*args)
-    return _interval_of_leaf(expr, point)
+class _Pass:
+    """One point's leaves, converted once and shared by every rung."""
 
+    __slots__ = ("point", "leaves")
 
-def _eval_bool(expr: Expr, point: dict[str, float]) -> bool:
-    """Decide a comparison/boolean expression exactly, or raise Ambiguous."""
-    if isinstance(expr, Const):
-        if expr.name == "TRUE":
-            return True
-        if expr.name == "FALSE":
-            return False
-    if not isinstance(expr, App):
-        raise TypeError(f"not a boolean expression: {expr!r}")
-    op = expr.op
-    if op == "and":
-        return _eval_bool(expr.args[0], point) and _eval_bool(expr.args[1], point)
-    if op == "or":
-        return _eval_bool(expr.args[0], point) or _eval_bool(expr.args[1], point)
-    if op == "not":
-        return not _eval_bool(expr.args[0], point)
-    left = _eval_interval(expr.args[0], point)
-    right = _eval_interval(expr.args[1], point)
-    if left.err or right.err:
-        raise DomainError(f"domain error inside condition {op}")
-    if op == "<":
-        if left.hi < right.lo:
-            return True
-        if left.lo >= right.hi:
-            return False
-    elif op == "<=":
-        if left.hi <= right.lo:
-            return True
-        if left.lo > right.hi:
-            return False
-    elif op == ">":
-        if left.lo > right.hi:
-            return True
-        if left.hi <= right.lo:
-            return False
-    elif op == ">=":
-        if left.lo >= right.hi:
-            return True
-        if left.hi < right.lo:
-            return False
-    elif op == "==":
-        if left.is_point() and right.is_point() and left.lo == right.lo:
-            return True
-        if left.hi < right.lo or right.hi < left.lo:
-            return False
-    elif op == "!=":
-        if left.hi < right.lo or right.hi < left.lo:
-            return True
-        if left.is_point() and right.is_point() and left.lo == right.lo:
-            return False
-    else:
-        raise KeyError(f"unknown predicate {op!r}")
-    raise Ambiguous(op)
+    def __init__(self, point: dict[str, float]):
+        self.point = point
+        self.leaves: dict = {}
+
+    def leaf(self, expr: Expr, prec: int) -> Interval:
+        if isinstance(expr, Var):
+            iv = self.leaves.get(expr.name)
+            if iv is None:
+                try:
+                    value = self.point[expr.name]
+                except KeyError:
+                    raise KeyError(f"no value for variable {expr.name!r}") from None
+                iv = self.leaves[expr.name] = Interval.point(value)
+            return iv
+        if isinstance(expr, Num):
+            value = expr.value
+            if value.denominator == 1:
+                return Interval.point(value.numerator)
+            num = Interval.point(value.numerator)
+            den = Interval.point(value.denominator)
+            return INTERVAL_OPS["/"](num, den, prec)
+        if isinstance(expr, Const):
+            enclosure = constant(expr.name, prec)
+            if enclosure is not None:
+                return enclosure
+            if expr.name == "INFINITY":
+                return _INFINITY
+            if expr.name == "NAN":
+                return Interval.error()
+            raise DomainError(f"constant {expr.name} is not a real value")
+        raise TypeError(f"not a leaf: {expr!r}")
+
+    def interval(self, expr: Expr, prec: int) -> Interval:
+        """One interval-arithmetic pass at working precision ``prec``."""
+        if isinstance(expr, App):
+            if expr.op == "if":
+                cond = self.boolean(expr.args[0], prec)
+                return self.interval(expr.args[1 if cond else 2], prec)
+            fn = INTERVAL_OPS.get(expr.op)
+            if fn is None:
+                raise KeyError(f"no interval semantics for operator {expr.op!r}")
+            args = [self.interval(a, prec) for a in expr.args]
+            return fn(*args, prec)
+        return self.leaf(expr, prec)
+
+    def boolean(self, expr: Expr, prec: int) -> bool:
+        """Decide a comparison/boolean expression exactly, or raise Ambiguous."""
+        if isinstance(expr, Const):
+            if expr.name == "TRUE":
+                return True
+            if expr.name == "FALSE":
+                return False
+        if not isinstance(expr, App):
+            raise TypeError(f"not a boolean expression: {expr!r}")
+        op = expr.op
+        if op == "and":
+            return self.boolean(expr.args[0], prec) and self.boolean(expr.args[1], prec)
+        if op == "or":
+            return self.boolean(expr.args[0], prec) or self.boolean(expr.args[1], prec)
+        if op == "not":
+            return not self.boolean(expr.args[0], prec)
+        left = self.interval(expr.args[0], prec)
+        right = self.interval(expr.args[1], prec)
+        if left.err or right.err:
+            raise DomainError(f"domain error inside condition {op}")
+        if op == "<":
+            if mpf_lt(left.hi, right.lo):
+                return True
+            if mpf_ge(left.lo, right.hi):
+                return False
+        elif op == "<=":
+            if mpf_le(left.hi, right.lo):
+                return True
+            if mpf_gt(left.lo, right.hi):
+                return False
+        elif op == ">":
+            if mpf_gt(left.lo, right.hi):
+                return True
+            if mpf_le(left.hi, right.lo):
+                return False
+        elif op == ">=":
+            if mpf_ge(left.lo, right.hi):
+                return True
+            if mpf_lt(left.hi, right.lo):
+                return False
+        elif op == "==":
+            if left.is_point() and right.is_point() and mpf_eq(left.lo, right.lo):
+                return True
+            if mpf_lt(left.hi, right.lo) or mpf_lt(right.hi, left.lo):
+                return False
+        elif op == "!=":
+            if mpf_lt(left.hi, right.lo) or mpf_lt(right.hi, left.lo):
+                return True
+            if left.is_point() and right.is_point() and mpf_eq(left.lo, right.lo):
+                return False
+        else:
+            raise KeyError(f"unknown predicate {op!r}")
+        raise Ambiguous(op)
 
 
 class RivalEvaluator:
@@ -154,10 +167,10 @@ class RivalEvaluator:
         self.precisions = precisions
         #: Correctly-rounded evaluations performed by this evaluator.
         #: Plain ints, not locked: in-process callers serialize on the
-        #: session's mpmath-rung lock (mp.workprec is process-global
-        #: state), and per-worker instances are single-threaded — their
-        #: counts travel home as ``JobOutcome.oracle`` deltas and merge
-        #: into ``SessionStats.rival`` under the session lock.
+        #: session's oracle lock, and per-worker instances are
+        #: single-threaded — their counts travel home as
+        #: ``JobOutcome.oracle`` deltas and merge into
+        #: ``SessionStats.rival`` under the session lock.
         self.evals = 0
         #: Evaluations that needed more than the lowest working precision.
         self.escalations = 0
@@ -171,36 +184,34 @@ class RivalEvaluator:
         """
         self.evals += 1
         last_issue = "did not converge"
+        run = _Pass(point)
         for index, prec in enumerate(self.precisions):
-            with mp.workprec(prec):
-                try:
-                    result = _eval_interval(expr, point)
-                except Ambiguous:
-                    last_issue = "ambiguous condition"
-                    continue
-                except DomainError:
-                    raise
-                if result.err:
-                    last_issue = "possible domain error"
-                    continue
-                lo = round_to_format(result.lo, ty)
-                hi = round_to_format(result.hi, ty)
-                if lo == hi:
-                    if index:
-                        self.escalations += 1
-                    return lo
+            try:
+                result = run.interval(expr, prec)
+            except Ambiguous:
+                last_issue = "ambiguous condition"
+                continue
+            if result.err:
+                last_issue = "possible domain error"
+                continue
+            lo = round_to_format(result.lo, ty)
+            hi = round_to_format(result.hi, ty)
+            if lo == hi:
+                if index:
+                    self.escalations += 1
+                return lo
         if last_issue == "possible domain error":
             raise DomainError("domain error persisted at maximum precision")
         raise PrecisionExhausted(last_issue)
 
     def eval_bool(self, expr: Expr, point: dict[str, float]) -> bool:
         """Decide a boolean expression (e.g. an FPCore precondition)."""
+        run = _Pass(point)
         for prec in self.precisions:
-            with mp.workprec(prec):
-                try:
-                    return _eval_bool(expr, point)
-                except Ambiguous:
-                    continue
+            try:
+                return run.boolean(expr, prec)
+            except Ambiguous:
+                continue
         raise PrecisionExhausted("ambiguous condition at maximum precision")
 
     def defined_at(self, expr: Expr, point: dict[str, float], ty: str = F64) -> bool:

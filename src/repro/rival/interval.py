@@ -1,4 +1,4 @@
-"""Real interval arithmetic over mpmath — our stand-in for the Rival library.
+"""Real interval arithmetic on raw libmp values — our stand-in for the Rival library.
 
 Herbie and Chassis score accuracy against "correctly rounded" results
 computed by the Rival interval library (paper section 3.1).  This module
@@ -6,21 +6,39 @@ provides the same contract: guaranteed-enclosure interval arithmetic over
 arbitrary-precision floats, with a *possible error* flag for domain
 violations (log of a negative, division by zero, ...).
 
-Soundness recipe: each operation computes endpoint values with mpmath at the
-current working precision (mpmath's transcendental functions are accurate to
-~1 ulp) and then widens the result outward by a few ulps at that precision.
-The adaptive evaluator (:mod:`repro.rival.eval`) escalates precision until
-the enclosure rounds unambiguously into the target format, so the widening
+Endpoints are raw ``mpmath.libmp`` values (``(sign, man, exp, bc)``
+tuples) and every operation takes its working precision ``prec`` as an
+argument and rounds to nearest, so nothing reads mpmath's process-global
+``mp`` context and the module is safe to use from any thread.
+
+Soundness recipe: each operation computes endpoint values at ``prec``
+bits (libmp's transcendental functions are accurate to ~1 ulp) and then
+widens the result outward by a few ulps at that precision.  Variables
+and integer literals enter exactly, at any width.  The adaptive
+evaluator (:mod:`repro.rival.eval`) escalates precision until the
+enclosure rounds unambiguously into the target format, so the widening
 margin only costs iterations, never correctness.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable
 
-import mpmath
-from mpmath import mp, mpf
+from mpmath.libmp import (
+    ComplexResult, fhalf, fnan, fnone, fone, from_float, from_int, ftwo,
+    fzero, mpf_acos, mpf_acosh, mpf_add, mpf_asin, mpf_asinh, mpf_atan,
+    mpf_atan2, mpf_atanh, mpf_cbrt, mpf_ceil, mpf_cosh, mpf_div, mpf_e, mpf_eq,
+    mpf_exp, mpf_floor, mpf_ge, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul,
+    mpf_neg, mpf_nint, mpf_pi, mpf_pos, mpf_pow_int, mpf_sin, mpf_sinh,
+    mpf_sqrt, mpf_sub, mpf_tan, mpf_tanh, to_int,
+)
+
+#: Every operation rounds to nearest at its working precision.
+RND = "n"
+
+_TEN = from_int(10)
+
+_INF = float("inf")
 
 
 class DomainError(ArithmeticError):
@@ -30,6 +48,7 @@ class DomainError(ArithmeticError):
 class Interval:
     """A closed real interval ``[lo, hi]`` with a possible-error flag.
 
+    ``lo``/``hi`` are raw libmp values, stored as given (never rounded).
     ``err=True`` means the true result *may* be a domain error (the input
     enclosure straddles a singularity or domain edge); the adaptive
     evaluator treats it as "escalate precision, and give up if it persists".
@@ -37,12 +56,12 @@ class Interval:
 
     __slots__ = ("lo", "hi", "err")
 
-    def __init__(self, lo, hi, err: bool = False):
-        self.lo = mpf(lo)
-        self.hi = mpf(hi)
+    def __init__(self, lo: tuple, hi: tuple, err: bool = False):
+        self.lo = lo
+        self.hi = hi
         self.err = err
-        if not err and not (self.lo <= self.hi):
-            if mpmath.isnan(self.lo) or mpmath.isnan(self.hi):
+        if not err and not mpf_le(lo, hi):
+            if lo == fnan or hi == fnan:
                 self.err = True
             else:
                 raise ValueError(f"inverted interval [{lo}, {hi}]")
@@ -51,364 +70,574 @@ class Interval:
 
     @staticmethod
     def point(value) -> "Interval":
-        """An exact (width-zero) interval; value must be mpf-representable."""
-        v = _exact(value)
-        return Interval(v, v)
+        """An exact (width-zero) interval; see :func:`exact`."""
+        v = exact(value)
+        return _make(v, v)
 
     @staticmethod
     def error() -> "Interval":
         """A certainly-erroneous interval."""
-        return Interval(mpf("nan"), mpf("nan"), err=True)
+        return _ERROR
 
     # --- inspection --------------------------------------------------------------
 
     def is_point(self) -> bool:
-        return not self.err and self.lo == self.hi
-
-    def width(self) -> mpf:
-        return self.hi - self.lo
+        return not self.err and mpf_eq(self.lo, self.hi)
 
     def contains(self, value) -> bool:
-        v = mpf(value)
-        return not self.err and self.lo <= v <= self.hi
+        v = exact(value)
+        return not self.err and mpf_le(self.lo, v) and mpf_le(v, self.hi)
 
     def contains_zero(self) -> bool:
-        return not self.err and self.lo <= 0 <= self.hi
+        return not self.err and mpf_le(self.lo, fzero) and mpf_ge(self.hi, fzero)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", err" if self.err else ""
-        return f"Interval({mpmath.nstr(self.lo, 12)}, {mpmath.nstr(self.hi, 12)}{flag})"
+        return f"Interval({self.lo}, {self.hi}{flag})"
 
 
-def _exact(value) -> mpf:
-    """Convert a float/int/Fraction exactly to mpf (no rounding)."""
-    if isinstance(value, Fraction):
-        with mp.workprec(max(mp.prec, 256)):
-            return mpf(value.numerator) / mpf(value.denominator)
-    return mpf(value)
+def _make(lo: tuple, hi: tuple) -> Interval:
+    """An interval from endpoints already known to be ordered (or NaN).
+
+    Every operation below orders its endpoints by construction, so only
+    a NaN endpoint needs the check ``Interval.__init__`` makes.
+    """
+    iv = object.__new__(Interval)
+    iv.lo = lo
+    iv.hi = hi
+    iv.err = lo == fnan or hi == fnan
+    return iv
+
+
+_ERROR = Interval(fnan, fnan, err=True)
+_ONE = _make(fone, fone)
+_TWO = _make(ftwo, ftwo)
+
+
+def exact(value) -> tuple:
+    """A float or int as a raw libmp value, unrounded; raw values pass
+    through unchanged."""
+    if isinstance(value, float):
+        return from_float(value)
+    if isinstance(value, tuple):
+        return value
+    return from_int(value)
+
+
+# --- Python's min/max on libmp values ------------------------------------------------
+#
+# ``min(a, b, ...)`` keeps the first value and replaces it with each later
+# one that compares below it; with a NaN among the values the result
+# depends on that order, so these folds keep it.
+
+
+def _min(x: tuple, y: tuple) -> tuple:
+    return y if mpf_lt(y, x) else x
+
+
+def _max(x: tuple, y: tuple) -> tuple:
+    return y if mpf_gt(y, x) else x
 
 
 # --- outward widening ------------------------------------------------------------
 
 
-def _down(x: mpf) -> mpf:
+def _margin(x: tuple, prec: int) -> tuple | None:
+    """``|x| * 2**(3-prec) + 2**(-prec-1080)`` rounded at ``prec``; None
+    for infinities and NaN, which are never widened."""
+    sign, man, exp, bc = x
+    if not man:
+        return None if exp else (0, 1, -prec - 1080, 1)
+    scaled = (0, man, exp + 3 - prec, bc)
+    if exp + bc > prec - 1078:
+        # The tiny term lies below 1/32 ulp of ``scaled`` (a value of at
+        # most ``prec`` bits), so the sum rounds to ``scaled`` itself.
+        return scaled
+    return mpf_add(scaled, (0, 1, -prec - 1080, 1), prec, RND)
+
+
+def _down(x: tuple, prec: int) -> tuple:
     """A value certainly <= the true value that ``x`` approximates."""
-    if mpmath.isinf(x) or mpmath.isnan(x):
-        return x
-    margin = abs(x) * mpf(2) ** (3 - mp.prec) + mpf(2) ** (-mp.prec - 1080)
-    return x - margin
+    margin = _margin(x, prec)
+    return x if margin is None else mpf_sub(x, margin, prec, RND)
 
 
-def _up(x: mpf) -> mpf:
+def _up(x: tuple, prec: int) -> tuple:
     """A value certainly >= the true value that ``x`` approximates."""
-    if mpmath.isinf(x) or mpmath.isnan(x):
-        return x
-    margin = abs(x) * mpf(2) ** (3 - mp.prec) + mpf(2) ** (-mp.prec - 1080)
-    return x + margin
+    margin = _margin(x, prec)
+    return x if margin is None else mpf_add(x, margin, prec, RND)
 
 
-def _widened(lo: mpf, hi: mpf) -> Interval:
-    return Interval(_down(lo), _up(hi))
+def _widened(lo: tuple, hi: tuple, prec: int) -> Interval:
+    if lo == hi:
+        margin = _margin(lo, prec)
+        if margin is None:
+            return _make(lo, hi)
+        return _make(mpf_sub(lo, margin, prec, RND), mpf_add(hi, margin, prec, RND))
+    return _make(_down(lo, prec), _up(hi, prec))
+
+
+def _corners(fn: Callable, a: Interval, b: Interval, prec: int) -> Interval:
+    """Widen the hull of ``fn`` at the corners ``(a.lo, b.lo), (a.lo, b.hi),
+    (a.hi, b.lo), (a.hi, b.hi)``, evaluating each distinct corner once."""
+    alo, ahi, blo, bhi = a.lo, a.hi, b.lo, b.hi
+    if blo == bhi:
+        if alo == ahi:
+            value = fn(alo, blo, prec, RND)
+            return _widened(value, value, prec)
+        c1 = fn(alo, blo, prec, RND)
+        c2 = fn(ahi, blo, prec, RND)
+        return _widened(_min(c1, c2), _max(c1, c2), prec)
+    c1 = fn(alo, blo, prec, RND)
+    c2 = fn(alo, bhi, prec, RND)
+    if alo == ahi:
+        return _widened(_min(c1, c2), _max(c1, c2), prec)
+    c3 = fn(ahi, blo, prec, RND)
+    c4 = fn(ahi, bhi, prec, RND)
+    return _widened(
+        _min(_min(_min(c1, c2), c3), c4), _max(_max(_max(c1, c2), c3), c4), prec
+    )
+
+
+# --- per-precision constants ------------------------------------------------------
+
+
+class _Rung:
+    """The constants the operations need at one working precision."""
+
+    __slots__ = ("pi", "half_pi", "two_pi", "half_pi_interval", "ln2", "ln10", "PI", "E")
+
+    def __init__(self, prec: int):
+        self.pi = mpf_pi(prec, RND)
+        self.half_pi = mpf_div(self.pi, ftwo, prec, RND)
+        self.two_pi = mpf_mul(self.pi, ftwo, prec, RND)
+        self.half_pi_interval = _make(_down(self.half_pi, prec), _up(self.half_pi, prec))
+        self.ln2 = mpf_log(ftwo, prec + 20, RND)
+        self.ln10 = mpf_log(_TEN, prec + 20, RND)
+        # The real constants PI and E: c * (1 -+ 2**(2-prec)).
+        rel = (0, 1, 2 - prec, 1)
+        below = mpf_sub(fone, rel, prec, RND)
+        above = mpf_add(rel, fone, prec, RND)
+        e = mpf_e(prec, RND)
+        self.PI = _make(mpf_mul(self.pi, below, prec, RND), mpf_mul(self.pi, above, prec, RND))
+        self.E = _make(mpf_mul(e, below, prec, RND), mpf_mul(e, above, prec, RND))
+
+
+_RUNGS: dict[int, _Rung] = {}
+
+
+def _rung(prec: int) -> _Rung:
+    """The rung constants at ``prec``, computed on first use."""
+    rung = _RUNGS.get(prec)
+    if rung is None:
+        rung = _RUNGS[prec] = _Rung(prec)
+    return rung
+
+
+def constant(name: str, prec: int) -> Interval | None:
+    """The enclosure of the real constant ``PI`` or ``E`` at ``prec``;
+    None for any other name."""
+    return getattr(_rung(prec), name) if name in ("PI", "E") else None
 
 
 # --- exact endpoint arithmetic -----------------------------------------------------
 
 
-def iadd(a: Interval, b: Interval) -> Interval:
+def iadd(a: Interval, b: Interval, prec: int) -> Interval:
     if a.err or b.err:
-        return Interval.error()
-    return _widened(a.lo + b.lo, a.hi + b.hi)
+        return _ERROR
+    return _widened(mpf_add(a.lo, b.lo, prec, RND), mpf_add(a.hi, b.hi, prec, RND), prec)
 
 
-def isub(a: Interval, b: Interval) -> Interval:
+def isub(a: Interval, b: Interval, prec: int) -> Interval:
     if a.err or b.err:
-        return Interval.error()
-    return _widened(a.lo - b.hi, a.hi - b.lo)
+        return _ERROR
+    return _widened(mpf_sub(a.lo, b.hi, prec, RND), mpf_sub(a.hi, b.lo, prec, RND), prec)
 
 
-def ineg(a: Interval) -> Interval:
+def ineg(a: Interval, prec: int) -> Interval:
     if a.err:
-        return Interval.error()
-    return Interval(-a.hi, -a.lo)
+        return _ERROR
+    return _make(mpf_neg(a.hi), mpf_neg(a.lo))
 
 
-def imul(a: Interval, b: Interval) -> Interval:
+def imul(a: Interval, b: Interval, prec: int) -> Interval:
     if a.err or b.err:
-        return Interval.error()
-    products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    return _widened(min(products), max(products))
+        return _ERROR
+    return _corners(mpf_mul, a, b, prec)
 
 
-def idiv(a: Interval, b: Interval) -> Interval:
+def idiv(a: Interval, b: Interval, prec: int) -> Interval:
     if a.err or b.err:
-        return Interval.error()
+        return _ERROR
     if b.contains_zero():
         # A point denominator of exactly 0 is certainly an error; an interval
         # merely straddling 0 may shrink away at higher precision.
-        return Interval.error()
-    quotients = (a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi)
-    return _widened(min(quotients), max(quotients))
+        return _ERROR
+    return _corners(mpf_div, a, b, prec)
 
 
-def ifabs(a: Interval) -> Interval:
+def ifabs(a: Interval, prec: int) -> Interval:
     if a.err:
-        return Interval.error()
-    if a.lo >= 0:
-        return Interval(a.lo, a.hi)
-    if a.hi <= 0:
-        return Interval(-a.hi, -a.lo)
-    return Interval(mpf(0), max(-a.lo, a.hi))
+        return _ERROR
+    if mpf_ge(a.lo, fzero):
+        return a
+    if mpf_le(a.hi, fzero):
+        return _make(mpf_neg(a.hi), mpf_neg(a.lo))
+    return _make(fzero, _max(mpf_neg(a.lo), a.hi))
 
 
-def ifmin(a: Interval, b: Interval) -> Interval:
+def ifmin(a: Interval, b: Interval, prec: int) -> Interval:
     if a.err or b.err:
-        return Interval.error()
-    return Interval(min(a.lo, b.lo), min(a.hi, b.hi))
+        return _ERROR
+    return _make(_min(a.lo, b.lo), _min(a.hi, b.hi))
 
 
-def ifmax(a: Interval, b: Interval) -> Interval:
+def ifmax(a: Interval, b: Interval, prec: int) -> Interval:
     if a.err or b.err:
-        return Interval.error()
-    return Interval(max(a.lo, b.lo), max(a.hi, b.hi))
+        return _ERROR
+    return _make(_max(a.lo, b.lo), _max(a.hi, b.hi))
 
 
-def icopysign(a: Interval, b: Interval) -> Interval:
+def icopysign(a: Interval, b: Interval, prec: int) -> Interval:
     if a.err or b.err:
-        return Interval.error()
-    mag = ifabs(a)
-    if b.lo > 0:
+        return _ERROR
+    mag = ifabs(a, prec)
+    if mpf_gt(b.lo, fzero):
         return mag
-    if b.hi < 0:
-        return ineg(mag)
-    return Interval(-mag.hi, mag.hi)
+    if mpf_lt(b.hi, fzero):
+        return ineg(mag, prec)
+    return _make(mpf_neg(mag.hi), mag.hi)
 
 
 # --- monotone function lifting -------------------------------------------------------
 
 
-def _monotone_inc(fn: Callable, a: Interval, lo_ok: Callable | None = None) -> Interval:
-    """Lift a monotonically increasing function with optional domain check."""
+def _monotone_inc(fn: Callable, a: Interval, prec: int,
+                  lo_ok: Callable | None = None) -> Interval:
+    """Lift a monotonically increasing ``fn(x, prec, rnd)`` with optional
+    domain check; a point argument is evaluated once."""
     if a.err:
-        return Interval.error()
+        return _ERROR
     if lo_ok is not None and not lo_ok(a):
-        return Interval.error()
+        return _ERROR
     try:
-        return _widened(fn(a.lo), fn(a.hi))
-    except (ValueError, mpmath.libmp.ComplexResult, ZeroDivisionError, OverflowError):
-        return Interval.error()
+        lo = fn(a.lo, prec, RND)
+        hi = lo if a.lo == a.hi else fn(a.hi, prec, RND)
+    except (ValueError, ComplexResult, ZeroDivisionError, OverflowError):
+        return _ERROR
+    return _widened(lo, hi, prec)
 
 
-def iexp(a: Interval) -> Interval:
-    return _monotone_inc(mpmath.exp, a)
+def _mag(x: tuple):
+    """mpmath's ``mag``: ``exp + bc``, or +-inf/NaN for special values."""
+    sign, man, exp, bc = x
+    if man:
+        return exp + bc
+    if x == fzero:
+        return -_INF
+    if x == fnan:
+        return _INF - _INF
+    return _INF
 
 
-def iexpm1(a: Interval) -> Interval:
-    return _monotone_inc(mpmath.expm1, a)
+def _expm1(x: tuple, prec: int, rnd: str) -> tuple:
+    """mpmath 1.3.0's ``expm1`` at ``prec``, transliterated.
+
+    mpmath runs it 10 bits above the caller's precision, sums
+    ``exp(x) + (-1)`` with ``sum_accurately`` (raising the precision until
+    the cancellation is covered) and rounds the result back.
+    """
+    if x == fzero:
+        return fzero
+    wp = prec + 10
+    if _mag(x) < -wp:
+        square = mpf_mul(mpf_pow_int(x, 2, wp, rnd), fhalf, wp, rnd)
+        return mpf_pos(mpf_add(x, square, wp, rnd), prec, rnd)
+    extraprec = 10
+    while True:
+        cp = wp + extraprec + 5
+        max_mag = -_INF
+        term = mpf_exp(x, cp, rnd)
+        s = mpf_add(fzero, term, cp, rnd)
+        done = False
+        if term != fzero:
+            term_mag = _mag(term)
+            max_mag = max(max_mag, term_mag)
+            sum_mag = _mag(s)
+            done = sum_mag - term_mag > cp
+        if not done:
+            s = mpf_add(s, fnone, cp, rnd)
+            max_mag = max(max_mag, 1)
+            sum_mag = _mag(s)
+        cancellation = max_mag - sum_mag
+        if cancellation != cancellation or cancellation < extraprec:
+            break
+        extraprec += min(cp, cancellation)
+    return mpf_pos(s, prec, rnd)
 
 
-def ilog(a: Interval) -> Interval:
-    return _monotone_inc(mpmath.log, a, lambda iv: iv.lo > 0)
+def _log1p(x: tuple, prec: int, rnd: str) -> tuple:
+    """mpmath 1.3.0's ``log1p`` at ``prec``, transliterated: 10 guard bits,
+    ``1 + x`` at twice that precision, then ``log``."""
+    if x == fzero:
+        return fzero
+    wp = prec + 10
+    if _mag(x) < -wp:
+        square = mpf_mul(mpf_pow_int(x, 2, wp, rnd), fhalf, wp, rnd)
+        return mpf_pos(mpf_sub(x, square, wp, rnd), prec, rnd)
+    return mpf_pos(mpf_log(mpf_add(fone, x, 2 * wp, rnd), wp, rnd), prec, rnd)
 
 
-def ilog2(a: Interval) -> Interval:
-    return _monotone_inc(lambda x: mpmath.log(x, 2), a, lambda iv: iv.lo > 0)
+def _log2(x: tuple, prec: int, rnd: str) -> tuple:
+    """mpmath's ``log(x, 2)``: both logs 20 bits up, divided at ``prec``."""
+    return mpf_div(mpf_log(x, prec + 20, rnd), _rung(prec).ln2, prec, rnd)
 
 
-def ilog10(a: Interval) -> Interval:
-    return _monotone_inc(mpmath.log10, a, lambda iv: iv.lo > 0)
+def _log10(x: tuple, prec: int, rnd: str) -> tuple:
+    """mpmath's ``log10(x)``, that is ``log(x, 10)``."""
+    return mpf_div(mpf_log(x, prec + 20, rnd), _rung(prec).ln10, prec, rnd)
 
 
-def ilog1p(a: Interval) -> Interval:
-    return _monotone_inc(mpmath.log1p, a, lambda iv: iv.lo > -1)
+def iexp(a: Interval, prec: int) -> Interval:
+    return _monotone_inc(mpf_exp, a, prec)
 
 
-def isqrt(a: Interval) -> Interval:
-    return _monotone_inc(mpmath.sqrt, a, lambda iv: iv.lo >= 0)
+def iexpm1(a: Interval, prec: int) -> Interval:
+    return _monotone_inc(_expm1, a, prec)
 
 
-def _real_cbrt(x):
-    """Real cube root (mpmath.cbrt returns the complex principal root)."""
-    if x >= 0:
-        return mpmath.cbrt(x)
-    return -mpmath.cbrt(-x)
+def _positive(iv: Interval) -> bool:
+    return mpf_gt(iv.lo, fzero)
 
 
-def icbrt(a: Interval) -> Interval:
-    return _monotone_inc(_real_cbrt, a)
+def ilog(a: Interval, prec: int) -> Interval:
+    return _monotone_inc(mpf_log, a, prec, _positive)
 
 
-def iasin(a: Interval) -> Interval:
-    return _monotone_inc(mpmath.asin, a, lambda iv: iv.lo >= -1 and iv.hi <= 1)
+def ilog2(a: Interval, prec: int) -> Interval:
+    return _monotone_inc(_log2, a, prec, _positive)
 
 
-def iacos(a: Interval) -> Interval:
-    if a.err or a.lo < -1 or a.hi > 1:
-        return Interval.error()
-    return _widened(mpmath.acos(a.hi), mpmath.acos(a.lo))
+def ilog10(a: Interval, prec: int) -> Interval:
+    return _monotone_inc(_log10, a, prec, _positive)
 
 
-def iatan(a: Interval) -> Interval:
-    return _monotone_inc(mpmath.atan, a)
+def ilog1p(a: Interval, prec: int) -> Interval:
+    return _monotone_inc(_log1p, a, prec, lambda iv: mpf_gt(iv.lo, fnone))
 
 
-def isinh(a: Interval) -> Interval:
-    return _monotone_inc(mpmath.sinh, a)
+def isqrt(a: Interval, prec: int) -> Interval:
+    return _monotone_inc(mpf_sqrt, a, prec, lambda iv: mpf_ge(iv.lo, fzero))
 
 
-def itanh(a: Interval) -> Interval:
-    return _monotone_inc(mpmath.tanh, a)
+def _real_cbrt(x: tuple, prec: int, rnd: str) -> tuple:
+    """Real cube root (odd around 0)."""
+    if mpf_ge(x, fzero):
+        return mpf_cbrt(x, prec, rnd)
+    return mpf_neg(mpf_cbrt(mpf_neg(x), prec, rnd))
 
 
-def iasinh(a: Interval) -> Interval:
-    return _monotone_inc(mpmath.asinh, a)
+def icbrt(a: Interval, prec: int) -> Interval:
+    return _monotone_inc(_real_cbrt, a, prec)
 
 
-def iacosh(a: Interval) -> Interval:
-    return _monotone_inc(mpmath.acosh, a, lambda iv: iv.lo >= 1)
+def _in_unit(iv: Interval) -> bool:
+    return mpf_ge(iv.lo, fnone) and mpf_le(iv.hi, fone)
 
 
-def iatanh(a: Interval) -> Interval:
-    return _monotone_inc(mpmath.atanh, a, lambda iv: iv.lo > -1 and iv.hi < 1)
+def iasin(a: Interval, prec: int) -> Interval:
+    return _monotone_inc(mpf_asin, a, prec, _in_unit)
 
 
-def icosh(a: Interval) -> Interval:
+def iacos(a: Interval, prec: int) -> Interval:
+    if a.err or not _in_unit(a):
+        return _ERROR
+    hi = mpf_acos(a.lo, prec, RND)
+    lo = hi if a.lo == a.hi else mpf_acos(a.hi, prec, RND)
+    return _widened(lo, hi, prec)
+
+
+def iatan(a: Interval, prec: int) -> Interval:
+    return _monotone_inc(mpf_atan, a, prec)
+
+
+def isinh(a: Interval, prec: int) -> Interval:
+    return _monotone_inc(mpf_sinh, a, prec)
+
+
+def itanh(a: Interval, prec: int) -> Interval:
+    return _monotone_inc(mpf_tanh, a, prec)
+
+
+def iasinh(a: Interval, prec: int) -> Interval:
+    return _monotone_inc(mpf_asinh, a, prec)
+
+
+def iacosh(a: Interval, prec: int) -> Interval:
+    return _monotone_inc(mpf_acosh, a, prec, lambda iv: mpf_ge(iv.lo, fone))
+
+
+def iatanh(a: Interval, prec: int) -> Interval:
+    return _monotone_inc(
+        mpf_atanh, a, prec, lambda iv: mpf_gt(iv.lo, fnone) and mpf_lt(iv.hi, fone)
+    )
+
+
+def icosh(a: Interval, prec: int) -> Interval:
     if a.err:
-        return Interval.error()
-    hi = max(mpmath.cosh(a.lo), mpmath.cosh(a.hi))
-    lo = mpf(1) if a.contains_zero() else min(mpmath.cosh(a.lo), mpmath.cosh(a.hi))
-    return _widened(lo, hi)
+        return _ERROR
+    c_lo = mpf_cosh(a.lo, prec, RND)
+    c_hi = c_lo if a.lo == a.hi else mpf_cosh(a.hi, prec, RND)
+    hi = _max(c_lo, c_hi)
+    lo = fone if a.contains_zero() else _min(c_lo, c_hi)
+    return _widened(lo, hi, prec)
 
 
 # --- periodic functions ----------------------------------------------------------------
 
 
-def _pi() -> mpf:
-    return mpmath.pi()
+def _has_point(lo: tuple, hi: tuple, offset: tuple, period: tuple, prec: int) -> bool:
+    """Does ``[lo, hi]`` contain ``offset + k * period`` for an integer k
+    (decided at ``prec``, as ``floor((hi-offset)/period) >=
+    ceil((lo-offset)/period)``)?"""
+    top = mpf_div(mpf_sub(hi, offset, prec, RND), period, prec, RND)
+    bottom = top if lo == hi else mpf_div(mpf_sub(lo, offset, prec, RND), period, prec, RND)
+    return mpf_ge(mpf_floor(top, prec, RND), mpf_ceil(bottom, prec, RND))
 
 
-def isin(a: Interval) -> Interval:
+def isin(a: Interval, prec: int) -> Interval:
     if a.err:
-        return Interval.error()
-    two_pi = 2 * _pi()
-    if a.width() >= two_pi:
-        return Interval(mpf(-1), mpf(1))
-    half_pi = _pi() / 2
-    # Maximum at pi/2 + 2k*pi within [lo, hi]?
-    has_max = mpmath.floor((a.hi - half_pi) / two_pi) >= mpmath.ceil(
-        (a.lo - half_pi) / two_pi
-    )
-    has_min = mpmath.floor((a.hi + half_pi) / two_pi) >= mpmath.ceil(
-        (a.lo + half_pi) / two_pi
-    )
-    values = (mpmath.sin(a.lo), mpmath.sin(a.hi))
-    hi = mpf(1) if has_max else _up(max(values))
-    lo = mpf(-1) if has_min else _down(min(values))
-    return Interval(max(lo, mpf(-1)), min(hi, mpf(1)))
+        return _ERROR
+    c = _rung(prec)
+    if mpf_ge(mpf_sub(a.hi, a.lo, prec, RND), c.two_pi):
+        return _make(fnone, fone)
+    # Maximum at pi/2 + 2k*pi within [lo, hi]?  Minimum at -pi/2 + 2k*pi?
+    has_max = _has_point(a.lo, a.hi, c.half_pi, c.two_pi, prec)
+    has_min = _has_point(a.lo, a.hi, mpf_neg(c.half_pi), c.two_pi, prec)
+    s_lo = mpf_sin(a.lo, prec, RND)
+    s_hi = s_lo if a.lo == a.hi else mpf_sin(a.hi, prec, RND)
+    hi = fone if has_max else _up(_max(s_lo, s_hi), prec)
+    lo = fnone if has_min else _down(_min(s_lo, s_hi), prec)
+    return _make(_max(lo, fnone), _min(hi, fone))
 
 
-def icos(a: Interval) -> Interval:
+def icos(a: Interval, prec: int) -> Interval:
     if a.err:
-        return Interval.error()
-    half_pi = _pi() / 2
-    shift = Interval(_down(half_pi), _up(half_pi))
-    return isin(iadd(a, shift))
+        return _ERROR
+    return isin(iadd(a, _rung(prec).half_pi_interval, prec), prec)
 
 
-def itan(a: Interval) -> Interval:
+def itan(a: Interval, prec: int) -> Interval:
     if a.err:
-        return Interval.error()
-    pi = _pi()
+        return _ERROR
+    c = _rung(prec)
     # Does [lo, hi] contain an asymptote pi/2 + k*pi?
-    if mpmath.floor((a.hi - pi / 2) / pi) >= mpmath.ceil((a.lo - pi / 2) / pi):
-        return Interval.error()
-    return _widened(mpmath.tan(a.lo), mpmath.tan(a.hi))
+    if _has_point(a.lo, a.hi, c.half_pi, c.pi, prec):
+        return _ERROR
+    lo = mpf_tan(a.lo, prec, RND)
+    hi = lo if a.lo == a.hi else mpf_tan(a.hi, prec, RND)
+    return _widened(lo, hi, prec)
 
 
 # --- power -----------------------------------------------------------------------------
 
 
-def ipow(a: Interval, b: Interval) -> Interval:
+def _is_integer(x: tuple) -> bool:
+    sign, man, exp, bc = x
+    return bool((man and exp >= 0) or x == fzero)
+
+
+def ipow(a: Interval, b: Interval, prec: int) -> Interval:
     if a.err or b.err:
-        return Interval.error()
-    if b.is_point() and mpmath.isint(b.lo):
-        return _ipow_int(a, int(b.lo))
-    if a.lo > 0:
-        return iexp(imul(b, ilog(a)))
-    return Interval.error()
+        return _ERROR
+    if b.is_point() and _is_integer(b.lo):
+        return _ipow_int(a, int(to_int(b.lo)), prec)
+    if mpf_gt(a.lo, fzero):
+        return iexp(imul(b, ilog(a, prec), prec), prec)
+    return _ERROR
 
 
-def _ipow_int(a: Interval, n: int) -> Interval:
+
+def _ipow_int(a: Interval, n: int, prec: int) -> Interval:
     if n == 0:
-        return Interval.point(1)
+        return _ONE
     if n < 0:
-        inv = idiv(Interval.point(1), a)
-        return _ipow_int(inv, -n) if not inv.err else Interval.error()
-    lo_p, hi_p = a.lo**n, a.hi**n
-    if n % 2 == 1:
-        return _widened(lo_p, hi_p)
-    if a.lo >= 0:
-        return _widened(lo_p, hi_p)
-    if a.hi <= 0:
-        return _widened(hi_p, lo_p)
-    return _widened(mpf(0), max(lo_p, hi_p))
+        inv = idiv(_ONE, a, prec)
+        return _ipow_int(inv, -n, prec) if not inv.err else _ERROR
+    lo_p = mpf_pow_int(a.lo, n, prec, RND)
+    hi_p = lo_p if a.lo == a.hi else mpf_pow_int(a.hi, n, prec, RND)
+    if n % 2 == 1 or mpf_ge(a.lo, fzero):
+        return _widened(lo_p, hi_p, prec)
+    if mpf_le(a.hi, fzero):
+        return _widened(hi_p, lo_p, prec)
+    return _widened(fzero, _max(lo_p, hi_p), prec)
 
 
-def ihypot(a: Interval, b: Interval) -> Interval:
-    return isqrt(iadd(imul(a, a), imul(b, b)))
+def ihypot(a: Interval, b: Interval, prec: int) -> Interval:
+    return isqrt(iadd(imul(a, a, prec), imul(b, b, prec), prec), prec)
 
 
-def iatan2(y: Interval, x: Interval) -> Interval:
+def iatan2(y: Interval, x: Interval, prec: int) -> Interval:
     if y.err or x.err:
-        return Interval.error()
-    if x.lo > 0 or (x.lo >= 0 and not y.contains_zero()) or y.lo > 0 or y.hi < 0:
-        corners = [
-            mpmath.atan2(yy, xx)
-            for yy in (y.lo, y.hi)
-            for xx in (x.lo, x.hi)
-        ]
-        return _widened(min(corners), max(corners))
+        return _ERROR
+    if (mpf_gt(x.lo, fzero) or (mpf_ge(x.lo, fzero) and not y.contains_zero())
+            or mpf_gt(y.lo, fzero) or mpf_lt(y.hi, fzero)):
+        return _corners(mpf_atan2, y, x, prec)
     # Interval straddles the branch cut (negative x-axis) or the origin.
-    return Interval.error()
+    return _ERROR
 
 
 # --- rounding functions --------------------------------------------------------------------
+#
+# These are exact: the integer nearest a value never needs more bits
+# than the value itself.
+
+
+def _trunc(x: tuple) -> tuple:
+    return mpf_floor(x) if mpf_ge(x, fzero) else mpf_ceil(x)
 
 
 def _rounding(fn: Callable, a: Interval) -> Interval:
     if a.err:
-        return Interval.error()
-    return Interval(fn(a.lo), fn(a.hi))
+        return _ERROR
+    return _make(fn(a.lo), fn(a.hi))
 
 
-def ifloor(a: Interval) -> Interval:
-    return _rounding(mpmath.floor, a)
+def ifloor(a: Interval, prec: int) -> Interval:
+    return _rounding(mpf_floor, a)
 
 
-def iceil(a: Interval) -> Interval:
-    return _rounding(mpmath.ceil, a)
+def iceil(a: Interval, prec: int) -> Interval:
+    return _rounding(mpf_ceil, a)
 
 
-def itrunc(a: Interval) -> Interval:
-    return _rounding(lambda x: mpmath.floor(x) if x >= 0 else mpmath.ceil(x), a)
+def itrunc(a: Interval, prec: int) -> Interval:
+    return _rounding(_trunc, a)
 
 
-def iround(a: Interval) -> Interval:
-    return _rounding(mpmath.nint, a)
+def iround(a: Interval, prec: int) -> Interval:
+    return _rounding(mpf_nint, a)
 
 
-def ifmod(a: Interval, b: Interval) -> Interval:
+def ifmod(a: Interval, b: Interval, prec: int) -> Interval:
     if a.err or b.err or b.contains_zero():
-        return Interval.error()
-    quotient = itrunc(idiv(a, b))
-    if quotient.lo != quotient.hi:
+        return _ERROR
+    quotient = itrunc(idiv(a, b, prec), prec)
+    if not mpf_eq(quotient.lo, quotient.hi):
         # Straddles a discontinuity; escalation may shrink it for points.
-        return Interval.error()
-    return isub(a, imul(b, quotient))
+        return _ERROR
+    return isub(a, imul(b, quotient, prec), prec)
+
+
+def iexp2(a: Interval, prec: int) -> Interval:
+    return ipow(_TWO, a, prec)
 
 
 # --- dispatch table ----------------------------------------------------------------------
 
-#: Interval implementation for each real operator.
+#: Interval implementation for each real operator; each takes its
+#: argument intervals and then the working precision.
 INTERVAL_OPS: dict[str, Callable[..., Interval]] = {
     "+": iadd,
     "-": isub,
@@ -424,7 +653,7 @@ INTERVAL_OPS: dict[str, Callable[..., Interval]] = {
     "pow": ipow,
     "hypot": ihypot,
     "exp": iexp,
-    "exp2": lambda a: ipow(Interval.point(2), a),
+    "exp2": iexp2,
     "expm1": iexpm1,
     "log": ilog,
     "log2": ilog2,

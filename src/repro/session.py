@@ -214,9 +214,11 @@ class ChassisSession:
     ``jobs``/``timeout`` parameterize batch calls and the :meth:`submit`
     pool.  Sessions may be shared across threads (the serve front-end and
     :meth:`submit` do): mutable session state sits behind one lock, and
-    mpmath-backed work is serialized behind another, because mpmath's
-    working precision is process-global state (``mp.workprec``);
-    concurrent in-process compilations would race on it.  Sampling now
+    mpmath-backed work is serialized behind another, because series
+    expansion and operator synthesis still set mpmath's process-global
+    working precision (``mp.workprec``); concurrent in-process
+    compilations would race on it.  (The oracle's ladder passes its
+    precision explicitly and shares no mpmath state.)  Sampling now
     batches through the session's oracle backend (``oracle_backend=`` /
     ``REPRO_ORACLE_BACKEND``) and takes that lock only around mpmath
     escalation-ladder runs; an inline pipeline still holds it (the

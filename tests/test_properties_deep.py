@@ -39,8 +39,7 @@ _values = st.floats(
 @settings(max_examples=200, deadline=None)
 def test_unary_interval_encloses_true_value(op_name, x):
     """For every unary op: the interval at a point contains the true value."""
-    mp.prec = 80
-    interval = INTERVAL_OPS[op_name](Interval.point(x))
+    interval = INTERVAL_OPS[op_name](Interval.point(x), 80)
     if interval.err:
         return  # domain violations are allowed to flag instead of enclose
     try:
@@ -50,17 +49,17 @@ def test_unary_interval_encloses_true_value(op_name, x):
         return
     if isinstance(true, mpmath.mpc) or mpmath.isnan(true):
         return
-    assert interval.lo <= true <= interval.hi, (op_name, x)
+    assert interval.contains(true._mpf_), (op_name, x)
 
 
 @given(_values, _values)
 @settings(max_examples=100, deadline=None)
 def test_binary_interval_encloses(x, y):
-    mp.prec = 80
     for op_name in ("+", "-", "*"):
-        interval = INTERVAL_OPS[op_name](Interval.point(x), Interval.point(y))
-        true = _MP_OPS[op_name](mpf(x), mpf(y))
-        assert interval.err or interval.lo <= true <= interval.hi
+        interval = INTERVAL_OPS[op_name](Interval.point(x), Interval.point(y), 80)
+        with mp.workprec(120):
+            true = _MP_OPS[op_name](mpf(x), mpf(y))
+        assert interval.err or interval.contains(true._mpf_)
 
 
 # --- e-graph congruence under random unions ------------------------------------------

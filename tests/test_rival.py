@@ -2,15 +2,27 @@
 
 import math
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf
+from mpmath.libmp import (
+    fnone,
+    fone,
+    from_float,
+    fzero,
+    mpf_add,
+    mpf_e,
+    mpf_le,
+    mpf_lt,
+    mpf_mul,
+    mpf_sin,
+    mpf_sub,
+)
 
 from repro.ir import parse_expr
 from repro.rival import DomainError, Interval, PrecisionExhausted, RivalEvaluator
 from repro.rival.interval import (
+    exact,
     iadd,
     icos,
     idiv,
@@ -25,90 +37,96 @@ from repro.rival.interval import (
     itan,
 )
 
+#: Working precision for the interval-operation tests (the ladder's first rung).
+P = 80
+
+
+def iv(lo, hi) -> Interval:
+    """The interval between two numbers, both taken exactly."""
+    return Interval(exact(lo), exact(hi))
+
 
 class TestIntervalBasics:
     def test_point(self):
-        iv = Interval.point(1.5)
-        assert iv.is_point()
-        assert iv.contains(1.5)
+        point = Interval.point(1.5)
+        assert point.is_point()
+        assert point.contains(1.5)
 
     def test_error_flag(self):
         assert Interval.error().err
 
     def test_inverted_raises(self):
         with pytest.raises(ValueError):
-            Interval(2, 1)
+            iv(2, 1)
 
     def test_contains_zero(self):
-        assert Interval(-1, 1).contains_zero()
-        assert not Interval(1, 2).contains_zero()
+        assert iv(-1, 1).contains_zero()
+        assert not iv(1, 2).contains_zero()
 
 
 class TestIntervalOps:
-    def setup_method(self):
-        mp.prec = 80
-
     def test_add_encloses(self):
-        out = iadd(Interval.point(0.1), Interval.point(0.2))
-        assert out.contains(mpf(0.1) + mpf(0.2))  # exact sum of the doubles
+        out = iadd(Interval.point(0.1), Interval.point(0.2), P)
+        assert out.contains(mpf_add(exact(0.1), exact(0.2)))  # exact sum of the doubles
 
     def test_sub_orientation(self):
-        out = isub(Interval(0, 1), Interval(0, 1))
-        assert out.lo <= -1 + 1e-9 and out.hi >= 1 - 1e-9
+        out = isub(iv(0, 1), iv(0, 1), P)
+        assert mpf_le(out.lo, exact(-1 + 1e-9)) and mpf_le(exact(1 - 1e-9), out.hi)
 
     def test_mul_sign_cases(self):
-        out = imul(Interval(-2, 3), Interval(-5, 1))
+        out = imul(iv(-2, 3), iv(-5, 1), P)
         assert out.contains(-15) and out.contains(10)
 
     def test_div_by_zero_interval_errs(self):
-        assert idiv(Interval.point(1), Interval(-1, 1)).err
+        assert idiv(Interval.point(1), iv(-1, 1), P).err
 
     def test_div_exact_zero_errs(self):
-        assert idiv(Interval.point(1), Interval.point(0)).err
+        assert idiv(Interval.point(1), Interval.point(0), P).err
 
     def test_sqrt_domain(self):
-        assert isqrt(Interval(-1, 1)).err
-        assert not isqrt(Interval(0, 4)).err
+        assert isqrt(iv(-1, 1), P).err
+        assert not isqrt(iv(0, 4), P).err
 
     def test_log_domain(self):
-        assert ilog(Interval(-1, 1)).err
-        assert ilog(Interval.point(0)).err
+        assert ilog(iv(-1, 1), P).err
+        assert ilog(Interval.point(0), P).err
 
     def test_exp_monotone(self):
-        out = iexp(Interval(0, 1))
-        assert out.contains(1) and out.contains(mpmath.e)
+        out = iexp(iv(0, 1), P)
+        assert out.contains(1) and out.contains(mpf_e(P, "n"))
 
     def test_fabs_straddling(self):
-        out = ifabs(Interval(-3, 2))
-        assert out.lo == 0 and out.contains(3)
+        out = ifabs(iv(-3, 2), P)
+        assert out.lo == fzero and out.contains(3)
 
     def test_sin_width_clamps(self):
-        out = isin(Interval(0, 100))
-        assert out.lo == -1 and out.hi == 1
+        out = isin(iv(0, 100), P)
+        assert out.lo == fnone and out.hi == fone
 
     def test_sin_includes_max(self):
-        out = isin(Interval(1, 2))  # contains pi/2
-        assert out.hi == 1
+        out = isin(iv(1, 2), P)  # contains pi/2
+        assert out.hi == fone
 
     def test_sin_narrow(self):
-        out = isin(Interval.point(0.5))
-        assert out.contains(mpmath.sin(mpf("0.5")))
-        assert out.width() < mpf(2) ** -60
+        out = isin(Interval.point(0.5), P)
+        assert out.contains(mpf_sin(from_float(0.5), P, "n"))
+        assert mpf_lt(mpf_sub(out.hi, out.lo), exact(2.0**-60))
 
     def test_cos_at_zero(self):
-        out = icos(Interval.point(0))
+        out = icos(Interval.point(0), P)
         assert out.contains(1)
 
     def test_tan_asymptote(self):
-        assert itan(Interval(1, 2)).err  # pi/2 inside
+        assert itan(iv(1, 2), P).err  # pi/2 inside
 
     def test_pow_integer_even(self):
-        out = ipow(Interval(-2, 1), Interval.point(2))
-        assert out.lo <= 0 <= out.lo + 1e-9 or out.lo == 0
+        out = ipow(iv(-2, 1), Interval.point(2), P)
+        assert (mpf_le(out.lo, fzero) and mpf_le(fzero, mpf_add(out.lo, exact(1e-9)))
+                or out.lo == fzero)
         assert out.contains(4)
 
     def test_pow_negative_base_noninteger_errs(self):
-        assert ipow(Interval(-2, -1), Interval.point(0.5)).err
+        assert ipow(iv(-2, -1), Interval.point(0.5), P).err
 
 
 # --- hypothesis: enclosure property over random points ---------------------------------
@@ -121,18 +139,40 @@ _reasonable = st.floats(
 @given(_reasonable, _reasonable)
 @settings(max_examples=60, deadline=None)
 def test_interval_mul_encloses_true_product(x, y):
-    mp.prec = 80
-    out = imul(Interval.point(x), Interval.point(y))
-    true = mpf(x) * mpf(y)
-    assert out.err or (out.lo <= true <= out.hi)
+    out = imul(Interval.point(x), Interval.point(y), P)
+    assert out.err or out.contains(mpf_mul(exact(x), exact(y)))  # the exact product
 
 
 @given(st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))
 @settings(max_examples=60, deadline=None)
 def test_interval_log_exp_roundtrip_encloses(x):
-    mp.prec = 80
-    out = iexp(ilog(Interval.point(x)))
-    assert out.err or (out.lo <= mpf(x) <= out.hi)
+    out = iexp(ilog(Interval.point(x), P), P)
+    assert out.err or out.contains(x)
+
+
+class TestWideIntegerLiterals:
+    """Integer literals enter the ladder exactly, however many bits they
+    have, so the ladder and the dd rung agree on them."""
+
+    CASES = [
+        # 10**40 has 133 significant bits; x is the double nearest it.
+        ("(- x 1e40)", 1e40, 3.037860284270037e23),
+        # 2**300 + 1, where x is 2**300.
+        ("(- 2037035976334486086268445688409378161051468393665936250636140449354381299763336706183397377 x)",
+         2.0**300, 1.0),
+    ]
+
+    @pytest.mark.parametrize("backend", ["numpy", "mpmath"])
+    @pytest.mark.parametrize("text,x,expected", CASES)
+    def test_value_on_both_backends(self, backend, text, x, expected):
+        from repro.rival.backends import make_backend
+
+        oracle = make_backend(backend)
+        expr = parse_expr(text)
+        (batched,) = oracle.eval_batch(expr, [{"x": x}])
+        assert batched.ok
+        for value in (oracle.eval(expr, {"x": x}), batched.value):
+            assert float.hex(value) == float.hex(expected)
 
 
 class TestRivalEvaluator:
