@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from ..deadline import check_deadline
 from ..formats import FloatFormat, get_format
+from ..ir.expr import App, Num, Var
 from ..ir.fpcore import FPCore
 from ..rival.eval import RivalEvaluator
 
@@ -73,53 +74,52 @@ def _collect_ranges(pre, arguments: tuple[str, ...]) -> dict[str, _VarRange]:
     """Extract conservative per-variable bounds from a conjunction of
     comparisons (bounds are a sampling heuristic only — the full
     precondition is still checked on every candidate point)."""
-    from ..ir.expr import App, Num, Var
-
     ranges = {name: _VarRange() for name in arguments}
-
-    def visit(node) -> None:
-        if not isinstance(node, App):
-            return
-        if node.op == "and":
-            for arg in node.args:
-                visit(arg)
-            return
-        if node.op not in ("<", "<=", ">", ">="):
-            return
-        left, right = node.args
-        if node.op in (">", ">="):
-            left, right = right, left  # normalize to "left < right"
-        # left < right with combinations of Var / Num / (fabs Var)
-        if isinstance(left, Num) and isinstance(right, Var):
-            r = ranges.get(right.name)
-            if r is not None:
-                r.lo = max(r.lo, float(left.value))
-        elif isinstance(left, Var) and isinstance(right, Num):
-            r = ranges.get(left.name)
-            if r is not None:
-                r.hi = min(r.hi, float(right.value))
-        elif (
-            isinstance(left, Num)
-            and isinstance(right, App)
-            and right.op == "fabs"
-            and isinstance(right.args[0], Var)
-        ):
-            r = ranges.get(right.args[0].name)
-            if r is not None:
-                r.mag_lo = max(r.mag_lo, float(left.value))
-        elif (
-            isinstance(left, App)
-            and left.op == "fabs"
-            and isinstance(left.args[0], Var)
-            and isinstance(right, Num)
-        ):
-            r = ranges.get(left.args[0].name)
-            if r is not None:
-                r.mag_hi = min(r.mag_hi, float(right.value))
-
     if pre is not None:
-        visit(pre)
+        _visit_bounds(pre, ranges)
     return ranges
+
+
+def _visit_bounds(node, ranges: dict[str, _VarRange]) -> None:
+    """Tighten ``ranges`` by the comparisons of the conjunction ``node``."""
+    if not isinstance(node, App):
+        return
+    if node.op == "and":
+        for arg in node.args:
+            _visit_bounds(arg, ranges)
+        return
+    if node.op not in ("<", "<=", ">", ">="):
+        return
+    left, right = node.args
+    if node.op in (">", ">="):
+        left, right = right, left  # normalize to "left < right"
+    # left < right with combinations of Var / Num / (fabs Var)
+    if isinstance(left, Num) and isinstance(right, Var):
+        r = ranges.get(right.name)
+        if r is not None:
+            r.lo = max(r.lo, float(left.value))
+    elif isinstance(left, Var) and isinstance(right, Num):
+        r = ranges.get(left.name)
+        if r is not None:
+            r.hi = min(r.hi, float(right.value))
+    elif (
+        isinstance(left, Num)
+        and isinstance(right, App)
+        and right.op == "fabs"
+        and isinstance(right.args[0], Var)
+    ):
+        r = ranges.get(right.args[0].name)
+        if r is not None:
+            r.mag_lo = max(r.mag_lo, float(left.value))
+    elif (
+        isinstance(left, App)
+        and left.op == "fabs"
+        and isinstance(left.args[0], Var)
+        and isinstance(right, Num)
+    ):
+        r = ranges.get(left.args[0].name)
+        if r is not None:
+            r.mag_hi = min(r.mag_hi, float(right.value))
 
 
 def _ordinal_bounds(

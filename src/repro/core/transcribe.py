@@ -66,44 +66,55 @@ def transcribe(
     Raises :class:`Untranscribable` when some operation is fundamentally
     missing on the target (even after desugaring fallbacks).
     """
-    index = target.direct_index()
+    return _lower(expr, 0, target, target.direct_index(), ty, allow_fallbacks)
 
-    def lower(node: Expr, depth: int = 0) -> Expr:
-        if depth > 40:
-            raise Untranscribable("fallback expansion did not terminate")
-        if not isinstance(node, App):
-            return node
-        if node.op == "if":
-            return App("if", (
-                lower_condition(node.args[0], depth),
-                lower(node.args[1], depth),
-                lower(node.args[2], depth),
+
+def _lower(
+    node: Expr, depth: int, target: Target, index, ty: str, allow_fallbacks: bool
+) -> Expr:
+    if depth > 40:
+        raise Untranscribable("fallback expansion did not terminate")
+    if not isinstance(node, App):
+        return node
+    if node.op == "if":
+        return App("if", (
+            _lower_condition(node.args[0], depth, target, index, ty, allow_fallbacks),
+            _lower(node.args[1], depth, target, index, ty, allow_fallbacks),
+            _lower(node.args[2], depth, target, index, ty, allow_fallbacks),
+        ))
+    direct = index.get((node.op, ty))
+    if direct is not None:
+        return App(direct.name, tuple(
+            _lower(a, depth, target, index, ty, allow_fallbacks) for a in node.args
+        ))
+    fallback = _FALLBACKS.get(node.op)
+    if allow_fallbacks and fallback is not None:
+        template = parse_expr(fallback)
+        bindings = dict(zip(_PARAMS, node.args))
+        return _lower(template.substitute(bindings), depth + 1,
+                      target, index, ty, allow_fallbacks)
+    raise Untranscribable(
+        f"target {target.name} has no implementation of {node.op!r} at {ty}"
+    )
+
+
+def _lower_condition(
+    node: Expr, depth: int, target: Target, index, ty: str, allow_fallbacks: bool
+) -> Expr:
+    if isinstance(node, App):
+        if node.op in COMPARISON_OPS:
+            return App(node.op, tuple(
+                _lower(a, depth, target, index, ty, allow_fallbacks)
+                for a in node.args
             ))
-        direct = index.get((node.op, ty))
-        if direct is not None:
-            return App(direct.name, tuple(lower(a, depth) for a in node.args))
-        fallback = _FALLBACKS.get(node.op)
-        if allow_fallbacks and fallback is not None:
-            template = parse_expr(fallback)
-            bindings = dict(zip(_PARAMS, node.args))
-            return lower(template.substitute(bindings), depth + 1)
-        raise Untranscribable(
-            f"target {target.name} has no implementation of {node.op!r} at {ty}"
-        )
-
-    def lower_condition(node: Expr, depth: int) -> Expr:
-        if isinstance(node, App):
-            if node.op in COMPARISON_OPS:
-                return App(node.op, tuple(lower(a, depth) for a in node.args))
-            if node.op in ("and", "or", "not"):
-                return App(
-                    node.op, tuple(lower_condition(a, depth) for a in node.args)
-                )
-        if isinstance(node, Const):
-            return node
-        raise Untranscribable(f"cannot lower condition {node!r}")
-
-    return lower(expr)
+        if node.op in ("and", "or", "not"):
+            return App(node.op, tuple(
+                _lower_condition(a, depth, target, index, ty, allow_fallbacks)
+                for a in node.args
+            ))
+    if isinstance(node, Const):
+        return node
+    raise Untranscribable(f"cannot lower condition {node!r}")
 
 
 def transcribe_with_poly(
@@ -122,46 +133,52 @@ def transcribe_with_poly(
         return transcribe(expr, target, ty)
     except Untranscribable:
         pass
-    from .series import series_candidates
+    return _lower_poly(expr, target, target.direct_index(), ty, degree)
 
-    index = target.direct_index()
 
-    def lower(node: Expr) -> Expr:
-        try:
-            return transcribe(node, target, ty)
-        except Untranscribable:
-            pass
-        if isinstance(node, App):
-            direct = index.get((node.op, ty))
-            if node.op == "if":
-                return App("if", (
-                    _lower_condition(node.args[0]),
-                    lower(node.args[1]),
-                    lower(node.args[2]),
-                ))
-            if direct is not None:
-                # The operator itself is fine: the failure is in a child.
-                return App(direct.name, tuple(lower(a) for a in node.args))
-            for candidate in series_candidates(node, degree=degree):
-                try:
-                    return transcribe(candidate, target, ty)
-                except Untranscribable:
-                    continue
-        raise Untranscribable(
-            f"target {target.name}: no implementation or polynomial "
-            f"approximation for {node!r}"
-        )
+def _lower_poly(node: Expr, target: Target, index, ty: str, degree: int) -> Expr:
+    try:
+        return transcribe(node, target, ty)
+    except Untranscribable:
+        pass
+    if isinstance(node, App):
+        direct = index.get((node.op, ty))
+        if node.op == "if":
+            return App("if", (
+                _lower_poly_condition(node.args[0], target, index, ty, degree),
+                _lower_poly(node.args[1], target, index, ty, degree),
+                _lower_poly(node.args[2], target, index, ty, degree),
+            ))
+        if direct is not None:
+            # The operator itself is fine: the failure is in a child.
+            return App(direct.name, tuple(
+                _lower_poly(a, target, index, ty, degree) for a in node.args
+            ))
+        from .series import series_candidates
 
-    def _lower_condition(cond: Expr) -> Expr:
-        from ..ir.ops import COMPARISON_OPS
+        for candidate in series_candidates(node, degree=degree):
+            try:
+                return transcribe(candidate, target, ty)
+            except Untranscribable:
+                continue
+    raise Untranscribable(
+        f"target {target.name}: no implementation or polynomial "
+        f"approximation for {node!r}"
+    )
 
-        if isinstance(cond, App) and cond.op in COMPARISON_OPS:
-            return App(cond.op, tuple(lower(a) for a in cond.args))
-        if isinstance(cond, App) and cond.op in ("and", "or", "not"):
-            return App(cond.op, tuple(_lower_condition(a) for a in cond.args))
-        return cond
 
-    return lower(expr)
+def _lower_poly_condition(
+    cond: Expr, target: Target, index, ty: str, degree: int
+) -> Expr:
+    if isinstance(cond, App) and cond.op in COMPARISON_OPS:
+        return App(cond.op, tuple(
+            _lower_poly(a, target, index, ty, degree) for a in cond.args
+        ))
+    if isinstance(cond, App) and cond.op in ("and", "or", "not"):
+        return App(cond.op, tuple(
+            _lower_poly_condition(a, target, index, ty, degree) for a in cond.args
+        ))
+    return cond
 
 
 def transcribable(expr: Expr, target: Target, ty: str = F64) -> bool:

@@ -30,28 +30,43 @@ _LIGHT_LIMITS = RunnerLimits(max_iterations=3, max_nodes=1200, max_matches_per_r
 def infer_types(program: Expr, target: Target, ty: str = F64) -> dict[Path, str]:
     """The float format of every value node of a well-typed float program."""
     types: dict[Path, str] = {}
-
-    def visit(expr: Expr, path: Path, expected: str) -> None:
-        types[path] = expected
-        if not isinstance(expr, App):
-            return
-        if expr.op == "if":
-            visit(expr.args[0], path + (0,), expected)
-            visit(expr.args[1], path + (1,), expected)
-            visit(expr.args[2], path + (2,), expected)
-            return
-        opdef = target.operators.get(expr.op)
-        if opdef is None:
-            # Predicate/comparison: operands default to the program format.
-            for i, arg in enumerate(expr.args):
-                visit(arg, path + (i,), expected)
-            return
-        types[path] = opdef.ret_type
-        for i, (arg, arg_ty) in enumerate(zip(expr.args, opdef.arg_types)):
-            visit(arg, path + (i,), arg_ty)
-
-    visit(program, (), ty)
+    _visit_types(program, (), ty, target, types)
     return types
+
+
+def _visit_types(
+    expr: Expr, path: Path, expected: str, target: Target, types: dict[Path, str]
+) -> None:
+    types[path] = expected
+    if not isinstance(expr, App):
+        return
+    if expr.op == "if":
+        for i in range(3):
+            _visit_types(expr.args[i], path + (i,), expected, target, types)
+        return
+    opdef = target.operators.get(expr.op)
+    if opdef is None:
+        # Predicate/comparison: operands default to the program format.
+        for i, arg in enumerate(expr.args):
+            _visit_types(arg, path + (i,), expected, target, types)
+        return
+    types[path] = opdef.ret_type
+    for i, (arg, arg_ty) in enumerate(zip(expr.args, opdef.arg_types)):
+        _visit_types(arg, path + (i,), arg_ty, target, types)
+
+
+def _insert(
+    expr: Expr, path: Path, egraph: EGraph, class_of: dict[Path, int]
+) -> int:
+    """Add ``expr`` to ``egraph``, recording the class of every subexpression."""
+    if isinstance(expr, App):
+        args = [_insert(a, path + (i,), egraph, class_of)
+                for i, a in enumerate(expr.args)]
+        cid = egraph.add_node(expr.op, tuple(args))
+    else:
+        cid = egraph.add_expr(expr)
+    class_of[path] = cid
+    return cid
 
 
 def cost_opportunities(
@@ -73,17 +88,7 @@ def cost_opportunities(
 
     egraph = EGraph()
     class_of: dict[Path, int] = {}
-
-    def insert(expr: Expr, path: Path) -> int:
-        if isinstance(expr, App):
-            args = [insert(a, path + (i,)) for i, a in enumerate(expr.args)]
-            cid = egraph.add_node(expr.op, tuple(args))
-        else:
-            cid = egraph.add_expr(expr)
-        class_of[path] = cid
-        return cid
-
-    insert(program, ())
+    _insert(program, (), egraph, class_of)
     rules = list(opportunity_rules()) + target.desugar_rules()
     run_rules(egraph, rules, limits)
 

@@ -182,41 +182,42 @@ class _Generator:
         nodes are looked up in post-order, each once all earlier ones were
         found (an absent leaf or node means the match is not applied)."""
         lookups: list[str] = []
-
-        def post(node: Expr) -> str:
-            if not isinstance(node, App):
-                return self.local(node)
-            args = _tuple([post(arg) for arg in node.args])
-            lookups.append(f"hc.get(({self.const(node.op)}, {args}))")
-            return f"find(r{len(lookups) - 1})"
-
-        root = post(rhs)
+        root = self.lookup(rhs, lookups)
         for index, lookup in enumerate(lookups):
             self.emit(depth, f"r{index} = {lookup}",
                       f"if r{index} is not None:")
             depth += 1
         self.emit(depth, f"if {root} == c0:", "    continue")
 
+    def lookup(self, node: Expr, lookups: list[str]) -> str:
+        """The expression for ``node``'s class id in the applied check,
+        appending its operator nodes' hashcons lookups in post-order."""
+        if not isinstance(node, App):
+            return self.local(node)
+        args = _tuple([self.lookup(arg, lookups) for arg in node.args])
+        lookups.append(f"hc.get(({self.const(node.op)}, {args}))")
+        return f"find(r{len(lookups) - 1})"
+
     def instantiate(self, rhs: Expr) -> None:
         self.emit(0, "def instantiate(add, subst):")
-        built: dict[str, str] = {}
+        self.emit(1, f"return {self.build(rhs, {})}")
 
-        def post(node: Expr) -> str:
-            if isinstance(node, Var):
-                if node.name not in built:
-                    built[node.name] = f"x{len(self.lines)}"
-                    self.emit(1, f"{built[node.name]} = "
-                                 f"subst[{self.const(node.name)}]")
-                return built[node.name]
-            if isinstance(node, App):
-                head, args = node.op, [post(arg) for arg in node.args]
-            else:
-                head, args = head_of_expr(node), []
-            local = f"x{len(self.lines)}"
-            self.emit(1, f"{local} = add({self.const(head)}, {_tuple(args)})")
-            return local
-
-        self.emit(1, f"return {post(rhs)}")
+    def build(self, node: Expr, built: dict[str, str]) -> str:
+        """Emit the insertion of ``node`` in post-order; returns its local.
+        ``built`` maps each variable already read from ``subst``."""
+        if isinstance(node, Var):
+            if node.name not in built:
+                built[node.name] = f"x{len(self.lines)}"
+                self.emit(1, f"{built[node.name]} = "
+                             f"subst[{self.const(node.name)}]")
+            return built[node.name]
+        if isinstance(node, App):
+            head, args = node.op, [self.build(arg, built) for arg in node.args]
+        else:
+            head, args = head_of_expr(node), []
+        local = f"x{len(self.lines)}"
+        self.emit(1, f"{local} = add({self.const(head)}, {_tuple(args)})")
+        return local
 
 
 def _tuple(items: list[str]) -> str:

@@ -13,7 +13,6 @@ total: domain errors return NaN, overflow returns ±inf.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -85,16 +84,21 @@ def fabs64(a: float) -> float:
 def fma64(a: float, b: float, c: float) -> float:
     """Fused multiply-add: a*b + c with a single rounding.
 
-    Python lacks math.fma before 3.13, so we compute the exact rational
-    result and round once.  Infinities and NaNs short-circuit.
+    Python lacks math.fma before 3.13, so we compute the exact result as
+    one integer ratio and round it once: ``int / int`` is correctly
+    rounded (it is the division ``float(Fraction)`` does), and overflow
+    returns ±inf.  Infinities and NaNs short-circuit.
     """
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         return a * b + c
-    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    na, da = a.as_integer_ratio()
+    nb, db = b.as_integer_ratio()
+    nc, dc = c.as_integer_ratio()
+    n = na * nb * dc + nc * da * db
     try:
-        return float(exact)
+        return n / (da * db * dc)
     except OverflowError:
-        return math.copysign(math.inf, exact)
+        return math.inf if n > 0 else -math.inf
 
 
 def fms64(a: float, b: float, c: float) -> float:

@@ -30,11 +30,18 @@ shared by plain :meth:`~repro.session.ChassisSession.compile` cache misses
 :meth:`shutdown` drains it in ``session.close()``.  Every caller
 dispatches through :meth:`run_batch`, whole compile jobs only; oracle
 work never crosses the pool on its own.
+
+Workers also run their own garbage-collection policy (see
+:func:`run_pooled_job`): each freezes the warm heap it starts with, and
+every job runs with automatic collection off and ends with one
+collection.  The policy stays inside the workers; inline compiles and the
+caller's process keep the default collector.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import multiprocessing
 import threading
 import time
@@ -80,6 +87,25 @@ def _pool_context():
         return multiprocessing.get_context("fork" if single_threaded else "forkserver")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return multiprocessing.get_context()
+
+
+def run_pooled_job(job: BatchJob) -> dict:
+    """Run one job in a worker with automatic collection off, then collect.
+
+    The pipeline makes no reference cycles, so a compile frees its
+    e-graphs by reference counting as it goes; the cyclic collector would
+    only rescan live objects.  The worker froze its inherited warm heap
+    (``gc.freeze`` is the pool initializer), so the one collection at the
+    end of the job sees only what the worker made since.  Only pool
+    workers run this: inline compiles share their process with other
+    threads, and ``gc.disable`` is process-global.
+    """
+    gc.disable()
+    try:
+        return run_job(job)
+    finally:
+        gc.enable()
+        gc.collect()
 
 
 class WorkerPool:
@@ -171,7 +197,9 @@ class WorkerPool:
             # Chosen once for the pool's lifetime: fork when created from a
             # single-threaded main thread, forkserver otherwise.
             self._context = _pool_context()
-        pool = self._context.Pool(processes=self.workers)
+        # Freeze what each worker inherits (or imports) before its first
+        # job: the collections run_pooled_job makes never rescan it.
+        pool = self._context.Pool(processes=self.workers, initializer=gc.freeze)
         self._stale = False
         self.generation += 1
         # multiprocessing.pool keeps its workers in ._pool; there is no
@@ -250,7 +278,7 @@ class WorkerPool:
             batch = [dataclasses.replace(job, timeout=timeout) for job in batch]
         with self._condition:
             pool = self._ensure()
-            pending = [(job, pool.apply_async(run_job, (job,))) for job in batch]
+            pending = [(job, pool.apply_async(run_pooled_job, (job,))) for job in batch]
             self._active += 1
             self._progress_mark = time.monotonic()
         # Collected without the lock: concurrent batches interleave on the

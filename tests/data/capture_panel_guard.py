@@ -51,16 +51,31 @@ def canonical_digest(payload: dict) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def capture() -> dict:
-    rows = []
-    with ChassisSession() as session:
-        for name, target_name in PANEL:
-            result = session.compile(core_named(name), get_target(target_name))
-            rows.append({
-                "benchmark": name,
-                "target": target_name,
-                "payload_sha256": canonical_digest(result_to_dict(result)),
-            })
+def capture(pooled: bool = False) -> dict:
+    """The panel's digests, compiled one by one in this process, or with
+    ``pooled`` in one ``compile_many`` call on a two-worker pool."""
+    if pooled:
+        with ChassisSession(jobs=2) as session:
+            outcomes = session.compile_many(
+                [(core_named(name), target_name) for name, target_name in PANEL]
+            )
+        payloads = [outcome.payload for outcome in outcomes]
+    else:
+        with ChassisSession() as session:
+            payloads = [
+                result_to_dict(
+                    session.compile(core_named(name), get_target(target_name))
+                )
+                for name, target_name in PANEL
+            ]
+    rows = [
+        {
+            "benchmark": name,
+            "target": target_name,
+            "payload_sha256": canonical_digest(payload),
+        }
+        for (name, target_name), payload in zip(PANEL, payloads)
+    ]
     return {"description": __doc__.splitlines()[0], "jobs": rows}
 
 

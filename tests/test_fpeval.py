@@ -1,6 +1,9 @@
 """Tests for float operator implementations and the evaluation machine."""
 
+import itertools
 import math
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,8 +56,6 @@ class TestFMA:
     @given(finite, finite, finite)
     @settings(max_examples=50, deadline=None)
     def test_fma_correctly_rounded(self, a, b, c):
-        from fractions import Fraction
-
         fused = impls.fma64(a, b, c)
         exact = Fraction(a) * Fraction(b) + Fraction(c)
         try:
@@ -65,6 +66,95 @@ class TestFMA:
 
     def test_infinity_passthrough(self):
         assert impls.fma64(math.inf, 1.0, 0.0) == math.inf
+
+    def test_overflow_returns_signed_infinity(self):
+        assert impls.fma64(1e200, 1e200, 0.0) == math.inf
+        assert impls.fma64(-1e200, 1e200, 0.0) == -math.inf
+        assert impls.fms64(1e200, -1e200, 1.0) == -math.inf
+        assert impls.fnma64(1e200, -1e200, 0.0) == math.inf
+        assert impls.fma32(to_f32(1e38), 10.0, 0.0) == math.inf
+
+    @pytest.mark.parametrize("variant", ["fma", "fms", "fnma", "fnms"])
+    def test_variants_match_the_rational_reference(self, variant):
+        """Every variant, in binary64 and binary32, rounds the exact
+        rational result once (binary32 rounds that double once more), bit
+        for bit, over signed zeros, subnormals, huge values and overflow."""
+        signs = {"fma": (1, 1), "fms": (1, -1), "fnma": (-1, 1), "fnms": (-1, -1)}
+        sa, sc = signs[variant]
+        op64 = getattr(impls, f"{variant}64")
+        op32 = getattr(impls, f"{variant}32")
+        for a, b, c in itertools.product(FMA_EDGES_64, repeat=3):
+            want = _fma_reference(sa * a, b, sc * c)
+            assert _bits(op64(a, b, c)) == _bits(want), (variant, a, b, c)
+        for a, b, c in itertools.product(FMA_EDGES_32, repeat=3):
+            want = to_f32(_fma_reference(sa * a, b, sc * c))
+            assert _bits(op32(a, b, c)) == _bits(want), (variant, a, b, c)
+
+
+#: Signed zeros, subnormals, ordinary, huge and overflowing magnitudes.
+FMA_EDGES_64 = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.5e-310,
+    1e-200, 0.1, -1.0, 3.0, 1e200, -1.7976931348623157e308,
+)
+#: The same kinds of value, all binary32-representable.
+FMA_EDGES_32 = tuple(map(to_f32, (
+    0.0, -0.0, 1.401298464324817e-45, -1.1754943508222875e-38, 1e-30,
+    0.1, -1.0, 3.0, 1e19, -3.4028234663852886e38,
+)))
+
+
+def _fma_reference(a: float, b: float, c: float) -> float:
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+_LIBM_DEFECT = (
+    "ROADMAP 'Native operators disagree with libm': impls._total maps every "
+    "ValueError to NaN and every OverflowError to +inf"
+)
+
+
+class TestLibmAgreement:
+    """Where C libm's answer is a signed infinity or a float, the native
+    operators must give the same; these pin the known defects."""
+
+    @pytest.mark.xfail(strict=True, reason=_LIBM_DEFECT)
+    def test_pole_errors_return_signed_infinity(self):
+        assert impls.log64(0.0) == -math.inf
+        assert impls.log1p64(-1.0) == -math.inf
+        assert impls.log264(-0.0) == -math.inf
+        assert impls.log1064(0.0) == -math.inf
+        assert impls.atanh64(1.0) == math.inf
+        assert impls.atanh64(-1.0) == -math.inf
+
+    @pytest.mark.xfail(strict=True, reason=_LIBM_DEFECT)
+    def test_overflow_keeps_its_sign(self):
+        assert impls.sinh64(-1000.0) == -math.inf
+        assert impls.floor64(-math.inf) == -math.inf
+        assert impls.ceil64(-math.inf) == -math.inf
+        assert impls.trunc64(-math.inf) == -math.inf
+        assert impls.pow64(-10.0, 309.0) == -math.inf
+        assert impls.pow64(-10.0, 310.0) == math.inf
+
+    @pytest.mark.xfail(strict=True, reason=_LIBM_DEFECT)
+    def test_rounding_operators_return_floats(self):
+        for op in (impls.floor64, impls.ceil64, impls.trunc64):
+            assert type(op(-2.5)) is float
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP 'Native operators disagree with libm': fma64 rounds "
+        "an exact zero to +0.0 whatever the signs",
+    )
+    def test_fma_of_negative_zeros_is_negative_zero(self):
+        assert math.copysign(1.0, impls.fma64(-0.0, 1.0, -0.0)) == -1.0
 
 
 class TestF32:

@@ -1,9 +1,9 @@
 """Byte-identity guard over the serve and batch benchmark panels.
 
 Recompiles the 12 distinct (core, target) pairs of the perfbench ``serve``
-and ``batch`` panels at the default configuration and compares each
-payload's SHA-256 (``elapsed`` dropped) with
-``tests/data/panel_guard_baseline.json``.  A change that keeps payloads
+and ``batch`` panels at the default configuration, inline and on a
+two-worker pool, and compares each payload's SHA-256 (``elapsed``
+dropped) with ``tests/data/panel_guard_baseline.json``.  A change that keeps payloads
 byte-identical must pass it unchanged, on every oracle backend.
 
 Regenerate the baseline (only when an *intentional* output change lands)
@@ -44,13 +44,15 @@ def test_baseline_covers_the_panel(capture_module, baseline):
     assert len(set(pairs)) == 12
 
 
+def _digests(rows) -> dict:
+    return {(r["benchmark"], r["target"]): r["payload_sha256"] for r in rows}
+
+
 def test_panel_payloads_byte_identical(capture_module, baseline):
-    want = {
-        (r["benchmark"], r["target"]): r["payload_sha256"]
-        for r in baseline["jobs"]
-    }
-    got = {
-        (r["benchmark"], r["target"]): r["payload_sha256"]
-        for r in capture_module.capture()["jobs"]
-    }
-    assert got == want
+    got = _digests(capture_module.capture()["jobs"])
+    assert got == _digests(baseline["jobs"])
+
+
+def test_pooled_panel_payloads_byte_identical(capture_module, baseline):
+    got = _digests(capture_module.capture(pooled=True)["jobs"])
+    assert got == _digests(baseline["jobs"])
