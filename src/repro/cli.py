@@ -387,7 +387,6 @@ def _render_health(payload: dict) -> None:
         {k: v for k, v in stats.items() if not isinstance(v, dict)},
     )
     section("engine", stats.get("engine"))
-    section("oracle lock", stats.get("oracle"))
     section("pooled oracle", stats.get("rival"))
     section("oracle", payload.get("oracle"))
     section("cache", payload.get("cache"))
@@ -452,10 +451,6 @@ def _usable_cpus() -> int:
 def _cmd_serve(args) -> int:
     from .service.server import serve
 
-    if args.timeout is not None and args.timeout <= 0:
-        raise SystemExit("--timeout must be positive (seconds)")
-    if args.jobs < 1:
-        raise SystemExit("--jobs must be >= 1")
     session = ChassisSession(
         config=CompileConfig(iterations=args.iterations),
         sample_config=SampleConfig(
@@ -482,8 +477,20 @@ def _int_at_least(bound: int):
     return parse
 
 
-_positive_int = _int_at_least(1)  # --points, report --benchmarks
+_positive_int = _int_at_least(1)  # --points, --jobs, report --benchmarks
 _non_negative_int = _int_at_least(0)  # --iterations
+
+
+def _positive_float(text: str) -> float:
+    """The argparse ``type`` of ``--timeout``: seconds > 0, else a usage
+    error (exit 2)."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
+_positive_float.__name__ = "float"  # argparse: "invalid float value"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -523,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compile.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes; >= 2 fans benchmarks out over a pool and "
         "merges their traces/counters back into the session",
@@ -533,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="write a Chrome trace-event JSON timeline of every compile "
-        "(phases, e-graph search/apply, oracle wait/hold) to PATH; "
+        "(phases, improvement iterations, e-graph search/apply) to PATH; "
         "load it in Perfetto or chrome://tracing",
     )
     p_compile.set_defaults(fn=_cmd_compile)
@@ -559,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="c99",
         help="comma-separated target names (default: c99)",
     )
-    p_batch.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_batch.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
     p_batch.add_argument(
         "--cache-dir",
         default=None,
@@ -567,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument(
         "--timeout",
-        type=float,
+        type=_positive_float,
         default=None,
         help="per-job compile timeout in seconds",
     )
@@ -593,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=_usable_cpus(),
         help="width of the persistent worker pool that runs cold /compile "
         "and /batch work (default: the usable CPU count; 1 compiles inline "
@@ -601,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--timeout",
-        type=float,
+        type=_positive_float,
         default=None,
         help="per-job compile timeout in seconds; binds pool workers and "
         "inline compiles in handler threads alike (clients may override "
@@ -747,8 +754,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--iterations", type=_non_negative_int, default=1,
                           help="improvement-loop iterations")
     p_report.add_argument("--seed", type=int, default=20250401)
-    p_report.add_argument("--jobs", type=int, default=1, help="worker-pool width")
-    p_report.add_argument("--timeout", type=float, default=None,
+    p_report.add_argument("--jobs", type=_positive_int, default=1,
+                          help="worker-pool width")
+    p_report.add_argument("--timeout", type=_positive_float, default=None,
                           help="per-compilation timeout in seconds")
     p_report.add_argument(
         "--smoke", action="store_true",

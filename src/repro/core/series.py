@@ -14,24 +14,42 @@ the caller lowers them through instruction selection or transcription.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath.libmp import NoConvergence, from_str
 
 from ..ir.expr import Expr, Num, Var, add, div, mul
 from ..targets.synth import mp_eval
 
 #: Working precision for numerical differentiation.
 _SERIES_PREC = 160
-#: Coefficients smaller than this (relative to the largest) are dropped.
-_COEFF_CUTOFF = mpf("1e-40")
+#: Coefficients smaller than this (relative to the largest) are dropped
+#: (a raw libmp value: 1e-40 rounded to 53 bits).
+_COEFF_CUTOFF = from_str("1e-40", 53, "n")
+#: Idle private mpmath contexts.  Each expansion borrows one, so
+#: concurrent expansions never share precision state, and contexts
+#: outlive the (often short-lived request) threads that used them.
+_CONTEXTS: list[mpmath.MPContext] = []
 
 
-def _to_number(coeff: mpf) -> Fraction | None:
+@contextmanager
+def _private_context():
+    """Borrow an idle private mpmath context at the series precision."""
+    try:
+        ctx = _CONTEXTS.pop()
+    except IndexError:
+        ctx = mpmath.MPContext()
+    try:
+        with ctx.workprec(_SERIES_PREC):
+            yield ctx
+    finally:
+        _CONTEXTS.append(ctx)
+
+
+def _to_number(coeff) -> Fraction | None:
     """Convert an mpf coefficient to an exact literal (via nearest double)."""
-    if not mpmath.isfinite(coeff):
-        return None
     try:
         value = float(coeff)
     except (OverflowError, ValueError):
@@ -63,39 +81,41 @@ def taylor_coeffs(
     infinity, which often have a pole on the other side).  Returns None
     when the expression is singular there or differentiation fails.
     """
-    with mp.workprec(_SERIES_PREC):
+    with _private_context() as ctx:
         def fn(t):
             try:
-                return mp_eval(real_expr, {var: mpf(around) + t})
+                return mp_eval(real_expr, {var: ctx.mpf(around) + t}, ctx)
             except (ValueError, ZeroDivisionError, KeyError):
                 if t == 0:
                     # Removable singularity at the expansion point (common
                     # for at-infinity expansions like (sqrt(1+u^2)-1)/u):
                     # take the limit from the valid side(s).
-                    h = mpf(2) ** (-_SERIES_PREC // 3)
+                    h = ctx.mpf(2) ** (-_SERIES_PREC // 3)
                     sides = {1: (h,), -1: (-h,), 0: (-h, h)}[direction]
                     try:
                         values = [
-                            mp_eval(real_expr, {var: mpf(around) + s}) for s in sides
+                            mp_eval(real_expr, {var: ctx.mpf(around) + s}, ctx)
+                            for s in sides
                         ]
                         gap = max(values) - min(values)
                         scale = 1 + max(abs(v) for v in values)
-                        if gap < scale * mpf(2) ** (-_SERIES_PREC // 8):
+                        if gap < scale * ctx.mpf(2) ** (-_SERIES_PREC // 8):
                             return sum(values) / len(values)
                     except (ValueError, ZeroDivisionError, KeyError):
                         pass
-                raise mpmath.libmp.NoConvergence("singular")
+                raise NoConvergence("singular")
 
         try:
-            raw = mpmath.taylor(fn, 0, degree, direction=direction)
+            raw = ctx.taylor(fn, 0, degree, direction=direction)
         except Exception:
             return None
-        biggest = max((abs(c) for c in raw), default=mpf(0))
-        if biggest == 0 or not mpmath.isfinite(biggest):
+        biggest = max((abs(c) for c in raw), default=ctx.zero)
+        if biggest == 0 or not ctx.isfinite(biggest):
             return None
+        cutoff = biggest * ctx.make_mpf(_COEFF_CUTOFF)
         coeffs = []
         for c in raw:
-            if abs(c) < biggest * _COEFF_CUTOFF:
+            if abs(c) < cutoff:
                 coeffs.append(Fraction(0))
                 continue
             converted = _to_number(c)

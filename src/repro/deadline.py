@@ -72,25 +72,6 @@ def deadline(seconds: float | None):
         _STATE.deadline = previous
 
 
-@contextmanager
-def deadline_suspended():
-    """Exclude the enclosed wait from this thread's deadline.
-
-    Oracle-lock acquisitions now happen *inside* armed deadline regions
-    (backends take the mpmath-rung lock mid-sample), but the PR-3
-    contract stands: a deadline measures compute, not time spent queueing
-    behind other threads.  On exit, the current deadline (if any) is
-    shifted forward by the elapsed time, so the wait is budget-neutral.
-    """
-    start = time.monotonic()
-    try:
-        yield
-    finally:
-        dl = getattr(_STATE, "deadline", None)
-        if dl is not None:
-            _STATE.deadline = dl + (time.monotonic() - start)
-
-
 def check_deadline() -> None:
     """Raise :class:`DeadlineExceeded` if this thread's deadline passed.
 

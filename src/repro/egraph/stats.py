@@ -9,8 +9,8 @@ session arms a sink around each pipeline run and folds the result into
 matches found/applied, rule searches and why each saturation stopped —
 without any engine API threading a stats object through every call site.
 
-The sink is thread-local (compilations are serialized per thread by the
-session's oracle lock).  A job compiled by
+The sink is thread-local, so concurrent compilations on different
+threads count into their own sinks.  A job compiled by
 :func:`~repro.service.scheduler.run_job` — in a worker process or inline —
 arms its own sink and ships the counters home as a dict on
 ``JobOutcome.engine``, which the session folds into its totals.

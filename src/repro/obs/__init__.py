@@ -13,7 +13,7 @@ Two complementary halves, both engineered to be near-zero-cost when off:
 Instrumented layers: the six pipeline phases (``core/pipeline.py``),
 improvement-loop iterations (``core/loop``), ``run_rules`` search/apply
 (``egraph/runner``), oracle
-lock wait-vs-hold and evaluation counts (``session``, ``rival/eval``),
+evaluation counts (``rival/eval``, ``rival/backends``),
 the exec build/run/validate path, and serve request handling.  Pooled
 compile jobs ship their spans and engine counters back through
 ``JobOutcome``, so ``/health`` and ``--trace`` cover ``jobs >= 2``

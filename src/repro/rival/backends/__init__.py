@@ -59,18 +59,16 @@ def make_backend(
     name: str | None = None,
     *,
     evaluator: RivalEvaluator | None = None,
-    lock=None,
 ) -> OracleBackend:
     """Build the oracle backend for ``name`` (None: environment, then auto).
 
     ``evaluator`` is the shared escalation ladder (a fresh one when
-    omitted); ``lock`` is a zero-arg callable returning a context manager
-    serializing the process-global mpmath rung (sessions pass their
-    instrumented oracle section).
+    omitted).  Backends hold no process-global state, so one may serve
+    several threads at once.
     """
     resolved = resolve_backend_name(name)
     evaluator = evaluator if evaluator is not None else RivalEvaluator()
-    ladder = MpmathBackend(evaluator, lock=lock)
+    ladder = MpmathBackend(evaluator)
     if resolved == "mpmath":
         return ladder
     return NumpyBackend(ladder)

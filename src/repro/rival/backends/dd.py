@@ -82,9 +82,19 @@ from collections import OrderedDict
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath
 import numpy as np
-from mpmath import mp, mpf
+from mpmath.libmp import (
+    fone,
+    from_float,
+    from_int,
+    mpf_div,
+    mpf_e,
+    mpf_log,
+    mpf_pi,
+    mpf_shift,
+    mpf_sub,
+    to_float,
+)
 
 from ...formats import UnknownFormatError, get_format
 from ...ir.expr import App, Const, Expr, Num, Var
@@ -297,9 +307,14 @@ def _lt_zero(a):
 # --- dd constants and series coefficients -------------------------------------
 
 
+#: Working precision of the dd constants, rounded to nearest.
+_CONST_PREC = 200
+
+
 def _const_mp(x) -> tuple[float, float]:
-    hi = float(x)
-    return hi, float(x - mpf(hi))
+    """A raw libmp value as a double-double ``(hi, lo)``."""
+    hi = to_float(x, rnd="n")
+    return hi, to_float(mpf_sub(x, from_float(hi), _CONST_PREC, "n"), rnd="n")
 
 
 def _const_frac(frac: Fraction) -> tuple[float, float]:
@@ -307,14 +322,19 @@ def _const_frac(frac: Fraction) -> tuple[float, float]:
     return hi, float(frac - Fraction(hi))
 
 
-with mp.workprec(200):
-    _PI = _const_mp(mpmath.pi)
-    _E = _const_mp(mpmath.e)
-    _PI_2 = _const_mp(mpmath.pi / 2)
-    _LN2 = _const_mp(mpmath.ln(2))
-    _INV_LN2 = _const_mp(1 / mpmath.ln(2))
-    _INV_LN10 = _const_mp(1 / mpmath.ln(10))
-    _TWO_OVER_PI_F = float(2 / mpmath.pi)
+_PI_MP = mpf_pi(_CONST_PREC, "n")
+_LN2_MP = mpf_log(from_int(2), _CONST_PREC, "n")
+_PI = _const_mp(_PI_MP)
+_E = _const_mp(mpf_e(_CONST_PREC, "n"))
+_PI_2 = _const_mp(mpf_shift(_PI_MP, -1))
+_LN2 = _const_mp(_LN2_MP)
+_INV_LN2 = _const_mp(mpf_div(fone, _LN2_MP, _CONST_PREC, "n"))
+_INV_LN10 = _const_mp(
+    mpf_div(fone, mpf_log(from_int(10), _CONST_PREC, "n"), _CONST_PREC, "n")
+)
+_TWO_OVER_PI_F = to_float(
+    mpf_div(from_int(2), _PI_MP, _CONST_PREC, "n"), rnd="n"
+)
 
 #: expm1(r) = r * Q(r) with Q(r) = sum r^j / (j+1)!; 25 terms keep the
 #: truncation below 2**-118 on |r| <= ln(2)/2.

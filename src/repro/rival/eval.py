@@ -15,6 +15,7 @@ A point's variables are converted once and shared by every rung.
 from __future__ import annotations
 
 import math
+import threading
 
 from mpmath.libmp import (
     finf, fnan, mpf_eq, mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_pos, to_float,
@@ -165,15 +166,15 @@ class RivalEvaluator:
 
     def __init__(self, precisions: tuple[int, ...] = DEFAULT_PRECISIONS):
         self.precisions = precisions
-        #: Correctly-rounded evaluations performed by this evaluator.
-        #: Plain ints, not locked: in-process callers serialize on the
-        #: session's oracle lock, and per-worker instances are
-        #: single-threaded — their counts travel home as
+        #: Correctly-rounded evaluations performed by this evaluator,
+        #: bumped under ``_counts_lock``: a session's evaluator serves
+        #: several threads at once.  Per-worker counts travel home as
         #: ``JobOutcome.oracle`` deltas and merge into
         #: ``SessionStats.rival`` under the session lock.
         self.evals = 0
         #: Evaluations that needed more than the lowest working precision.
         self.escalations = 0
+        self._counts_lock = threading.Lock()
 
     def eval(self, expr: Expr, point: dict[str, float], ty: str = F64) -> float:
         """The correctly rounded value of ``expr`` at ``point`` in format ``ty``.
@@ -182,7 +183,8 @@ class RivalEvaluator:
         point, and :class:`PrecisionExhausted` when the enclosure will not
         converge (e.g. comparing identical quantities for equality).
         """
-        self.evals += 1
+        with self._counts_lock:
+            self.evals += 1
         last_issue = "did not converge"
         run = _Pass(point)
         for index, prec in enumerate(self.precisions):
@@ -198,7 +200,8 @@ class RivalEvaluator:
             hi = round_to_format(result.hi, ty)
             if lo == hi:
                 if index:
-                    self.escalations += 1
+                    with self._counts_lock:
+                        self.escalations += 1
                 return lo
         if last_issue == "possible domain error":
             raise DomainError("domain error persisted at maximum precision")

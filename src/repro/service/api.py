@@ -20,7 +20,6 @@ a warm run reproduces a cold run's report byte-for-byte.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Iterable, Sequence, TypeAlias
 
 from ..accuracy.sampler import SampleConfig, SampleSet
@@ -63,7 +62,6 @@ def run_compile_jobs(
     cache: CompileCache | str | None = None,
     timeout: float | None = None,
     progress=None,
-    inline_lock=None,
     pool=None,
     trace: bool = False,
     ledger=None,
@@ -85,12 +83,9 @@ def run_compile_jobs(
     workers are already warm (sessions with ``jobs >= 2`` pass their own).
 
     Every other cache miss — all of them without a pool, non-registry
-    targets always — runs *inline* in the calling thread, in one loop
-    held under ``inline_lock``.  mpmath precision is process-global, so
-    concurrent callers must pass locks that serialize those sections
-    against each other (pool-dispatched work is unaffected).  Going
-    through :meth:`repro.api.ChassisSession.compile_many` does this for
-    you.
+    targets always — runs *inline* in the calling thread.  Inline jobs
+    share no process-global mpmath state, so concurrent callers need no
+    lock.
 
     ``trace=True`` asks each freshly-compiled job — wherever it runs —
     to record a span trace, returned on ``JobOutcome.trace`` (cache hits
@@ -167,13 +162,11 @@ def run_compile_jobs(
     raw: list[dict] = []
     if pool_batch:
         raw.extend(pool.run_batch(pool_batch, timeout=timeout, progress=progress))
-    if inline_jobs:
-        with inline_lock if inline_lock is not None else nullcontext():
-            for job, target in inline_jobs:
-                outcome = run_job(job, target=target)
-                if progress is not None:
-                    progress(outcome)
-                raw.append(outcome)
+    for job, target in inline_jobs:
+        outcome = run_job(job, target=target)
+        if progress is not None:
+            progress(outcome)
+        raw.append(outcome)
 
     for outcome_dict in raw:
         index = outcome_dict["index"]

@@ -101,10 +101,6 @@ def _entry(candidate: dict) -> dict:
 
 def cmd_batch(args) -> int:
     """Entry point for the ``repro batch`` subcommand."""
-    if args.timeout is not None and args.timeout <= 0:
-        raise SystemExit("--timeout must be positive (seconds)")
-    if args.jobs < 1:
-        raise SystemExit("--jobs must be >= 1")
     cores = select_cores(args)
     target_names = select_targets(args)
     if not cores or not target_names:

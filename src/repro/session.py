@@ -64,12 +64,7 @@ from .core.pipeline import (
     PipelineError,
 )
 from .cost.model import TargetCostModel
-from .deadline import (
-    DeadlineExceeded,
-    check_deadline,
-    deadline,
-    deadline_suspended,
-)
+from .deadline import DeadlineExceeded, check_deadline, deadline
 from .egraph.stats import EngineStats, engine_stats_sink
 from .exec.builder import BuildCache
 from .exec.executable import (
@@ -109,17 +104,13 @@ MAX_SAMPLE_ENTRIES = 256
 
 @dataclass
 class OracleStats:
-    """Contention counters for the session oracle lock (the one RLock
-    serializing all mpmath work).  ``wait_seconds`` is time spent queueing
-    behind other threads; ``hold_seconds`` is time spent doing oracle
-    work — a high wait/hold ratio means concurrent requests are starving
-    on the process-global precision state and more worker processes
-    (``jobs``) would help."""
+    """Always zero: no session lock serializes oracle work, so nothing
+    waits for or holds one.  Kept only because perfbench's report-only
+    traced ``compile``/``score`` runs still read
+    ``session.stats.oracle.*``."""
 
-    acquisitions: int = 0
     wait_seconds: float = 0.0
     hold_seconds: float = 0.0
-    max_wait_seconds: float = 0.0
 
 
 @dataclass
@@ -145,7 +136,7 @@ class SessionStats:
     #: so ``/health`` covers the whole session regardless of where jobs
     #: ran.
     engine: EngineStats = field(default_factory=EngineStats)
-    #: Oracle-lock wait vs hold time (see :class:`OracleStats`).
+    #: Always zero (see :class:`OracleStats`).
     oracle: OracleStats = field(default_factory=OracleStats)
     #: Oracle-backend work folded back from pooled compiles (worker
     #: evaluators' ``evals``/``escalations`` plus backend batch counters
@@ -214,22 +205,19 @@ class ChassisSession:
     ``jobs``/``timeout`` parameterize batch calls and the :meth:`submit`
     pool.  Sessions may be shared across threads (the serve front-end and
     :meth:`submit` do): mutable session state sits behind one lock, and
-    mpmath-backed work is serialized behind another, because series
-    expansion and operator synthesis still set mpmath's process-global
-    working precision (``mp.workprec``); concurrent in-process
-    compilations would race on it.  (The oracle's ladder passes its
-    precision explicitly and shares no mpmath state.)  Sampling now
-    batches through the session's oracle backend (``oracle_backend=`` /
-    ``REPRO_ORACLE_BACKEND``) and takes that lock only around mpmath
-    escalation-ladder runs; an inline pipeline still holds it (the
-    improvement loop drives the evaluator directly).  True parallelism is
-    process-level: with ``jobs >= 2``, plain registry-target compiles —
-    :meth:`compile`, :meth:`submit`, :meth:`compile_many`, serve
-    ``/compile`` — run on the session's persistent
+    in-process compiles on different threads run concurrently.  No
+    process-global mpmath state is involved: the oracle's ladder passes
+    its precision explicitly on raw libmp values, and series expansion
+    borrows a private mpmath context.  Sampling batches through the
+    session's oracle backend (``oracle_backend=`` /
+    ``REPRO_ORACLE_BACKEND``).  Duplicate concurrent requests for one job
+    share a per-fingerprint gate, so the later one reads the earlier
+    one's cached result.  With ``jobs >= 2``, plain registry-target
+    compiles — :meth:`compile`, :meth:`submit`, :meth:`compile_many`,
+    serve ``/compile`` — run on the session's persistent
     :class:`~repro.service.pool.WorkerPool`, whose workers stay warm
-    across calls, and take no oracle lock.  ``timeout`` bounds each
-    compilation wherever it runs (cooperative deadline on any thread,
-    SIGALRM backstop in workers).
+    across calls.  ``timeout`` bounds each compilation wherever it runs
+    (cooperative deadline on any thread, SIGALRM backstop in workers).
     """
 
     def __init__(
@@ -273,16 +261,6 @@ class ChassisSession:
         self.ledger = ledger
         self.stats = SessionStats()
         self._lock = threading.RLock()
-        # Serializes every mpmath-backed computation (see class docstring).
-        # Batched sampling no longer holds it wholesale: backends take it
-        # only around their mpmath escalation rung, via the "ladder"
-        # section below.
-        self._oracle_lock = threading.RLock()
-        #: Per-thread re-entrancy depth of :meth:`_oracle_section` — the
-        #: lock is an RLock and sections nest (the pipeline runs inside
-        #: the compile entry's section); only the outermost acquisition
-        #: records wait/hold, so nesting never double-counts.
-        self._oracle_local = threading.local()
         #: Per-thread phase timings of the last fresh compile (None after
         #: a warm cache hit — no phases ran); see :meth:`last_phase_timings`.
         self._timings_local = threading.local()
@@ -295,18 +273,14 @@ class ChassisSession:
         #: Per-fingerprint gates serializing duplicate *sampling* requests
         #: (the global-lock dedup this replaces serialized all sampling).
         self._sample_gates: dict[str, threading.Lock] = {}
-        #: Per-fingerprint gates serializing duplicate *pooled compiles*;
+        #: Per-fingerprint gates serializing duplicate *compiles*;
         #: see :meth:`_gate`.
         self._compile_gates: dict[str, threading.Lock] = {}
         #: The session's batched oracle backend for in-process work.  It
-        #: shares ``evaluator`` (whose counters stay authoritative) and
-        #: takes the oracle lock only around mpmath ladder runs.  Pooled
-        #: compiles build their own per job (see ``scheduler.run_job``).
-        self.oracle = make_backend(
-            self.oracle_backend,
-            evaluator=self.evaluator,
-            lock=lambda: self._oracle_section("ladder"),
-        )
+        #: shares ``evaluator`` (whose counters stay authoritative).
+        #: Pooled compiles build their own per job (see
+        #: ``scheduler.run_job``).
+        self.oracle = make_backend(self.oracle_backend, evaluator=self.evaluator)
         # Keyed by id() (targets are unhashable frozen objects); entries
         # are evicted by a weakref.finalize when their target dies, so a
         # long-lived session does not retain every Target it ever saw —
@@ -369,64 +343,6 @@ class ChassisSession:
                 self.stats.sample_hits += 1
             return cached
 
-    @contextmanager
-    def _oracle_section(self, label: str):
-        """Hold the oracle lock around one section, recording queueing
-        time and hold time separately (``stats.oracle``, the
-        ``repro_oracle_*_seconds`` histograms, and ``oracle.wait`` /
-        ``oracle.hold`` spans when a tracer is armed).
-
-        Wait-vs-hold must be split because the cooperative deadline
-        deliberately excludes queueing (the PR-3 contract): a request that
-        spent 30s waiting and 2s computing looks identical to a 2s compile
-        from the deadline's view, and this is where that difference shows.
-        """
-        depth = getattr(self._oracle_local, "depth", 0)
-        if depth:
-            # Nested section on the same thread: the RLock is already
-            # ours, so there is nothing to wait for and the outer section
-            # owns the accounting.
-            self._oracle_local.depth = depth + 1
-            try:
-                with self._oracle_lock:
-                    yield
-            finally:
-                self._oracle_local.depth = depth
-            return
-        wait_start = time.perf_counter()
-        # Ladder sections are taken *inside* armed deadline regions (a
-        # backend escalating mid-sample); queueing behind another thread
-        # must stay budget-neutral, per the wait-vs-hold contract.
-        with span("oracle.wait", section=label), deadline_suspended():
-            self._oracle_lock.acquire()
-        waited = time.perf_counter() - wait_start
-        self._oracle_local.depth = 1
-        hold_start = time.perf_counter()
-        try:
-            with span("oracle.hold", section=label):
-                yield
-        finally:
-            held = time.perf_counter() - hold_start
-            self._oracle_local.depth = 0
-            self._oracle_lock.release()
-            METRICS.histogram(
-                "repro_oracle_wait_seconds",
-                "Seconds spent queueing for the session oracle lock.",
-                section=label,
-            ).observe(waited)
-            METRICS.histogram(
-                "repro_oracle_hold_seconds",
-                "Seconds the session oracle lock was held, by section.",
-                section=label,
-            ).observe(held)
-            with self._lock:
-                oracle = self.stats.oracle
-                oracle.acquisitions += 1
-                oracle.wait_seconds += waited
-                oracle.hold_seconds += held
-                if waited > oracle.max_wait_seconds:
-                    oracle.max_wait_seconds = waited
-
     def is_cached(
         self,
         core: FPCore | str,
@@ -467,9 +383,7 @@ class ChassisSession:
             return cached
         with self._lock:
             self.stats.sample_misses += 1
-        # Sampling no longer holds the session oracle lock wholesale — the
-        # backend takes it only around mpmath ladder runs — so duplicate
-        # requests are deduplicated by a per-fingerprint gate instead: a
+        # Duplicate requests are deduplicated by a per-fingerprint gate: a
         # concurrent identical request samples once, and the one that
         # waited re-checks the cache.  (A contended duplicate therefore
         # records one miss and one hit, as before.)
@@ -510,12 +424,9 @@ class ChassisSession:
         ``ctx.train_frontier`` as the product).
 
         ``timeout`` (default: the session's) arms a thread-safe
-        cooperative deadline around each oracle-locked section — sampling,
-        then the pipeline itself — so inline compiles are bounded on *any*
-        thread, raising :class:`~repro.deadline.DeadlineExceeded`.  The
-        deadline measures compute, not time spent queueing for the oracle
-        lock, so a burst of concurrent requests does not time each other
-        out.
+        cooperative deadline around sampling, then around the pipeline
+        itself, so inline compiles are bounded on *any* thread, raising
+        :class:`~repro.deadline.DeadlineExceeded`.
         """
         effective_timeout = self.timeout if timeout is None else timeout
         target = self.resolve_target(target)
@@ -548,29 +459,28 @@ class ChassisSession:
             # Engine counters accumulate into a local sink and fold into the
             # session totals even when the run times out or fails partway.
             engine_local = EngineStats()
-            with self._oracle_section("pipeline"):
-                try:
-                    with deadline(effective_timeout), engine_stats_sink(engine_local):
-                        return pipeline.run(ctx)
-                finally:
-                    if engine_local.any():
-                        with self._lock:
-                            self.stats.engine.merge(engine_local)
-                    # Session pre-sampling makes the pipeline's own sample
-                    # phase a no-op; attribute the real draw to it so the
-                    # per-phase breakdown sums to the compile's wall clock.
-                    timings = dict(ctx.phase_seconds)
-                    if sample_elapsed:
-                        timings["sample"] = (
-                            timings.get("sample", 0.0) + sample_elapsed
-                        )
-                    self._timings_local.phases = timings
-                    # This run's exact engine deltas, for the provenance
-                    # record the compile entry writes (the session totals
-                    # above are cumulative — useless for one job).
-                    self._timings_local.engine = (
-                        engine_local.as_dict() if engine_local.any() else None
+            try:
+                with deadline(effective_timeout), engine_stats_sink(engine_local):
+                    return pipeline.run(ctx)
+            finally:
+                if engine_local.any():
+                    with self._lock:
+                        self.stats.engine.merge(engine_local)
+                # Session pre-sampling makes the pipeline's own sample
+                # phase a no-op; attribute the real draw to it so the
+                # per-phase breakdown sums to the compile's wall clock.
+                timings = dict(ctx.phase_seconds)
+                if sample_elapsed:
+                    timings["sample"] = (
+                        timings.get("sample", 0.0) + sample_elapsed
                     )
+                self._timings_local.phases = timings
+                # This run's exact engine deltas, for the provenance
+                # record the compile entry writes (the session totals
+                # above are cumulative — useless for one job).
+                self._timings_local.engine = (
+                    engine_local.as_dict() if engine_local.any() else None
+                )
 
     def last_phase_timings(self) -> dict[str, float] | None:
         """Per-phase wall-clock seconds of this thread's most recent fresh
@@ -741,14 +651,12 @@ class ChassisSession:
         if payload is not None:
             return payload, True, fingerprint, None
 
-        # Inline compiles hold the oracle lock; pooled ones run in other
-        # processes and only gate concurrent duplicates of this job.
-        if pool is None:
-            section = self._oracle_section("compile")
-        elif cacheable:
-            section = self._gate(self._compile_gates, fingerprint)
-        else:
-            section = nullcontext()
+        # Inline and pooled compiles alike only gate concurrent duplicates
+        # of this job.
+        section = (
+            self._gate(self._compile_gates, fingerprint)
+            if cacheable else nullcontext()
+        )
         with section:
             # A concurrent identical request may have compiled and stored
             # this job while we waited; a second lookup beats redoing the
@@ -802,7 +710,7 @@ class ChassisSession:
                 self.stats.compiles += 1
             outcome_counter("ok").inc()
             if cacheable:
-                # Stored before the lock or gate is released, so a waiting
+                # Stored before the gate is released, so a waiting
                 # duplicate's re-check above finds it.
                 self.cache.put(fingerprint, payload)
             record(
@@ -818,11 +726,10 @@ class ChassisSession:
     @contextmanager
     def _gate(self, gates: dict[str, threading.Lock], key: str):
         """Serialize concurrent work on one fingerprint (sampling, or a
-        pooled compile), so a duplicate waits and then finds the first
-        one's cache entry instead of redoing it (inline compiles get this
-        from the oracle lock).  The entry leaves ``gates`` however the
-        work ends, failures included, and only while it is still this
-        gate."""
+        compile), so a duplicate waits and then finds the first one's
+        cache entry instead of redoing it.  The entry leaves ``gates``
+        however the work ends, failures included, and only while it is
+        still this gate."""
         with self._lock:
             gate = gates.setdefault(key, threading.Lock())
         with gate:
@@ -975,8 +882,7 @@ class ChassisSession:
             if cached is not None:
                 self._executables.move_to_end(key)
                 return cached
-        # Emitting + building takes no oracle lock, so the deadline can
-        # arm directly; the compiler subprocess inside is capped by the
+        # The deadline bounds emitting + building; the compiler subprocess inside is capped by the
         # remaining budget (it cannot poll cooperatively).
         with deadline(self.timeout if timeout is None else timeout):
             with span("exec.build", backend=backend, target=target.name):
@@ -1018,11 +924,10 @@ class ChassisSession:
         core = self.parse(core, target)
         effective_timeout = self.timeout if timeout is None else timeout
         # Each phase gets the budget for its *compute*: compile and
-        # sampling arm their own deadlines after taking the oracle lock
-        # (queueing behind a concurrent compile must not count — the PR-3
-        # contract), while the lock-free phases here — the C build (its
-        # compiler subprocess is capped by the remaining budget) and the
-        # execution loop — are bounded directly.
+        # sampling arm their own deadlines (after any wait on a duplicate's
+        # gate), while the phases here — the C build (its compiler
+        # subprocess is capped by the remaining budget) and the execution
+        # loop — are bounded directly.
         executable = self.executable(
             core, target, program=program, backend=backend,
             config=config, sample_config=sample_config, timeout=timeout,
@@ -1075,10 +980,9 @@ class ChassisSession:
         if isinstance(program, str):
             program = parse_expr(program, known_ops=set(target.operators))
         effective_timeout = self.timeout if timeout is None else timeout
-        # Phase-by-phase deadlines, like compile itself: oracle-locked
-        # phases (the compile, sampling) arm theirs after taking the lock
-        # so queueing behind concurrent requests does not count; the
-        # lock-free phases (build, cross-check loop) are bounded here.
+        # Phase-by-phase deadlines, like compile itself: the compile and
+        # sampling arm their own; the build and cross-check loop are
+        # bounded here.
         resolved = program
         if resolved is None:
             result = self.compile(
@@ -1248,10 +1152,8 @@ class ChassisSession:
         With ``jobs >= 2``, registry-target cache misses are dispatched
         through the session's *persistent* :class:`WorkerPool` (workers
         warm across calls).  Everything else — non-registry targets,
-        ``jobs == 1`` and a closed session — runs inline in this thread
-        inside one ``"compile"`` oracle section, so it is serialized
-        against concurrent compiles and counted in ``stats.oracle``, while
-        pool-dispatched work (separate processes) runs unlocked.
+        ``jobs == 1`` and a closed session — runs inline in this thread,
+        concurrently with other threads' compiles.
 
         ``trace=True`` records a span trace per freshly-compiled job
         (returned on ``JobOutcome.trace``, merged across workers by
@@ -1267,7 +1169,6 @@ class ChassisSession:
             cache=self.cache,
             timeout=self.timeout if timeout is None else timeout,
             progress=progress,
-            inline_lock=self._oracle_section("compile"),
             pool=self.worker_pool(),
             trace=trace,
             ledger=self.ledger,
@@ -1289,9 +1190,8 @@ class ChassisSession:
         The handle runs :meth:`compile` on a thread, so with ``jobs >= 2``
         plain registry-target jobs compile in parallel on the session's
         worker pool; customized calls (``skip``/``replace``/hooks/
-        ``samples``) and non-registry targets run in-process, serialized
-        by the oracle lock, and the per-job deadline bounds them there
-        too.
+        ``samples``) and non-registry targets run in-process on that
+        thread, and the per-job deadline bounds them there too.
         """
         target_resolved = self.resolve_target(target)
         core_parsed = self.parse(core, target_resolved)
@@ -1324,7 +1224,7 @@ class ChassisSession:
         route and ``repro health``: session counters (including engine
         totals folded back from pooled workers), persistent-cache stats,
         worker-pool state, and oracle activity (in-process work plus the
-        counters pooled jobs ship home, and lock wait-vs-hold)."""
+        counters pooled jobs ship home)."""
         oracle = self.oracle.counters()
         with self._lock:
             stats = self.stats.as_dict()

@@ -2,12 +2,10 @@
 
 When a target description provides no linking information for an operator,
 Chassis synthesizes a maximally-accurate implementation from the operator's
-desugaring using Rival.  We do the same with mpmath: evaluate the desugaring
-in high working precision at the input point and round once into the output
-format.  At twice the output precision plus margin, double-rounding errors
-are confined to results within a fraction of an ulp of a rounding boundary
-— the paper itself notes these synthesized implementations are "typically
-good enough" rather than proven correctly rounded.
+desugaring using Rival.  We do the same with the adaptive interval oracle
+(:class:`~repro.rival.eval.RivalEvaluator`): enclosures tighten until the
+result rounds unambiguously into the output format.  :func:`mp_eval` is
+the fixed-precision mpmath point evaluator series expansion differentiates.
 """
 
 from __future__ import annotations
@@ -15,79 +13,79 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import mpmath
-from mpmath import mp, mpf
-
 from ..ir.expr import App, Const, Expr, Num, Var
 
-#: mpmath implementations of each real operator for *point* evaluation.
+#: Point semantics of each real operator on an mpmath context ``c``.
 _MP_OPS: dict[str, Callable] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "neg": lambda a: -a,
-    "fabs": abs,
-    "fmin": min,
-    "fmax": max,
-    "copysign": lambda a, b: abs(a) if b >= 0 else -abs(a),
-    "sqrt": mpmath.sqrt,
-    "cbrt": lambda a: mpmath.cbrt(a) if a >= 0 else -mpmath.cbrt(-a),
-    "pow": lambda a, b: mpmath.power(a, b),
-    "hypot": mpmath.hypot,
-    "exp": mpmath.exp,
-    "exp2": lambda a: mpmath.power(2, a),
-    "expm1": mpmath.expm1,
-    "log": mpmath.log,
-    "log2": lambda a: mpmath.log(a, 2),
-    "log10": mpmath.log10,
-    "log1p": mpmath.log1p,
-    "sin": mpmath.sin,
-    "cos": mpmath.cos,
-    "tan": mpmath.tan,
-    "asin": mpmath.asin,
-    "acos": mpmath.acos,
-    "atan": mpmath.atan,
-    "atan2": mpmath.atan2,
-    "sinh": mpmath.sinh,
-    "cosh": mpmath.cosh,
-    "tanh": mpmath.tanh,
-    "asinh": mpmath.asinh,
-    "acosh": mpmath.acosh,
-    "atanh": mpmath.atanh,
-    "floor": mpmath.floor,
-    "ceil": mpmath.ceil,
-    "round": mpmath.nint,
-    "trunc": lambda a: mpmath.floor(a) if a >= 0 else mpmath.ceil(a),
-    "fmod": lambda a, b: a - b * (mpmath.floor(a / b) if (a / b) >= 0 else mpmath.ceil(a / b)),
+    "+": lambda c, a, b: a + b,
+    "-": lambda c, a, b: a - b,
+    "*": lambda c, a, b: a * b,
+    "/": lambda c, a, b: a / b,
+    "neg": lambda c, a: -a,
+    "fabs": lambda c, a: abs(a),
+    "fmin": lambda c, a, b: min(a, b),
+    "fmax": lambda c, a, b: max(a, b),
+    "copysign": lambda c, a, b: abs(a) if b >= 0 else -abs(a),
+    "sqrt": lambda c, a: c.sqrt(a),
+    "cbrt": lambda c, a: c.cbrt(a) if a >= 0 else -c.cbrt(-a),
+    "pow": lambda c, a, b: c.power(a, b),
+    "hypot": lambda c, a, b: c.hypot(a, b),
+    "exp": lambda c, a: c.exp(a),
+    "exp2": lambda c, a: c.power(2, a),
+    "expm1": lambda c, a: c.expm1(a),
+    "log": lambda c, a: c.log(a),
+    "log2": lambda c, a: c.log(a, 2),
+    "log10": lambda c, a: c.log10(a),
+    "log1p": lambda c, a: c.log1p(a),
+    "sin": lambda c, a: c.sin(a),
+    "cos": lambda c, a: c.cos(a),
+    "tan": lambda c, a: c.tan(a),
+    "asin": lambda c, a: c.asin(a),
+    "acos": lambda c, a: c.acos(a),
+    "atan": lambda c, a: c.atan(a),
+    "atan2": lambda c, a, b: c.atan2(a, b),
+    "sinh": lambda c, a: c.sinh(a),
+    "cosh": lambda c, a: c.cosh(a),
+    "tanh": lambda c, a: c.tanh(a),
+    "asinh": lambda c, a: c.asinh(a),
+    "acosh": lambda c, a: c.acosh(a),
+    "atanh": lambda c, a: c.atanh(a),
+    "floor": lambda c, a: c.floor(a),
+    "ceil": lambda c, a: c.ceil(a),
+    "round": lambda c, a: c.nint(a),
+    "trunc": lambda c, a: c.floor(a) if a >= 0 else c.ceil(a),
+    "fmod": lambda c, a, b: a - b * (c.floor(a / b) if (a / b) >= 0 else c.ceil(a / b)),
 }
 
 
-def mp_eval(expr: Expr, env: dict[str, mpf]) -> mpf:
-    """Evaluate a real expression with mpmath at the current precision.
+def mp_eval(expr: Expr, env: dict, ctx):
+    """Evaluate a real expression on the mpmath context ``ctx`` at its
+    working precision (``env`` holds ``ctx.mpf`` values).
 
+    Callers pass a context of their own, never the process-global
+    ``mpmath.mp``, so concurrent evaluations share no precision state.
     Domain errors surface as mpmath exceptions or complex results, which
     callers convert to NaN.
     """
     if isinstance(expr, Var):
         return env[expr.name]
     if isinstance(expr, Num):
-        return mpf(expr.value.numerator) / mpf(expr.value.denominator)
+        return ctx.mpf(expr.value.numerator) / ctx.mpf(expr.value.denominator)
     if isinstance(expr, Const):
         if expr.name == "PI":
-            return mpmath.pi()
+            return ctx.pi()
         if expr.name == "E":
-            return mpmath.e()
+            return ctx.e()
         if expr.name == "INFINITY":
-            return mpf("inf")
-        return mpf("nan")
+            return ctx.mpf("inf")
+        return ctx.mpf("nan")
     assert isinstance(expr, App)
     fn = _MP_OPS.get(expr.op)
     if fn is None:
         raise KeyError(f"no mpmath semantics for {expr.op!r}")
-    args = [mp_eval(a, env) for a in expr.args]
-    result = fn(*args)
-    if isinstance(result, mpmath.mpc):
+    args = [mp_eval(a, env, ctx) for a in expr.args]
+    result = fn(ctx, *args)
+    if isinstance(result, ctx.mpc):
         raise ValueError(f"complex result from {expr.op}")
     return result
 

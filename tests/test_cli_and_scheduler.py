@@ -53,6 +53,14 @@ class TestCLI:
         ["compile", "sqrt-sub", "--iterations", "-1"],
         ["batch", "sqrt-sub", "--points", "-3"],
         ["report", "--benchmarks", "0"],
+        ["compile", "--jobs", "0", "sqrt-sub"],
+        ["batch", "sqrt-sub", "--jobs", "0"],
+        ["serve", "--jobs", "0"],
+        ["report", "--jobs", "0", "--smoke"],
+        ["batch", "sqrt-sub", "--timeout", "0"],
+        ["serve", "--timeout", "-2"],
+        ["report", "--timeout", "-1", "--smoke"],
+        ["report", "--timeout", "nan", "--smoke"],
     ])
     def test_size_flags_reject_out_of_range_values(self, argv):
         with pytest.raises(SystemExit) as exc:

@@ -229,7 +229,7 @@ class TestInstrumentedCompile:
                 "compile", "phase.parse", "phase.sample", "phase.transcribe",
                 "phase.improve", "phase.regimes", "phase.score",
                 "improve.iteration", "egraph.run_rules", "egraph.search",
-                "egraph.apply", "egraph.rebuild", "oracle.wait", "oracle.hold",
+                "egraph.apply", "egraph.rebuild",
             } <= names
             # acceptance: phase spans account for >= 90% of the compile span
             root = trace.find("compile")[0]
@@ -238,12 +238,6 @@ class TestInstrumentedCompile:
             # the same breakdown is surfaced to the caller thread-locally
             timings = session.last_phase_timings()
             assert timings is not None and set(timings) == set(phases)
-            # satellite: oracle lock wait vs hold recorded separately
-            oracle = session.stats.oracle
-            assert oracle.acquisitions > 0
-            assert oracle.hold_seconds > 0.0
-            assert oracle.wait_seconds >= 0.0
-            assert oracle.max_wait_seconds <= oracle.wait_seconds
             # the oracle counts its work
             assert session.evaluator.evals > 0
             after_ok = METRICS.counter(
@@ -253,7 +247,6 @@ class TestInstrumentedCompile:
             health = session.health()
             assert health["ok"] is True
             assert health["oracle"]["evals"] == session.evaluator.evals
-            assert health["stats"]["oracle"]["acquisitions"] > 0
 
     def test_pooled_jobs_ship_traces_and_engine_counters(self):
         cores = [parse_fpcore(SRC), parse_fpcore(SRC2)]
@@ -281,8 +274,7 @@ class TestInstrumentedCompile:
             pooled = trace_from_dict(outcomes[0].trace)
             pooled_names = set(pooled.span_names())
         # same instrumentation either side of the process boundary: every
-        # pooled span name exists inline (inline adds only the session's
-        # oracle.wait/oracle.hold, which workers don't have)
+        # pooled span name exists inline
         assert pooled_names <= inline_names
         assert {"compile", "phase.improve", "egraph.run_rules"} <= pooled_names
         assert pooled.find("compile")[0]["dur"] > 0.0
@@ -395,7 +387,7 @@ class TestHealthCLI:
         assert main(["health"]) == 0
         out = capsys.readouterr().out
         assert "status: ok" in out
-        assert "engine:" in out and "oracle lock:" in out
+        assert "engine:" in out and "oracle:" in out
 
     def test_local_json_payload(self, capsys):
         assert main(["health", "--json"]) == 0

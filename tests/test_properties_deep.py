@@ -44,7 +44,7 @@ def test_unary_interval_encloses_true_value(op_name, x):
         return  # domain violations are allowed to flag instead of enclose
     try:
         with mp.workprec(120):
-            true = _MP_OPS[op_name](mpf(x))
+            true = _MP_OPS[op_name](mp, mpf(x))
     except (ValueError, ZeroDivisionError, mpmath.libmp.ComplexResult):
         return
     if isinstance(true, mpmath.mpc) or mpmath.isnan(true):
@@ -58,7 +58,7 @@ def test_binary_interval_encloses(x, y):
     for op_name in ("+", "-", "*"):
         interval = INTERVAL_OPS[op_name](Interval.point(x), Interval.point(y), 80)
         with mp.workprec(120):
-            true = _MP_OPS[op_name](mpf(x), mpf(y))
+            true = _MP_OPS[op_name](mp, mpf(x), mpf(y))
         assert interval.err or interval.contains(true._mpf_)
 
 

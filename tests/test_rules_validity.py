@@ -29,8 +29,8 @@ _SAMPLES = [
 def _check_rule(rule, env) -> None:
     with mp.workprec(160):
         try:
-            lhs = mp_eval(rule.lhs, env)
-            rhs = mp_eval(rule.rhs, env)
+            lhs = mp_eval(rule.lhs, env, mp)
+            rhs = mp_eval(rule.rhs, env, mp)
         except (ValueError, ZeroDivisionError, KeyError):
             pytest.skip("point outside rule domain")
         if not (mpmath.isfinite(lhs) and mpmath.isfinite(rhs)):

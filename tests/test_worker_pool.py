@@ -127,8 +127,8 @@ class TestStatsAccounting:
         session.close()
 
     def test_duplicate_concurrent_sampling_samples_once(self):
-        """samples_for re-checks the LRU under the oracle lock, so a
-        contended duplicate records a hit instead of re-sampling."""
+        """samples_for re-checks the LRU under the fingerprint's gate, so
+        a contended duplicate records a hit instead of re-sampling."""
         session = ChassisSession(config=FAST, sample_config=SAMPLES)
         core = core_named("sqrt-sub")
         barrier = threading.Barrier(4)
@@ -273,14 +273,14 @@ class TestPooledCompile:
         core = core_named("sqrt-sub")
         with ChassisSession(config=FAST, sample_config=SAMPLES) as inline:
             expected, _cached = inline.compile_payload(core, "fdlibm")
-        acquisitions = pool_session.stats.oracle.acquisitions
+        evals = pool_session.evaluator.evals
         compiles = pool_session.stats.compiles
         payload, cached = pool_session.compile_payload(core, "fdlibm")
         assert not cached
         assert json.dumps(_scrub(payload)) == json.dumps(_scrub(expected))
         assert pool_session.stats.compiles == compiles + 1
-        # the compile ran in a worker: the session oracle lock was untouched
-        assert pool_session.stats.oracle.acquisitions == acquisitions
+        # the compile ran in a worker: the session's own oracle did no work
+        assert pool_session.evaluator.evals == evals
         assert pool_session.stats.engine.enodes_built > 0
 
     def test_customized_compiles_stay_inline(self):
@@ -290,7 +290,6 @@ class TestPooledCompile:
             )
             assert len(result.frontier) > 0
             assert session.pool_info() is None  # no worker ever started
-            assert session.stats.oracle.acquisitions > 0
 
     def test_closed_session_compiles_inline(self):
         specs = [(core_named("sqrt-sub"), "c99"), (core_named("logistic"), "c99")]
@@ -300,7 +299,7 @@ class TestPooledCompile:
         session.close()
         result = session.compile(core_named("sqrt-sub"), "c99")
         assert len(result.frontier) > 0
-        assert session.stats.oracle.acquisitions > 0
+        assert session.pool_info() is None
         # compile_many on the closed session forks no process either:
         # no child appears while its outcomes come in.
         before = {child.pid for child in multiprocessing.active_children()}
@@ -315,16 +314,6 @@ class TestPooledCompile:
         assert during <= before
         assert session.pool_info() is None
         assert [_scrub(o.payload) for o in outcomes] == expected
-
-    def test_inline_batch_counts_in_oracle_stats(self):
-        """Inline compile_many jobs hold the oracle lock through the
-        accounted ``"compile"`` section, like inline compile() calls."""
-        with ChassisSession(config=FAST, sample_config=SAMPLES) as session:
-            before = session.stats.oracle.acquisitions
-            [outcome] = session.compile_many([(core_named("sqrt-sub"), "c99")])
-            assert outcome.ok
-            assert session.stats.oracle.acquisitions > before
-            assert session.stats.oracle.hold_seconds > 0
 
     def test_pooled_failures_keep_their_type(self, pool_session):
         from repro.accuracy.sampler import SamplingError
