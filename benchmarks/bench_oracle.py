@@ -40,7 +40,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.accuracy.sampler import SampleConfig, sample_core  # noqa: E402
 from repro.benchsuite import core_named  # noqa: E402
 from repro.rival.backends import make_backend  # noqa: E402
-from repro.rival.eval import RivalEvaluator  # noqa: E402
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -52,10 +51,6 @@ SAMPLE = (
     "logsumexp2", "logistic", "gauss-kernel", "slerp-weight",
     "ellipse-angle",
 )
-
-
-def _fresh(name: str):
-    return make_backend(name, evaluator=RivalEvaluator())
 
 
 def _bits(value: float) -> bytes:
@@ -77,8 +72,8 @@ def bench_benchmark(name: str, n_points: int, repeats: int) -> dict:
     core = core_named(name)
     config = SampleConfig(n_train=n_points, n_test=n_points)
 
-    reference = sample_core(core, config, oracle=_fresh("mpmath"))
-    fast = sample_core(core, config, oracle=_fresh("numpy"))
+    reference = sample_core(core, config, oracle=make_backend("mpmath"))
+    fast = sample_core(core, config, oracle=make_backend("numpy"))
     identical = _sample_key(fast) == _sample_key(reference)
 
     points = reference.train + reference.test
@@ -86,7 +81,7 @@ def bench_benchmark(name: str, n_points: int, repeats: int) -> dict:
     rungs = {"dd": 0.0, "ladder": 0.0}
     fastpath_fraction = 0.0
     for backend_name in ("mpmath", "numpy"):
-        backend = _fresh(backend_name)
+        backend = make_backend(backend_name)
         backend.eval_batch(core.body, points, core.precision)  # warm-up
         start = time.perf_counter()
         for _ in range(repeats):

@@ -18,7 +18,6 @@ from ..deadline import check_deadline
 from ..formats import FloatFormat, get_format
 from ..ir.expr import App, Num, Var
 from ..ir.fpcore import FPCore
-from ..rival.eval import RivalEvaluator
 
 Point = dict[str, float]
 
@@ -153,7 +152,6 @@ def _random_in_range(
 def sample_core(
     core: FPCore,
     config: SampleConfig | None = None,
-    evaluator: RivalEvaluator | None = None,
     oracle: "OracleBackend | None" = None,
 ) -> SampleSet:
     """Sample valid train/test points for an FPCore, with exact values.
@@ -164,8 +162,8 @@ def sample_core(
 
     Candidates are drawn in blocks and oracled per block through an
     :class:`~repro.rival.backends.OracleBackend` (``oracle``, defaulting
-    to one built from ``evaluator`` and the ``REPRO_ORACLE_BACKEND``
-    knob), so the vectorized backend sees whole point sets at once.
+    to the one the ``REPRO_ORACLE_BACKEND`` knob names), so the
+    vectorized backend sees whole point sets at once.
     Every backend is an acceptance filter over the same ladder semantics,
     so the sampled points, exact values, and acceptance ratio are
     bit-identical to the historical draw-at-a-time loop for any backend
@@ -175,7 +173,7 @@ def sample_core(
 
     config = config or SampleConfig()
     if oracle is None:
-        oracle = make_backend(evaluator=evaluator)
+        oracle = make_backend()
     rng = random.Random(config.seed)
     wanted = config.n_train + config.n_test
     ranges = _collect_ranges(core.pre, core.arguments)

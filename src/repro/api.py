@@ -9,9 +9,9 @@ Everything a consumer needs, in one import::
 
 Three layers, smallest first:
 
-* **Session** — :class:`ChassisSession` owns the evaluator, sample cache,
-  persistent result cache and worker pool; :class:`JobHandle` is its
-  async-style submit/poll handle.
+* **Session** — :class:`ChassisSession` owns the oracle backend, sample
+  cache, persistent result cache and worker pool; :class:`JobHandle` is
+  its async-style submit/poll handle.
 * **Pipeline** — :class:`CompilePipeline` and the :class:`Phase` protocol
   let callers skip, replace, or instrument the parse → sample →
   transcribe → improve → regimes → score phases of one compilation.

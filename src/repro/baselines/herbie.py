@@ -84,7 +84,7 @@ def run_herbie(
     With a :class:`~repro.session.ChassisSession`, this is the phase
     pipeline with the *score* phase skipped (Herbie's frontier is
     train-scored; test scoring happens after lowering onto real targets),
-    sharing the session's evaluator.
+    sharing the session's oracle.
     """
     if core.precision != F64:
         core = FPCore(

@@ -21,7 +21,7 @@ Commands:
   in-process session.
 
 Every command that compiles goes through a :class:`ChassisSession`, so one
-invocation shares its evaluator, sample cache and (optional) persistent
+invocation shares its oracle, sample cache and (optional) persistent
 result cache across all its benchmarks.
 
 Examples::

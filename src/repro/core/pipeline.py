@@ -72,8 +72,7 @@ class PipelineContext:
     config: CompileConfig = field(default_factory=CompileConfig)
     sample_config: SampleConfig | None = None
     #: Batched oracle backend of the sample phase and the improve loop's
-    #: local error (default: the ``REPRO_ORACLE_BACKEND`` backend around a
-    #: fresh evaluator).
+    #: local error (default: a fresh ``REPRO_ORACLE_BACKEND`` backend).
     oracle: object = field(default_factory=make_backend)
     #: FPCore source text, consumed by the parse phase when ``core`` is unset.
     source: str | None = None

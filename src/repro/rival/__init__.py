@@ -14,6 +14,8 @@ from .eval import (
     DEFAULT_PRECISIONS,
     PrecisionExhausted,
     RivalEvaluator,
+    decide,
+    evaluate,
     round_to_format,
 )
 from .interval import INTERVAL_OPS, DomainError, Interval
@@ -23,6 +25,8 @@ __all__ = [
     "DomainError",
     "INTERVAL_OPS",
     "RivalEvaluator",
+    "evaluate",
+    "decide",
     "PrecisionExhausted",
     "round_to_format",
     "DEFAULT_PRECISIONS",

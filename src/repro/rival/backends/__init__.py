@@ -20,7 +20,6 @@ Select with ``ChassisSession(oracle_backend=...)`` or the
 
 from __future__ import annotations
 
-from ..eval import RivalEvaluator
 from .base import (
     BACKEND_NAMES,
     DOMAIN_ERROR,
@@ -55,20 +54,14 @@ __all__ = [
 ]
 
 
-def make_backend(
-    name: str | None = None,
-    *,
-    evaluator: RivalEvaluator | None = None,
-) -> OracleBackend:
+def make_backend(name: str | None = None) -> OracleBackend:
     """Build the oracle backend for ``name`` (None: environment, then auto).
 
-    ``evaluator`` is the shared escalation ladder (a fresh one when
-    omitted).  Backends hold no process-global state, so one may serve
-    several threads at once.
+    Backends hold no process-global state, so one may serve several
+    threads at once; each counts its own work in its
+    :meth:`~.OracleBackend.counters`.
     """
-    resolved = resolve_backend_name(name)
-    evaluator = evaluator if evaluator is not None else RivalEvaluator()
-    ladder = MpmathBackend(evaluator)
-    if resolved == "mpmath":
+    ladder = MpmathBackend()
+    if resolve_backend_name(name) == "mpmath":
         return ladder
     return NumpyBackend(ladder)

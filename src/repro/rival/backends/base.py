@@ -2,26 +2,26 @@
 
 An :class:`OracleBackend` answers ground-truth queries about real
 expressions — the correctly rounded value at a point (the Rival contract,
-paper section 3.1) and exact boolean decisions for preconditions — and,
-new in this subsystem, answers them for **whole point sets at once**
-through :meth:`OracleBackend.eval_batch`.  Batch entry points let a
-backend amortize work across points (vectorized interval arithmetic)
-that the point-at-a-time API cannot express.
+paper section 3.1) and exact boolean decisions for preconditions — for
+**whole point sets at once** (:meth:`OracleBackend.eval_batch`), so a
+backend can amortize work across points (vectorized interval
+arithmetic).
 
 Batch calls never raise per-point failures: each point comes back as a
 :class:`PointResult` carrying a status (`"ok"`, `"domain-error"`,
 `"precision-exhausted"`, `"invalid"`) so one bad point cannot poison the
 rest of the block.  Every backend must be *semantics-preserving*: for
 each point, the status and (for ``"ok"``) the bit pattern of the value
-must equal what :class:`repro.rival.eval.RivalEvaluator` produces for
-that point alone.  Fast paths are acceptance filters, never
-approximations.
+must equal what :func:`repro.rival.eval.evaluate` (or, for conditions,
+:func:`repro.rival.eval.decide`) produces for that point alone.  Fast
+paths are acceptance filters, never approximations.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
@@ -71,15 +71,16 @@ class PointResult:
 class OracleCounters:
     """Backend-level work counters, mergeable across processes.
 
-    ``evals``/``escalations`` mirror :class:`RivalEvaluator`'s per-rung
-    counters.  Backends leave them zero: they share their caller's
-    evaluator, whose own counters stay authoritative.  Only a pooled
-    job's outcome fills them in, from its private worker evaluator (see
-    :func:`repro.service.scheduler.run_job`), so the session can sum both
-    without double counting.
+    Every count of a session's oracle work lives here: a pooled job ships
+    its backend's counters home (see
+    :func:`repro.service.scheduler.run_job`) and the session adds them to
+    its own backend's.
     """
 
+    #: Values the escalation ladder computed, one per point it started
+    #: (condition decisions are not counted).
     evals: int = 0
+    #: Of those, values settled above the ladder's first rung.
     escalations: int = 0
     batch_calls: int = 0
     batch_points: int = 0
@@ -140,20 +141,14 @@ def resolve_backend_name(name: str | None = None) -> str:
 
 
 class OracleBackend:
-    """Abstract base: ground-truth evaluation, point-wise and batched."""
+    """Abstract base: batched ground-truth evaluation."""
 
     #: Resolved backend name, surfaced through ``/health``.
     name = "abstract"
 
-    # --- point-at-a-time API (the original RivalEvaluator surface) ------------
-
-    def eval(self, expr: Expr, point: dict[str, float], ty: str = F64) -> float:
-        raise NotImplementedError
-
-    def eval_bool(self, expr: Expr, point: dict[str, float]) -> bool:
-        raise NotImplementedError
-
-    # --- batched API ----------------------------------------------------------
+    def __init__(self):
+        self._counters = OracleCounters()
+        self._counters_lock = threading.Lock()
 
     def eval_batch(
         self, expr: Expr, points: Sequence[dict[str, float]], ty: str = F64
@@ -194,12 +189,25 @@ class OracleBackend:
 
     def counters(self) -> OracleCounters:
         """A snapshot of this backend's work counters."""
-        return OracleCounters()
+        with self._counters_lock:
+            snapshot = OracleCounters()
+            snapshot.merge(self._counters)
+        return snapshot
 
     # --- shared instrumentation -----------------------------------------------
 
+    def _count(self, **deltas: int) -> None:
+        """Add ``deltas`` to this backend's counters (any thread)."""
+        with self._counters_lock:
+            self._counters.merge(deltas)
+
     def _record_batch(self, points: int, fastpath: int, escalated: int) -> None:
-        """Bump batch metrics for one ``eval_batch``/``eval_bool_batch``."""
+        """Count one ``eval_batch``/``eval_bool_batch`` and bump its
+        metrics."""
+        self._count(
+            batch_calls=1, batch_points=points, fastpath_hits=fastpath,
+            dd_hits=fastpath, escalated_points=escalated,
+        )
         METRICS.counter(
             "repro_oracle_batch_points",
             "Points submitted to batched oracle evaluation.",

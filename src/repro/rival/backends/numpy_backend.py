@@ -17,8 +17,6 @@ vectorized storage cast.
 
 from __future__ import annotations
 
-import threading
-
 from ...deadline import check_deadline
 from ...ir.types import F64
 from .base import OracleBackend, OracleCounters, PointResult
@@ -32,39 +30,19 @@ class NumpyBackend(OracleBackend):
     name = "numpy"
 
     def __init__(self, fallback: MpmathBackend):
+        super().__init__()
         self.fallback = fallback
-        self.evaluator = fallback.evaluator
         self._dd = DoubleDoubleRung()
-        self._counters = OracleCounters()
-        self._counters_lock = threading.Lock()
-
-    # --- point-at-a-time: straight to the ladder ------------------------------
-
-    def eval(self, expr, point, ty=F64):
-        return self.fallback.eval(expr, point, ty)
-
-    def eval_bool(self, expr, point):
-        return self.fallback.eval_bool(expr, point)
 
     # --- counters -------------------------------------------------------------
-
-    def _bump(self, points: int, fastpath: int, escalated: int) -> None:
-        with self._counters_lock:
-            self._counters.batch_calls += 1
-            self._counters.batch_points += points
-            self._counters.fastpath_hits += fastpath
-            self._counters.escalated_points += escalated
-            self._counters.dd_hits += fastpath
-        self._record_batch(points, fastpath=fastpath, escalated=escalated)
 
     def counters(self) -> OracleCounters:
         # Includes the fallback's own counters: whole batches without a dd
         # program delegate to ``fallback.eval_batch``, which records them
-        # itself (escalated residue goes through the bump-free
-        # ``_ladder_batch``, so nothing is counted twice).
-        with self._counters_lock:
-            snapshot = OracleCounters()
-            snapshot.merge(self._counters)
+        # itself, and ``_ladder_batch`` counts the ladder's ``evals`` and
+        # ``escalations`` for the residue too (the residue's batch counts
+        # are bumped here, not there, so nothing is counted twice).
+        snapshot = super().counters()
         snapshot.merge(self.fallback.counters())
         return snapshot
 
@@ -98,5 +76,5 @@ class NumpyBackend(OracleBackend):
             for i, outcome in zip(residue, laddered):
                 results[i] = outcome
         n = len(points)
-        self._bump(n, fastpath=n - len(residue), escalated=len(residue))
+        self._record_batch(n, fastpath=n - len(residue), escalated=len(residue))
         return results

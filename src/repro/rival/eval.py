@@ -8,14 +8,15 @@ floating-point value, exactly as Herbie/Chassis use the Rival library
 
 Each rung passes its precision explicitly to every interval operation
 (:mod:`repro.rival.interval`); nothing here touches mpmath's global ``mp``
-context, so evaluators on different threads need no lock between them.
-A point's variables are converted once and shared by every rung.
+context, and :func:`evaluate`/:func:`decide` keep no state, so any number
+of threads may call them at once.  A point's variables are converted once
+and shared by every rung.  Work counts live in the oracle backends
+(:class:`~repro.rival.backends.OracleCounters`).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 
 from mpmath.libmp import (
     finf, fnan, mpf_eq, mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_pos, to_float,
@@ -161,66 +162,58 @@ class _Pass:
         raise Ambiguous(op)
 
 
-class RivalEvaluator:
-    """Correctly-rounded evaluation of real expressions at exact points."""
+def evaluate(
+    expr: Expr, point: dict[str, float], ty: str = F64
+) -> tuple[float, int]:
+    """The correctly rounded value of ``expr`` at ``point`` in format
+    ``ty``, and the rung that settled it (an index into
+    :data:`DEFAULT_PRECISIONS`; 0 is the first).
 
-    def __init__(self, precisions: tuple[int, ...] = DEFAULT_PRECISIONS):
-        self.precisions = precisions
-        #: Correctly-rounded evaluations performed by this evaluator,
-        #: bumped under ``_counts_lock``: a session's evaluator serves
-        #: several threads at once.  Per-worker counts travel home as
-        #: ``JobOutcome.oracle`` deltas and merge into
-        #: ``SessionStats.rival`` under the session lock.
-        self.evals = 0
-        #: Evaluations that needed more than the lowest working precision.
-        self.escalations = 0
-        self._counts_lock = threading.Lock()
+    Raises :class:`DomainError` when the expression is undefined at the
+    point, and :class:`PrecisionExhausted` when the enclosure will not
+    converge (e.g. comparing identical quantities for equality).
+    """
+    last_issue = "did not converge"
+    run = _Pass(point)
+    for rung, prec in enumerate(DEFAULT_PRECISIONS):
+        try:
+            result = run.interval(expr, prec)
+        except Ambiguous:
+            last_issue = "ambiguous condition"
+            continue
+        if result.err:
+            last_issue = "possible domain error"
+            continue
+        lo = round_to_format(result.lo, ty)
+        hi = round_to_format(result.hi, ty)
+        if lo == hi:
+            return lo, rung
+    if last_issue == "possible domain error":
+        raise DomainError("domain error persisted at maximum precision")
+    raise PrecisionExhausted(last_issue)
+
+
+def decide(expr: Expr, point: dict[str, float]) -> bool:
+    """Decide a boolean expression (e.g. an FPCore precondition) exactly."""
+    run = _Pass(point)
+    for prec in DEFAULT_PRECISIONS:
+        try:
+            return run.boolean(expr, prec)
+        except Ambiguous:
+            continue
+    raise PrecisionExhausted("ambiguous condition at maximum precision")
+
+
+class RivalEvaluator:
+    """Stateless point-at-a-time :func:`evaluate` that drops the rung.
+
+    Synthesized operators call the ladder through this method only
+    because perfbench's ``scalar`` layer wraps ``RivalEvaluator.eval`` by
+    name; the class goes when a benchmark change points that wrapper at
+    :func:`evaluate`.
+    """
+
+    __slots__ = ()
 
     def eval(self, expr: Expr, point: dict[str, float], ty: str = F64) -> float:
-        """The correctly rounded value of ``expr`` at ``point`` in format ``ty``.
-
-        Raises :class:`DomainError` when the expression is undefined at the
-        point, and :class:`PrecisionExhausted` when the enclosure will not
-        converge (e.g. comparing identical quantities for equality).
-        """
-        with self._counts_lock:
-            self.evals += 1
-        last_issue = "did not converge"
-        run = _Pass(point)
-        for index, prec in enumerate(self.precisions):
-            try:
-                result = run.interval(expr, prec)
-            except Ambiguous:
-                last_issue = "ambiguous condition"
-                continue
-            if result.err:
-                last_issue = "possible domain error"
-                continue
-            lo = round_to_format(result.lo, ty)
-            hi = round_to_format(result.hi, ty)
-            if lo == hi:
-                if index:
-                    with self._counts_lock:
-                        self.escalations += 1
-                return lo
-        if last_issue == "possible domain error":
-            raise DomainError("domain error persisted at maximum precision")
-        raise PrecisionExhausted(last_issue)
-
-    def eval_bool(self, expr: Expr, point: dict[str, float]) -> bool:
-        """Decide a boolean expression (e.g. an FPCore precondition)."""
-        run = _Pass(point)
-        for prec in self.precisions:
-            try:
-                return run.boolean(expr, prec)
-            except Ambiguous:
-                continue
-        raise PrecisionExhausted("ambiguous condition at maximum precision")
-
-    def defined_at(self, expr: Expr, point: dict[str, float], ty: str = F64) -> bool:
-        """True when the expression has a finite correctly-rounded value."""
-        try:
-            value = self.eval(expr, point, ty)
-        except (DomainError, PrecisionExhausted, KeyError):
-            return False
-        return math.isfinite(value)
+        return evaluate(expr, point, ty)[0]

@@ -12,7 +12,7 @@ The production-facing subsystem layered over the phase pipeline
 * :mod:`repro.service.server`    — the ``repro serve`` HTTP front-end
 
 Most callers should go through :class:`repro.api.ChassisSession`, which
-owns the cache, pool and evaluator across calls.
+owns the cache, pool and oracle backend across calls.
 """
 
 from .api import JobSpec, iter_ok_results, run_compile_jobs

@@ -47,7 +47,6 @@ from ..egraph.stats import EngineStats, engine_stats_sink
 from ..ir.fpcore import parse_fpcore
 from ..obs.trace import Trace, span, tracing
 from ..rival.backends import make_backend
-from ..rival.eval import RivalEvaluator
 from ..targets import get_target
 from .results import result_to_dict
 
@@ -159,10 +158,9 @@ class JobOutcome:
     #: hits and jobs that did no engine work.  Sessions fold these into
     #: ``SessionStats.engine`` so ``/health`` covers pooled compiles.
     engine: dict | None = None
-    #: Oracle counters from wherever the job ran — the per-job
-    #: evaluator's ``evals``/``escalations`` plus its backend's batch
-    #: counters, as an :meth:`OracleCounters.as_dict` dict; None for
-    #: cache hits.  Sessions fold these into ``SessionStats.rival``.
+    #: Oracle counters from wherever the job ran — the per-job backend's
+    #: :meth:`OracleCounters.as_dict` dict; None for cache hits.
+    #: Sessions fold these into ``SessionStats.rival``.
     oracle: dict | None = None
     #: Serialized :class:`~repro.obs.trace.Trace` when the job asked for
     #: one (``BatchJob.trace``); merged across workers by ``--trace``.
@@ -231,11 +229,10 @@ def run_job(job: BatchJob, target=None) -> dict:
     core = parse_fpcore(job.core_source, known_ops=set(target.operators))
     outcome = job_event(job.index, core.name or "<anonymous>", target.name)
 
-    # Per-job oracle: a private evaluator (its counters ship home on the
-    # outcome — worker instances cannot touch the session's) behind the
-    # backend the job names.
-    evaluator = RivalEvaluator()
-    oracle = make_backend(job.oracle_backend, evaluator=evaluator)
+    # Per-job oracle: a private backend of the kind the job names (its
+    # counters ship home on the outcome — worker instances cannot touch
+    # the session's).
+    oracle = make_backend(job.oracle_backend)
 
     # The cooperative deadline (armed below) bounds the compile on any
     # thread; SIGALRM rides along as a hard backstop, but it only arms in
@@ -307,8 +304,6 @@ def run_job(job: BatchJob, target=None) -> dict:
     if ctx.phase_seconds:
         outcome["phases"] = dict(ctx.phase_seconds)
     counters = oracle.counters()
-    counters.evals += evaluator.evals
-    counters.escalations += evaluator.escalations
     if counters.any():
         outcome["oracle"] = counters.as_dict()
     if trace is not None:

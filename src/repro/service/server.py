@@ -2,7 +2,7 @@
 
 One warm :class:`~repro.session.ChassisSession` behind a stdlib
 :class:`~http.server.ThreadingHTTPServer` — no third-party dependencies.
-Repeated requests hit the session's sample cache, evaluator and persistent
+Repeated requests hit the session's sample cache, oracle and persistent
 result cache instead of paying process start-up per compilation.
 
 Endpoints (all bodies JSON):
@@ -558,13 +558,11 @@ class ChassisServer(ThreadingHTTPServer):
             "repro_oracle_evals":
                 ("Correctly-rounded oracle ladder evaluations, in-process "
                  "plus folded back from pooled workers.",
-                 lambda: (session.evaluator.evals
-                          + session.stats.rival.evals)),
+                 lambda: session.oracle_counters().evals),
             "repro_oracle_fastpath_points":
                 ("Batched oracle points settled by the vectorized fast "
                  "path without touching the mpmath ladder.",
-                 lambda: (session.oracle.counters().fastpath_hits
-                          + session.stats.rival.fastpath_hits)),
+                 lambda: session.oracle_counters().fastpath_hits),
         }
         for name, (help_text, fn) in gauges.items():
             METRICS.gauge_fn(name, fn, help_text)

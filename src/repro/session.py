@@ -2,7 +2,7 @@
 
 A :class:`ChassisSession` holds, for its whole lifetime,
 
-* one :class:`~repro.rival.eval.RivalEvaluator` (the oracle),
+* one batched :class:`~repro.rival.backends.OracleBackend` (the oracle),
 * an in-memory LRU of seeded sample sets (keyed by benchmark content),
 * an optional persistent :class:`~repro.service.cache.CompileCache`,
 * per-target cost-model and performance-simulator instances,
@@ -83,7 +83,6 @@ from .obs.trace import span
 from .perf.simulator import PerfSimulator
 from .provenance.ledger import ProvenanceLedger
 from .rival.backends import OracleCounters, make_backend, resolve_backend_name
-from .rival.eval import RivalEvaluator
 from .service.api import JobSpec, _poolable, run_compile_jobs
 from .service.cache import (
     CompileCache,
@@ -138,10 +137,9 @@ class SessionStats:
     engine: EngineStats = field(default_factory=EngineStats)
     #: Always zero (see :class:`OracleStats`).
     oracle: OracleStats = field(default_factory=OracleStats)
-    #: Oracle-backend work folded back from pooled compiles (worker
-    #: evaluators' ``evals``/``escalations`` plus backend batch counters
-    #: shipped home on ``JobOutcome.oracle``) — the rival twin of
-    #: ``engine``, so ``/health`` oracle totals cover every process.
+    #: Oracle-backend counters folded back from pooled compiles (shipped
+    #: home on ``JobOutcome.oracle``) — the rival twin of ``engine``, so
+    #: ``/health`` oracle totals cover every process.
     rival: OracleCounters = field(default_factory=OracleCounters)
 
     def as_dict(self) -> dict:
@@ -240,7 +238,6 @@ class ChassisSession:
         self.cache = CompileCache(cache) if isinstance(cache, str) else cache
         self.jobs = jobs
         self.timeout = timeout
-        self.evaluator = RivalEvaluator()
         #: Resolved oracle-backend name: the ``oracle_backend=`` argument,
         #: else ``REPRO_ORACLE_BACKEND``, else ``auto`` (the numpy fast
         #: path).  Raises ValueError for unknown names.
@@ -276,11 +273,10 @@ class ChassisSession:
         #: Per-fingerprint gates serializing duplicate *compiles*;
         #: see :meth:`_gate`.
         self._compile_gates: dict[str, threading.Lock] = {}
-        #: The session's batched oracle backend for in-process work.  It
-        #: shares ``evaluator`` (whose counters stay authoritative).
-        #: Pooled compiles build their own per job (see
-        #: ``scheduler.run_job``).
-        self.oracle = make_backend(self.oracle_backend, evaluator=self.evaluator)
+        #: The session's batched oracle backend for in-process work; it
+        #: counts that work itself.  Pooled compiles build their own per
+        #: job (see ``scheduler.run_job``).
+        self.oracle = make_backend(self.oracle_backend)
         # Keyed by id() (targets are unhashable frozen objects); entries
         # are evicted by a weakref.finalize when their target dies, so a
         # long-lived session does not retain every Target it ever saw —
@@ -394,8 +390,7 @@ class ChassisSession:
             with deadline(self.timeout if timeout is None else timeout):
                 with span("phase.sample", benchmark=core.name or "<anonymous>"):
                     samples = sample_core(
-                        core, sample_config, self.evaluator,
-                        oracle=self.oracle,
+                        core, sample_config, oracle=self.oracle
                     )
             with self._lock:
                 self._samples[key] = samples
@@ -1105,7 +1100,7 @@ class ChassisSession:
         worker processes and inline batch jobs alike — merge into
         ``stats.engine``, closing the gap where pooled compiles did real
         e-graph work that ``/health`` never saw.  Oracle counters ride the
-        same road: each job's backend/evaluator work ships back on
+        same road: each job's backend counters ship back on
         ``JobOutcome.oracle`` and merges into ``stats.rival``.
         """
         with self._lock:
@@ -1219,6 +1214,14 @@ class ChassisSession:
         see the module-level :func:`targets_info`."""
         return targets_info()
 
+    def oracle_counters(self) -> OracleCounters:
+        """The session's oracle work: its own backend's counters plus
+        those pooled jobs shipped home (``stats.rival``)."""
+        counters = self.oracle.counters()
+        with self._lock:
+            counters.merge(self.stats.rival)
+        return counters
+
     def health(self) -> dict:
         """The liveness/statistics payload behind the serve ``/health``
         route and ``repro health``: session counters (including engine
@@ -1228,10 +1231,8 @@ class ChassisSession:
         oracle = self.oracle.counters()
         with self._lock:
             stats = self.stats.as_dict()
-            oracle.merge(self.stats.rival)
-        # The session backend shares ``self.evaluator`` (its own ``evals``
-        # stay zero); worker-side work arrives pre-folded in
-        # ``stats.rival`` — summing them never double-counts.
+        # The pooled share from the same snapshot as ``stats["rival"]``.
+        oracle.merge(stats["rival"])
         return {
             "ok": True,
             "stats": stats,
@@ -1245,8 +1246,8 @@ class ChassisSession:
             ),
             "oracle": {
                 "backend": self.oracle_backend,
-                "evals": self.evaluator.evals + oracle.evals,
-                "escalations": self.evaluator.escalations + oracle.escalations,
+                "evals": oracle.evals,
+                "escalations": oracle.escalations,
                 "batch_calls": oracle.batch_calls,
                 "batch_points": oracle.batch_points,
                 "fastpath_hits": oracle.fastpath_hits,

@@ -3,7 +3,7 @@
 When a target description provides no linking information for an operator,
 Chassis synthesizes a maximally-accurate implementation from the operator's
 desugaring using Rival.  We do the same with the adaptive interval oracle
-(:class:`~repro.rival.eval.RivalEvaluator`): enclosures tighten until the
+(:func:`~repro.rival.eval.evaluate`): enclosures tighten until the
 result rounds unambiguously into the output format.  :func:`mp_eval` is
 the fixed-precision mpmath point evaluator series expansion differentiates.
 """
@@ -14,6 +14,11 @@ import math
 from typing import Callable
 
 from ..ir.expr import App, Const, Expr, Num, Var
+from ..rival.eval import DomainError, PrecisionExhausted, RivalEvaluator
+
+#: The stateless ladder every synthesized operator calls (a
+#: ``RivalEvaluator`` only so perfbench's ``scalar`` layer sees the calls).
+_LADDER = RivalEvaluator()
 
 #: Point semantics of each real operator on an mpmath context ``c``.
 _MP_OPS: dict[str, Callable] = {
@@ -57,6 +62,10 @@ _MP_OPS: dict[str, Callable] = {
     "fmod": lambda c, a, b: a - b * (c.floor(a / b) if (a / b) >= 0 else c.ceil(a / b)),
 }
 
+#: Operators whose work grows with the size of their argument's exponent
+#: (argument reduction, or a result exponent that is itself huge).
+_REDUCING_OPS = frozenset({"sin", "cos", "tan", "exp"})
+
 
 def mp_eval(expr: Expr, env: dict, ctx):
     """Evaluate a real expression on the mpmath context ``ctx`` at its
@@ -65,7 +74,10 @@ def mp_eval(expr: Expr, env: dict, ctx):
     Callers pass a context of their own, never the process-global
     ``mpmath.mp``, so concurrent evaluations share no precision state.
     Domain errors surface as mpmath exceptions or complex results, which
-    callers convert to NaN.
+    callers convert to NaN.  A finite ``sin``/``cos``/``tan``/``exp``
+    argument whose magnitude exceeds ``2**ctx.prec`` raises ValueError
+    rather than asking mpmath for work that grows with the exponent
+    (``sin(exp(1/u))`` at a tiny ``u`` would not return).
     """
     if isinstance(expr, Var):
         return env[expr.name]
@@ -84,6 +96,12 @@ def mp_eval(expr: Expr, env: dict, ctx):
     if fn is None:
         raise KeyError(f"no mpmath semantics for {expr.op!r}")
     args = [mp_eval(a, env, ctx) for a in expr.args]
+    if (
+        expr.op in _REDUCING_OPS
+        and ctx.isfinite(args[0])
+        and ctx.mag(args[0]) > ctx.prec
+    ):
+        raise ValueError(f"{expr.op} argument too large at {ctx.prec} bits")
     result = fn(ctx, *args)
     if isinstance(result, ctx.mpc):
         raise ValueError(f"complex result from {expr.op}")
@@ -102,24 +120,10 @@ def synthesize_impl(
     """
 
     def impl(*args: float) -> float:
-        from ..rival.eval import DomainError, PrecisionExhausted
-
         try:
-            return _oracle().eval(approx, dict(zip(params, args)), ret_type)
+            return _LADDER.eval(approx, dict(zip(params, args)), ret_type)
         except (DomainError, PrecisionExhausted, KeyError, ValueError):
             return math.nan
 
     impl.__name__ = "synth_impl"
     return impl
-
-
-_ORACLE = None
-
-
-def _oracle():
-    global _ORACLE
-    if _ORACLE is None:
-        from ..rival.eval import RivalEvaluator
-
-        _ORACLE = RivalEvaluator()
-    return _ORACLE

@@ -7,7 +7,9 @@ it records the job fingerprint and a SHA-256 of the canonical serialized
 ``CompileResult`` payload.  ``tests/test_format_guard.py`` recomputes both
 and compares — identical cores must produce byte-identical results across
 the number-format refactor, and fingerprints may not change for f32/f64
-(warm caches must survive).
+(warm caches must survive).  The baseline records the ``COMPILER_EPOCH``
+it was captured under, and the script refuses to record different digests
+under that same epoch (``baseline_epoch.py``).
 
 The binary32 twin of ``sqrt-sub`` is captured too, so the guard pins both
 halves of the old string dichotomy.
@@ -23,7 +25,7 @@ from repro.accuracy.sampler import SampleConfig
 from repro.benchsuite import core_named
 from repro.core.loop import CompileConfig
 from repro.ir.fpcore import parse_fpcore
-from repro.service.cache import job_fingerprint
+from repro.service.cache import COMPILER_EPOCH, job_fingerprint
 from repro.service.results import result_to_dict
 from repro.session import ChassisSession
 from repro.targets import get_target
@@ -67,11 +69,14 @@ def capture() -> dict:
                 "fingerprint": job_fingerprint(core, target, CONFIG, SAMPLES),
                 "payload_sha256": canonical_digest(result_to_dict(result)),
             })
-    return {"description": __doc__.splitlines()[0], "jobs": rows}
+    return {
+        "description": __doc__.splitlines()[0],
+        "epoch": COMPILER_EPOCH,
+        "jobs": rows,
+    }
 
 
 if __name__ == "__main__":
-    out = Path(__file__).with_name("format_guard_baseline.json")
-    baseline = capture()
-    out.write_text(json.dumps(baseline, indent=2) + "\n")
-    print(f"wrote {len(baseline['jobs'])} baseline rows to {out}")
+    from baseline_epoch import write_baseline
+
+    write_baseline(Path(__file__).with_name("format_guard_baseline.json"), capture())

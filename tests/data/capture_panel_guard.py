@@ -8,7 +8,9 @@ canonical serialized ``CompileResult`` payload (``elapsed`` dropped) at the
 default ``CompileConfig()`` and ``SampleConfig()`` that users get.
 ``tests/test_panel_guard.py`` recomputes the digests and compares them, so
 a change that claims "payloads unchanged" is checked on every test run and
-every oracle backend, not by hand.
+every oracle backend, not by hand.  The baseline records the
+``COMPILER_EPOCH`` it was captured under, and the script refuses to
+record different digests under that same epoch (``baseline_epoch.py``).
 
 The pairs are copied in as literals rather than imported from the
 benchmark, so editing the benchmark's panels cannot silently move the
@@ -22,6 +24,7 @@ import json
 from pathlib import Path
 
 from repro.benchsuite import core_named
+from repro.service.cache import COMPILER_EPOCH
 from repro.service.results import result_to_dict
 from repro.session import ChassisSession
 from repro.targets import get_target
@@ -76,11 +79,14 @@ def capture(pooled: bool = False) -> dict:
         }
         for (name, target_name), payload in zip(PANEL, payloads)
     ]
-    return {"description": __doc__.splitlines()[0], "jobs": rows}
+    return {
+        "description": __doc__.splitlines()[0],
+        "epoch": COMPILER_EPOCH,
+        "jobs": rows,
+    }
 
 
 if __name__ == "__main__":
-    out = Path(__file__).with_name("panel_guard_baseline.json")
-    baseline = capture()
-    out.write_text(json.dumps(baseline, indent=2) + "\n")
-    print(f"wrote {len(baseline['jobs'])} baseline rows to {out}")
+    from baseline_epoch import write_baseline
+
+    write_baseline(Path(__file__).with_name("panel_guard_baseline.json"), capture())

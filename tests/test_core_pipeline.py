@@ -1,7 +1,12 @@
 """Tests for isel, series, regimes, the loop, and full compilation."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import pytest
 
 from repro.accuracy import SampleConfig, sample_core
@@ -16,6 +21,7 @@ from repro.core import (
 )
 from repro.core.candidates import Candidate
 from repro.ir import F32, F64, expr_to_sexpr, parse_expr, parse_fpcore
+from repro.targets.synth import mp_eval
 
 FAST = CompileConfig(iterations=1, localize_points=6, max_variants=15)
 SMALL = SampleConfig(n_train=16, n_test=16)
@@ -77,6 +83,45 @@ class TestSeries:
         # sqrt(x^2+1)-x ~ 1/(2x) at infinity
         out = series_candidates(parse_expr("(- (sqrt (+ (* x x) 1)) x)"), degree=2)
         assert any("/ 1 x" in expr_to_sexpr(e) for e in out)
+
+    def test_huge_reducing_argument_is_refused(self):
+        """sin/cos/tan/exp of a finite argument above 2**prec raise
+        ValueError instead of asking mpmath for unbounded work."""
+        ctx = mpmath.MPContext()
+        ctx.prec = 160
+        for op in ("sin", "cos", "tan", "exp"):
+            expr = parse_expr(f"({op} x)")
+            with pytest.raises(ValueError):
+                mp_eval(expr, {"x": ctx.mpf(2) ** 161}, ctx)
+            assert ctx.isfinite(mp_eval(expr, {"x": ctx.mpf(2) ** 100}, ctx))
+
+    def test_essential_singularity_at_infinity_returns(self):
+        """``sin(exp(x))`` at +infinity and the compile that stalled on it
+        (``synthetic-1000040``, inline on c99) finish.  They run in a child
+        process, so a stall fails the test instead of hanging the suite."""
+        script = (
+            "from repro.benchsuite.generator import generate_suite\n"
+            "from repro.core.series import taylor_coeffs\n"
+            "from repro.ir import parse_expr\n"
+            "from repro.session import ChassisSession\n"
+            "expr = parse_expr('(sin (exp (/ 1 u)))')\n"
+            "print(taylor_coeffs(expr, 'u', 0.0, 3, direction=1))\n"
+            "[core] = [c for c in generate_suite(40) if c.name == 'synthetic-1000040']\n"
+            "with ChassisSession() as session:\n"
+            "    session.compile(core, 'c99')\n"
+            "print('compiled')\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["None", "compiled"]
 
 
 class TestRegimes:

@@ -39,7 +39,6 @@ from repro.rival.backends.dd import (
     two_prod,
     two_sum,
 )
-from repro.rival.eval import RivalEvaluator
 
 #: Finite specials: signed zeros, denormals, powers straddling the
 #: binade structure, and the format's extremes.
@@ -48,10 +47,6 @@ SPECIALS = (
     2.2250738585072014e-308, 1e-300, -1e-300, 1e300,
     1.5, -0.1, 3.141592653589793, 123456789.0,
 )
-
-
-def _fresh(name):
-    return make_backend(name, evaluator=RivalEvaluator())
 
 
 def _bits(value):
@@ -214,7 +209,7 @@ class TestCascade:
         assert results is not None
         settled = [(i, r) for i, r in enumerate(results) if r is not None]
         assert len(settled) >= 60
-        ref = _fresh("mpmath").eval_batch(
+        ref = make_backend("mpmath").eval_batch(
             body, [points[i] for i, _ in settled], fmt
         )
         for (_, got), want in zip(settled, ref):
@@ -235,14 +230,14 @@ class TestCascade:
                     x = sign * scale * (1.0 + k * 2.0 ** -bits)
                     for direction in (1.0, -1.0):
                         points.append({"x": x, "y": direction * 2.0 ** -60 * x})
-        got = _fresh("numpy").eval_batch(body, points, fmt)
-        want = _fresh("mpmath").eval_batch(body, points, fmt)
+        got = make_backend("numpy").eval_batch(body, points, fmt)
+        want = make_backend("mpmath").eval_batch(body, points, fmt)
         assert [(r.status, _bits(r.value)) for r in got] == [
             (r.status, _bits(r.value)) for r in want
         ]
 
     def test_numpy_backend_counts_dd_hits(self):
-        backend = _fresh("numpy")
+        backend = make_backend("numpy")
         body = parse_expr("(/ (- 1 (cos x)) (* x x))")
         points = [{"x": 2.0 ** -e} for e in range(1, 40)]
         backend.eval_batch(body, points, F64)
@@ -261,7 +256,7 @@ class TestCascade:
         ]
         rung = DoubleDoubleRung()
         results = rung.evaluate(body, points, F64)
-        ladder = _fresh("mpmath")
+        ladder = make_backend("mpmath")
         settled = [(i, r) for i, r in enumerate(results) if r is not None]
         assert settled
         ref = ladder.eval_batch(body, [points[i] for i, _ in settled], F64)
@@ -287,7 +282,7 @@ class TestEndToEndIdentity:
     def test_backends_bit_identical(self, name):
         core = core_named(name)
         config = SampleConfig(n_train=16, n_test=16)
-        want = _sample_key(sample_core(core, config, oracle=_fresh("mpmath")))
+        want = _sample_key(sample_core(core, config, oracle=make_backend("mpmath")))
         assert _sample_key(
-            sample_core(core, config, oracle=_fresh("numpy"))
+            sample_core(core, config, oracle=make_backend("numpy"))
         ) == want

@@ -9,8 +9,9 @@ digests for the benchmark x target sample pinned in
 * **payloads may not change** — the whole compile pipeline (sampling,
   oracle, scoring, emission) must produce bit-identical results.
 
-Regenerate the baseline (only when an *intentional* behavior change lands)
-with ``PYTHONPATH=src python tests/data/capture_format_guard.py``.
+Regenerate the baseline (only when an *intentional* behavior change lands,
+after bumping ``COMPILER_EPOCH``) with
+``PYTHONPATH=src python tests/data/capture_format_guard.py``.
 """
 
 import importlib.util
@@ -18,6 +19,8 @@ import json
 from pathlib import Path
 
 import pytest
+
+from repro.service.cache import COMPILER_EPOCH
 
 _DATA = Path(__file__).parent / "data"
 
@@ -70,3 +73,7 @@ def test_payloads_byte_identical(recaptured, baseline):
         for r in recaptured["jobs"]
     }
     assert got == want
+
+
+def test_baseline_epoch_is_current(baseline):
+    assert baseline["epoch"] == COMPILER_EPOCH

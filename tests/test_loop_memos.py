@@ -31,14 +31,13 @@ from repro.fpeval.machine import (
 from repro.ir import parse_expr, parse_fpcore
 from repro.ir.expr import App
 from repro.rival.backends import make_backend
-from repro.rival.eval import DomainError, PrecisionExhausted, RivalEvaluator
+from repro.rival.eval import DomainError, PrecisionExhausted, evaluate
 from repro.targets import get_target
 
 
 def scalar_local_errors(program, target, points):
     """The per-node, per-point, per-argument reference: one scalar oracle
     call for every argument and every node at every point."""
-    evaluator = RivalEvaluator()
     impls = target.impl_registry()
     results = {}
     for path, node in program.subexprs():
@@ -52,10 +51,10 @@ def scalar_local_errors(program, target, points):
         for point in points:
             try:
                 exact_args = [
-                    evaluator.eval(target.desugar_expr(arg), point, arg_ty)
+                    evaluate(target.desugar_expr(arg), point, arg_ty)[0]
                     for arg, arg_ty in zip(node.args, spec.arg_types)
                 ]
-                exact_out = evaluator.eval(
+                exact_out, _rung = evaluate(
                     target.desugar_expr(node), point, op.ret_type
                 )
             except (DomainError, PrecisionExhausted, KeyError):

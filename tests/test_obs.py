@@ -239,14 +239,14 @@ class TestInstrumentedCompile:
             timings = session.last_phase_timings()
             assert timings is not None and set(timings) == set(phases)
             # the oracle counts its work
-            assert session.evaluator.evals > 0
+            assert session.oracle.counters().evals > 0
             after_ok = METRICS.counter(
                 "repro_compiles_total", outcome="ok"
             ).value
             assert after_ok == before_ok + 1
             health = session.health()
             assert health["ok"] is True
-            assert health["oracle"]["evals"] == session.evaluator.evals
+            assert health["oracle"]["evals"] == session.oracle.counters().evals
 
     def test_pooled_jobs_ship_traces_and_engine_counters(self):
         cores = [parse_fpcore(SRC), parse_fpcore(SRC2)]

@@ -19,18 +19,21 @@ from repro.accuracy.sampler import SampleConfig, sample_core
 from repro.api import ChassisSession, CompileConfig
 from repro.benchsuite.generator import generate_core
 from repro.benchsuite.suite import core_named
+from repro.deadline import DeadlineExceeded
 from repro.ir.parser import parse_expr
 from repro.ir.types import F32, F64
 from repro.obs.metrics import METRICS
 from repro.rival.backends import (
     BACKEND_NAMES,
+    OK,
     MpmathBackend,
     NumpyBackend,
     OracleCounters,
     make_backend,
+    mpmath_backend,
     resolve_backend_name,
 )
-from repro.rival.eval import RivalEvaluator
+from repro.service.server import create_server
 
 FAST = CompileConfig(iterations=1, localize_points=6, max_variants=12)
 SAMPLES = SampleConfig(n_train=8, n_test=8)
@@ -84,10 +87,6 @@ def _key(result) -> tuple:
     return (result.status, _bits(result.value) if result.ok else None)
 
 
-def _fresh(name: str):
-    return make_backend(name, evaluator=RivalEvaluator())
-
-
 def _sample_key(samples) -> tuple:
     points = tuple(
         tuple(sorted((k, _bits(v)) for k, v in point.items()))
@@ -121,8 +120,8 @@ class TestBatchEquivalence:
         expr = parse_expr(source)
         names = sorted(expr.free_vars())
         points = self._points(names)
-        fast = _fresh("numpy")
-        reference = _fresh("mpmath")
+        fast = make_backend("numpy")
+        reference = make_backend("mpmath")
         got = fast.eval_batch(expr, points, F64)
         want = reference.eval_batch(expr, points, F64)
         assert [_key(r) for r in got] == [_key(r) for r in want]
@@ -132,8 +131,8 @@ class TestBatchEquivalence:
         expr = parse_expr(source)
         names = sorted(expr.free_vars())
         points = self._points(names)
-        fast = _fresh("numpy")
-        reference = _fresh("mpmath")
+        fast = make_backend("numpy")
+        reference = make_backend("mpmath")
         got = fast.eval_bool_batch(expr, points)
         want = reference.eval_bool_batch(expr, points)
         assert [_key(r) for r in got] == [_key(r) for r in want]
@@ -141,8 +140,8 @@ class TestBatchEquivalence:
     def test_f32_rounding_matches(self):
         expr = parse_expr("(- (sqrt (+ x 1)) (sqrt x))")
         points = [{"x": 0.1 * i + 0.05} for i in range(64)]
-        got = _fresh("numpy").eval_batch(expr, points, F32)
-        want = _fresh("mpmath").eval_batch(expr, points, F32)
+        got = make_backend("numpy").eval_batch(expr, points, F32)
+        want = make_backend("mpmath").eval_batch(expr, points, F32)
         assert [_key(r) for r in got] == [_key(r) for r in want]
 
     def test_unsupported_operator_agrees_with_ladder(self):
@@ -151,9 +150,9 @@ class TestBatchEquivalence:
         # so its results (and counters) track the reference exactly.
         expr = parse_expr("(erf x)", known_ops={"erf"})
         points = [{"x": 0.25 * i} for i in range(8)]
-        fast = _fresh("numpy")
+        fast = make_backend("numpy")
         got = fast.eval_batch(expr, points, F64)
-        want = _fresh("mpmath").eval_batch(expr, points, F64)
+        want = make_backend("mpmath").eval_batch(expr, points, F64)
         assert [_key(r) for r in got] == [_key(r) for r in want]
         assert fast.counters().batch_points >= len(points)
 
@@ -162,7 +161,7 @@ class TestBatchEquivalence:
         cond = parse_expr("(< x y)")
         points = [{"x": 1.0}] * 3
         for name in ("numpy", "mpmath"):
-            backend = _fresh(name)
+            backend = make_backend(name)
             results = backend.eval_batch(expr, points, F64)
             assert [r.status for r in results] == ["invalid"] * 3
             verdicts = backend.eval_bool_batch(cond, points)
@@ -181,9 +180,9 @@ class TestBatchEquivalence:
         # up to 2**99, and only the condition floor makes it escalate.
         expr = parse_expr("(< (log (- (+ x 1) x)) 1)")
         points = [{"x": 2.0 ** k} for k in range(60, 111)]
-        fast = _fresh("numpy")
+        fast = make_backend("numpy")
         got = fast.eval_bool_batch(expr, points)
-        want = _fresh("mpmath").eval_bool_batch(expr, points)
+        want = make_backend("mpmath").eval_bool_batch(expr, points)
         assert want[90 - 60].status == "domain-error"
         assert [_key(r) for r in got] == [_key(r) for r in want]
         assert fast.counters().fastpath_hits > 0
@@ -196,8 +195,8 @@ class TestSamplerEquivalence:
     def test_curated_cores(self, name):
         core = core_named(name)
         config = SampleConfig(n_train=16, n_test=16)
-        reference = sample_core(core, config, oracle=_fresh("mpmath"))
-        fast = sample_core(core, config, oracle=_fresh("numpy"))
+        reference = sample_core(core, config, oracle=make_backend("mpmath"))
+        fast = sample_core(core, config, oracle=make_backend("numpy"))
         assert _sample_key(fast) == _sample_key(reference)
 
     @pytest.mark.parametrize(
@@ -215,13 +214,13 @@ class TestSamplerEquivalence:
             generate_core(seed, n_vars=2, depth=4), precision=precision
         )
         config = SampleConfig(n_train=12, n_test=12)
-        reference = sample_core(core, config, oracle=_fresh("mpmath"))
-        fast = sample_core(core, config, oracle=_fresh("numpy"))
+        reference = sample_core(core, config, oracle=make_backend("mpmath"))
+        fast = sample_core(core, config, oracle=make_backend("numpy"))
         assert _sample_key(fast) == _sample_key(reference)
 
     def test_fastpath_actually_used(self):
         core = core_named("sqrt-sub")
-        oracle = _fresh("numpy")
+        oracle = make_backend("numpy")
         sample_core(core, SampleConfig(n_train=32, n_test=32), oracle=oracle)
         counters = oracle.counters()
         assert counters.batch_points > 0
@@ -270,7 +269,7 @@ class TestBackendSelection:
     def test_all_names_constructible(self):
         assert BACKEND_NAMES == ("numpy", "mpmath")
         for name in BACKEND_NAMES:
-            backend = make_backend(name, evaluator=RivalEvaluator())
+            backend = make_backend(name)
             assert backend.name == name
 
 
@@ -318,7 +317,7 @@ class TestCounterFolding:
         assert outcome.oracle is not None
         assert outcome.oracle["evals"] > 0
         assert session.stats.rival.evals == outcome.oracle["evals"]
-        # The per-job evaluator is separate from the session's; health
+        # The per-job backend is separate from the session's; health
         # must include the folded counts.
         assert session.health()["oracle"]["evals"] >= outcome.oracle["evals"]
 
@@ -348,3 +347,80 @@ class TestCounterFolding:
             assert any(o.oracle for o in outcomes)
             assert pooled.stats.rival.evals > 0
 
+
+
+#: ``/health`` ``oracle`` totals of one default-config compile of
+#: ``sqrt-sub`` on c99, per backend; the same inline and on a pool.
+PINNED_SQRT_SUB_COUNTS = {
+    "numpy": {
+        "evals": 26, "escalations": 5, "batch_calls": 16,
+        "batch_points": 736, "fastpath_hits": 710, "escalated_points": 26,
+        "rungs": {"dd_hits": 710, "ladder_points": 26},
+    },
+    "mpmath": {
+        "evals": 480, "escalations": 13, "batch_calls": 16,
+        "batch_points": 736, "fastpath_hits": 0, "escalated_points": 736,
+        "rungs": {"dd_hits": 0, "ladder_points": 736},
+    },
+}
+
+
+def _gauge(text: str, name: str) -> float:
+    [line] = [line for line in text.splitlines() if line.startswith(name + " ")]
+    return float(line.split()[1])
+
+
+class TestOracleCounts:
+    """Every oracle count lives in a backend's ``OracleCounters``; the
+    totals a compile reports must not move when the code that carries
+    them does."""
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    @pytest.mark.parametrize("backend", ("numpy", "mpmath"))
+    def test_pinned_health_and_metrics_totals(self, backend, jobs):
+        with ChassisSession(jobs=jobs, oracle_backend=backend) as session:
+            session.compile(core_named("sqrt-sub"), "c99")
+            oracle = session.health()["oracle"]
+            assert oracle.pop("backend") == backend
+            assert oracle == PINNED_SQRT_SUB_COUNTS[backend]
+            # Inline work is the session backend's; pooled work arrives
+            # in ``stats.rival`` and the session backend stays idle.
+            own = session.oracle.counters().evals
+            assert own == (oracle["evals"] if jobs == 1 else 0)
+            assert session.stats.rival.evals == oracle["evals"] - own
+            server = create_server(session)
+            try:
+                text = METRICS.exposition()
+            finally:
+                server.server_close()
+            assert _gauge(text, "repro_oracle_evals") == oracle["evals"]
+            assert (
+                _gauge(text, "repro_oracle_fastpath_points")
+                == oracle["fastpath_hits"]
+            )
+
+    def test_deadline_mid_ladder_still_counts(self, monkeypatch):
+        """A deadline that fires inside a ladder batch propagates, and the
+        points evaluated before it are counted."""
+        calls = []
+
+        def fires_on_fourth_point():
+            calls.append(None)
+            if len(calls) == 4:
+                raise DeadlineExceeded("test deadline")
+
+        monkeypatch.setattr(mpmath_backend, "check_deadline", fires_on_fourth_point)
+        backend = MpmathBackend()
+        # Cancellation: each point settles above the first rung.
+        expr = parse_expr("(- (+ x 1) x)")
+        points = [{"x": 1e30 * (k + 1)} for k in range(10)]
+        with pytest.raises(DeadlineExceeded):
+            backend.eval_batch(expr, points)
+        counters = backend.counters()
+        assert (counters.evals, counters.escalations) == (3, 3)
+        # The cut batch itself never completed.
+        assert counters.batch_calls == counters.batch_points == 0
+        monkeypatch.undo()
+        results = backend.eval_batch(expr, points[:3])
+        assert [r.status for r in results] == [OK] * 3
+        assert backend.counters().evals == 6

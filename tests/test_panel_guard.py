@@ -6,8 +6,10 @@ two-worker pool, and compares each payload's SHA-256 (``elapsed``
 dropped) with ``tests/data/panel_guard_baseline.json``.  A change that keeps payloads
 byte-identical must pass it unchanged, on every oracle backend.
 
-Regenerate the baseline (only when an *intentional* output change lands)
-with ``PYTHONPATH=src python tests/data/capture_panel_guard.py``.
+Regenerate the baseline (only when an *intentional* output change lands,
+after bumping ``COMPILER_EPOCH``) with
+``PYTHONPATH=src python tests/data/capture_panel_guard.py``; it refuses
+to record new digests under the epoch of the old ones.
 """
 
 import importlib.util
@@ -16,13 +18,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.service.cache import COMPILER_EPOCH
+
 _DATA = Path(__file__).parent / "data"
 
 
-def _load_capture():
-    spec = importlib.util.spec_from_file_location(
-        "capture_panel_guard", _DATA / "capture_panel_guard.py"
-    )
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, _DATA / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -30,7 +32,7 @@ def _load_capture():
 
 @pytest.fixture(scope="module")
 def capture_module():
-    return _load_capture()
+    return _load("capture_panel_guard")
 
 
 @pytest.fixture(scope="module")
@@ -56,3 +58,23 @@ def test_panel_payloads_byte_identical(capture_module, baseline):
 def test_pooled_panel_payloads_byte_identical(capture_module, baseline):
     got = _digests(capture_module.capture(pooled=True)["jobs"])
     assert got == _digests(baseline["jobs"])
+
+
+def test_baseline_epoch_is_current(baseline):
+    assert baseline["epoch"] == COMPILER_EPOCH
+
+
+def test_capture_refuses_new_digests_under_the_same_epoch(baseline, tmp_path):
+    write_baseline = _load("baseline_epoch").write_baseline
+    path = tmp_path / "baseline.json"
+    path.write_text(json.dumps(baseline))
+    moved = json.loads(json.dumps(baseline))
+    moved["jobs"][3]["payload_sha256"] = "0" * 64
+    with pytest.raises(SystemExit, match="quad-disc/c99"):
+        write_baseline(path, moved)
+    assert json.loads(path.read_text()) == baseline
+    # The same digests, or new ones under a bumped epoch, are written.
+    write_baseline(path, baseline)
+    moved["epoch"] = baseline["epoch"] + 1
+    write_baseline(path, moved)
+    assert json.loads(path.read_text()) == moved

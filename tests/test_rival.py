@@ -20,7 +20,7 @@ from mpmath.libmp import (
 )
 
 from repro.ir import parse_expr
-from repro.rival import DomainError, Interval, PrecisionExhausted, RivalEvaluator
+from repro.rival import DomainError, Interval, PrecisionExhausted, decide, evaluate
 from repro.rival.interval import (
     exact,
     iadd,
@@ -171,63 +171,76 @@ class TestWideIntegerLiterals:
         expr = parse_expr(text)
         (batched,) = oracle.eval_batch(expr, [{"x": x}])
         assert batched.ok
-        for value in (oracle.eval(expr, {"x": x}), batched.value):
+        for value in (evaluate(expr, {"x": x})[0], batched.value):
             assert float.hex(value) == float.hex(expected)
 
 
+def _value(expr, point, ty="binary64"):
+    """The ladder's correctly rounded value, without its rung."""
+    return evaluate(expr, point, ty)[0]
+
+
 class TestRivalEvaluator:
-    def setup_method(self):
-        self.ev = RivalEvaluator()
+    """The ladder's two functions, ``evaluate`` and ``decide``."""
 
     def test_correct_rounding_simple(self):
-        assert self.ev.eval(parse_expr("(/ 1 x)"), {"x": 3.0}) == 1 / 3
+        assert _value(parse_expr("(/ 1 x)"), {"x": 3.0}) == 1 / 3
 
     def test_correct_rounding_cancellation(self):
         # The float computation loses everything; the oracle must not.
-        result = self.ev.eval(parse_expr("(- (sqrt (+ x 1)) (sqrt x))"), {"x": 1e20})
+        result = _value(parse_expr("(- (sqrt (+ x 1)) (sqrt x))"), {"x": 1e20})
         assert result == pytest.approx(5e-11, rel=1e-12)
 
     def test_huge_argument_trig(self):
-        result = self.ev.eval(parse_expr("(sin x)"), {"x": 1e10})
+        result = _value(parse_expr("(sin x)"), {"x": 1e10})
         assert result == pytest.approx(math.sin(1e10), abs=0)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            self.ev.eval(parse_expr("(log x)"), {"x": -2.0})
+            _value(parse_expr("(log x)"), {"x": -2.0})
 
     def test_division_by_exact_zero(self):
         with pytest.raises(DomainError):
-            self.ev.eval(parse_expr("(/ 1 x)"), {"x": 0.0})
+            _value(parse_expr("(/ 1 x)"), {"x": 0.0})
 
     def test_overflow_to_inf(self):
-        assert self.ev.eval(parse_expr("(exp x)"), {"x": 1000.0}) == math.inf
+        assert _value(parse_expr("(exp x)"), {"x": 1000.0}) == math.inf
 
     def test_binary32_rounding(self):
         import numpy as np
 
-        out = self.ev.eval(parse_expr("(/ 1 x)"), {"x": 3.0}, ty="binary32")
+        out = _value(parse_expr("(/ 1 x)"), {"x": 3.0}, ty="binary32")
         assert out == float(np.float32(1.0) / np.float32(3.0))
 
     def test_if_branch_selection(self):
         expr = parse_expr("(if (< x 0) (- x) x)")
-        assert self.ev.eval(expr, {"x": -4.0}) == 4.0
-        assert self.ev.eval(expr, {"x": 4.0}) == 4.0
+        assert _value(expr, {"x": -4.0}) == 4.0
+        assert _value(expr, {"x": 4.0}) == 4.0
 
     def test_eval_bool(self):
-        assert self.ev.eval_bool(parse_expr("(and (< 0 x) (< x 1))"), {"x": 0.5})
-        assert not self.ev.eval_bool(parse_expr("(< x 0)"), {"x": 0.5})
+        assert decide(parse_expr("(and (< 0 x) (< x 1))"), {"x": 0.5})
+        assert not decide(parse_expr("(< x 0)"), {"x": 0.5})
 
     def test_defined_at(self):
+        """Defined means a finite value; undefined raises DomainError."""
         expr = parse_expr("(sqrt x)")
-        assert self.ev.defined_at(expr, {"x": 4.0})
-        assert not self.ev.defined_at(expr, {"x": -4.0})
+        assert evaluate(expr, {"x": 4.0}) == (2.0, 0)
+        with pytest.raises(DomainError):
+            evaluate(expr, {"x": -4.0})
+
+    def test_rung_counts_escalation(self):
+        """The rung is the index into DEFAULT_PRECISIONS that settled the
+        value: 0 for an easy point, higher for heavy cancellation."""
+        assert evaluate(parse_expr("(/ 1 x)"), {"x": 3.0})[1] == 0
+        value, rung = evaluate(parse_expr("(- (+ x 1) x)"), {"x": 1e30})
+        assert value == 1.0 and rung > 0
 
     def test_constants(self):
-        assert self.ev.eval(parse_expr("PI"), {}) == math.pi
-        assert self.ev.eval(parse_expr("(exp 1)"), {}) == math.e
+        assert _value(parse_expr("PI"), {}) == math.pi
+        assert _value(parse_expr("(exp 1)"), {}) == math.e
 
     def test_rational_literal(self):
-        assert self.ev.eval(parse_expr("(+ x 1/3)"), {"x": 0.0}) == 1 / 3
+        assert _value(parse_expr("(+ x 1/3)"), {"x": 0.0}) == 1 / 3
 
     @given(st.floats(min_value=0.01, max_value=100, allow_nan=False))
     @settings(max_examples=40, deadline=None)
@@ -235,7 +248,7 @@ class TestRivalEvaluator:
         """The oracle agrees with (correctly-rounded-ish) libm closely."""
         from repro.accuracy import ulps_between
 
-        oracle = self.ev.eval(parse_expr("(log x)"), {"x": x})
+        oracle = _value(parse_expr("(log x)"), {"x": x})
         assert ulps_between(oracle, math.log(x)) <= 1
 
     @pytest.mark.xfail(
@@ -258,6 +271,6 @@ class TestRivalEvaluator:
             for text, x in cases:
                 expr = parse_expr(text)
                 (batched,) = oracle.eval_batch(expr, [{"x": x}])
-                for value in (oracle.eval(expr, {"x": x}), batched.value):
+                for value in (evaluate(expr, {"x": x})[0], batched.value):
                     assert value == 0.0, (backend, text, x)
                     assert math.copysign(1.0, value) == 1.0, (backend, text, x)

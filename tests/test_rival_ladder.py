@@ -9,10 +9,11 @@ compare:
   ``DEFAULT_PRECISIONS``, over special points (signed zeros, subnormals,
   huge values, domain edges, points near multiples of pi/2) and
   intervals between them;
-* whole expressions, rung by rung, and the evaluator's outcome (value
-  bits including the sign of zero, or the exception type) in binary64,
-  binary32, binary16 and bfloat16;
-* ``eval_bool`` on comparisons, ``and``/``or``/``not`` and ``if``;
+* whole expressions, rung by rung, and ``evaluate``'s outcome (value
+  bits including the sign of zero, whether it escalated past the first
+  rung, or the exception type) in binary64, binary32, binary16 and
+  bfloat16;
+* ``decide`` on comparisons, ``and``/``or``/``not`` and ``if``;
 * the constants, rational literals, and generator cores lowered for
   several targets.
 
@@ -37,7 +38,7 @@ from repro.benchsuite.generator import generate_core
 from repro.core.transcribe import Untranscribable, transcribe_with_poly
 from repro.ir import parse_expr
 from repro.ir.expr import App
-from repro.rival import DEFAULT_PRECISIONS, INTERVAL_OPS, Interval, RivalEvaluator
+from repro.rival import DEFAULT_PRECISIONS, INTERVAL_OPS, Interval, decide, evaluate
 from repro.rival.eval import _Pass
 from repro.rival.interval import exact
 from repro.targets import get_target
@@ -132,7 +133,7 @@ def test_binary_op_every_rung(op):
         _check_op(op, (a, b), (build_a, build_b))
 
 
-# --- whole expressions, rung by rung and through the evaluator ---------------------
+# --- whole expressions, rung by rung and through the ladder ------------------------
 
 EXPRESSIONS = (
     "(- x (sin x))", "(- (tan x) (sin x))", "(- (sqrt (+ x 1)) (sqrt x))",
@@ -164,6 +165,25 @@ def _outcome(fn):
     return float.hex(value) if isinstance(value, float) else value
 
 
+def _ladder_outcome(expr, point, ty):
+    """``evaluate``'s value bits and whether it escalated, or the error."""
+    try:
+        value, rung = evaluate(expr, point, ty)
+    except Exception as exc:
+        return type(exc)
+    return float.hex(value), rung > 0
+
+
+def _reference_outcome(old, expr, point, ty):
+    """The same reading of the frozen evaluator (its escalation count)."""
+    before = old.escalations
+    try:
+        value = old.eval(expr, point, ty)
+    except Exception as exc:
+        return type(exc)
+    return float.hex(value), old.escalations > before
+
+
 def _check_expression(expr, point, formats=FORMATS):
     run = _Pass(point)
     for prec in DEFAULT_PRECISIONS:
@@ -171,10 +191,10 @@ def _check_expression(expr, point, formats=FORMATS):
         with mp.workprec(prec):
             want = _call(lambda: ref._eval_interval(expr, point))
         assert got == want, (str(expr), point, prec)
-    new, old = RivalEvaluator(), ref.RivalEvaluator()
+    old = ref.RivalEvaluator()
     for ty in formats:
-        got = _outcome(lambda: new.eval(expr, point, ty))
-        want = _outcome(lambda: old.eval(expr, point, ty))
+        got = _ladder_outcome(expr, point, ty)
+        want = _reference_outcome(old, expr, point, ty)
         assert got == want, (str(expr), point, ty)
 
 
@@ -205,10 +225,10 @@ CONDITIONS = (
 @pytest.mark.parametrize("text", CONDITIONS)
 def test_eval_bool_matches(text):
     expr = parse_expr(text)
-    new, old = RivalEvaluator(), ref.RivalEvaluator()
+    old = ref.RivalEvaluator()
     for x in SPECIAL:
         point = {"x": x}
-        got = _outcome(lambda: new.eval_bool(expr, point))
+        got = _outcome(lambda: decide(expr, point))
         want = _outcome(lambda: old.eval_bool(expr, point))
         assert got == want, (text, x)
 
@@ -257,8 +277,7 @@ def test_threads_share_no_precision_state():
     ]
 
     def run(expr, xs):
-        ev = RivalEvaluator()
-        return [float.hex(ev.eval(expr, {"x": x})) for x in xs]
+        return [float.hex(evaluate(expr, {"x": x})[0]) for x in xs]
 
     serial = [run(expr, xs) for expr, xs in jobs]
     results = [None, None]

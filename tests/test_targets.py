@@ -158,6 +158,23 @@ class TestSynthesis:
         impl = synthesize_impl(parse_expr("(log x)"), ("x",), F64)
         assert math.isnan(impl(-1.0))
 
+    def test_synthesized_calls_go_through_rival_evaluator_eval(self, monkeypatch):
+        """perfbench's ``scalar`` layer wraps ``RivalEvaluator.eval`` by
+        name; synthesized operators must still call it."""
+        from repro.rival.eval import RivalEvaluator
+
+        calls = []
+        unwrapped = RivalEvaluator.eval
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return unwrapped(self, *args, **kwargs)
+
+        monkeypatch.setattr(RivalEvaluator, "eval", counted)
+        impl = synthesize_impl(parse_expr("(log (+ 1 x))"), ("x",), F64)
+        assert impl(1.5) == math.log(2.5)
+        assert len(calls) == 1
+
     def test_synthesized_f32(self):
         from repro.fpeval import to_f32
 

@@ -1,8 +1,9 @@
 """In-process compiles share no process-global mpmath state.
 
 Series expansion borrows private mpmath contexts, the double-double
-constants come from libmp at an explicit precision, and the evaluator's
-counters are exact, so threads of one session need no oracle lock.
+constants come from libmp at an explicit precision, the ladder keeps no
+state, and a backend's counters are exact, so threads of one session
+need no oracle lock.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.benchsuite import core_named
 from repro.core.series import series_candidates, taylor_coeffs
 from repro.ir import parse_expr
 from repro.ir.printer import expr_to_sexpr
-from repro.rival import RivalEvaluator
+from repro.rival.backends import MpmathBackend
 from repro.rival.backends import dd
 from repro.session import ChassisSession
 
@@ -108,18 +109,22 @@ def test_dd_constants_match_a_200_bit_reference():
 
 
 def test_evaluator_counts_are_exact_across_threads():
-    """Four threads (more than the usual core count) share one evaluator;
-    a lost ``+=`` update would leave ``evals`` short."""
-    evaluator = RivalEvaluator()
+    """Four threads (more than the usual core count) share one ladder
+    backend, one point per batch; a lost ``+=`` update would leave its
+    counters short."""
+    backend = MpmathBackend()
     expr = parse_expr("(+ x 1)")
     n = 1000
 
     def body():
         for k in range(n):
-            evaluator.eval(expr, {"x": float(k)})
+            backend.eval_batch(expr, [{"x": float(k)}])
 
     _run_threads([body] * 4, switch=1e-6)
-    assert evaluator.evals == 4 * n
+    counters = backend.counters()
+    assert counters.evals == counters.batch_points == 4 * n
+    assert counters.batch_calls == 4 * n
+    assert counters.escalations == 0
 
 
 def test_concurrent_inline_compiles_match_a_serial_run():
