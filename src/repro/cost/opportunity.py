@@ -11,6 +11,8 @@ happen inside its arguments (otherwise the program root always wins).
 
 from __future__ import annotations
 
+import weakref
+
 from ..egraph.egraph import EGraph
 from ..egraph.runner import RunnerLimits, run_rules
 from ..egraph.typed_extract import TypedExtractor
@@ -25,6 +27,21 @@ Path = tuple[int, ...]
 #: Lightweight limits: the analysis runs over *every* subexpression, so the
 #: paper keeps this pass much cheaper than the real rewrite pass.
 _LIGHT_LIMITS = RunnerLimits(max_iterations=3, max_nodes=1200, max_matches_per_rule=150)
+
+# Keyed by target identity and evicted with the target, like
+# ``repro.core.isel._rules_for``'s cache.
+_RULES_CACHE: dict[int, list] = {}
+
+
+def _rules_for(target: Target) -> list:
+    """The simplifying rules plus the target's desugaring rules, in that
+    order (computed once per target)."""
+    cached = _RULES_CACHE.get(id(target))
+    if cached is None:
+        cached = list(opportunity_rules()) + target.desugar_rules()
+        _RULES_CACHE[id(target)] = cached
+        weakref.finalize(target, _RULES_CACHE.pop, id(target), None)
+    return cached
 
 
 def infer_types(program: Expr, target: Target, ty: str = F64) -> dict[Path, str]:
@@ -89,8 +106,7 @@ def cost_opportunities(
     egraph = EGraph()
     class_of: dict[Path, int] = {}
     _insert(program, (), egraph, class_of)
-    rules = list(opportunity_rules()) + target.desugar_rules()
-    run_rules(egraph, rules, limits)
+    run_rules(egraph, _rules_for(target), limits)
 
     extractor = TypedExtractor(egraph, model, var_types)
     node_types = infer_types(program, target, ty)

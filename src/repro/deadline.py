@@ -34,12 +34,19 @@ class DeadlineExceeded(BaseException):
     """
 
 
-_STATE = threading.local()
+class _State(threading.local):
+    """Per-thread deadline; the class default serves threads that never
+    armed one, so reading it never raises."""
+
+    deadline: float | None = None
+
+
+_STATE = _State()
 
 
 def current_deadline() -> float | None:
     """This thread's absolute deadline (monotonic seconds), or None."""
-    return getattr(_STATE, "deadline", None)
+    return _STATE.deadline
 
 
 def remaining() -> float | None:
@@ -75,9 +82,9 @@ def deadline(seconds: float | None):
 def check_deadline() -> None:
     """Raise :class:`DeadlineExceeded` if this thread's deadline passed.
 
-    Cheap enough for per-iteration use (one monotonic read); a no-op when
-    no deadline is armed.
+    Cheap enough for per-rule use: one attribute read, plus a monotonic
+    read when a deadline is armed.
     """
-    dl = getattr(_STATE, "deadline", None)
+    dl = _STATE.deadline
     if dl is not None and time.monotonic() > dl:
         raise DeadlineExceeded(f"deadline exceeded by {time.monotonic() - dl:.3f}s")

@@ -49,11 +49,13 @@ class EngineStats:
     #: Stale e-nodes (own nodes and parent entries holding a merged-away
     #: class id) that rebuilds re-canonicalized.
     rebuild_stale_nodes: int = 0
-    #: Graph topology snapshots built (one per generation that was
-    #: searched or extracted from).
+    #: Snapshot views built: one per generation that was searched (the
+    #: matcher's ``by_head``) plus one per generation that was extracted
+    #: from (the extractors' ``nodes``/``parents``).
     snapshots_built: int = 0
     #: Searches/extractions that reused an existing same-generation
-    #: snapshot (e.g. a second cost function pricing the same graph).
+    #: snapshot (e.g. every search after an iteration's first, or a second
+    #: cost function pricing the same graph).
     snapshot_reuses: int = 0
     #: Rule name -> iterations whose search was truncated by the match budget.
     rules_truncated: dict[str, int] = field(default_factory=dict)

@@ -86,10 +86,16 @@ class TypedExtractor:
         a class whose per-type table gains or improves an entry pushes its
         parents, so each class is re-priced only when a child's table
         actually changed instead of on every whole-graph sweep.
+
+        Each head's choices are looked up once per run (:meth:`_choices`);
+        a node's arity is still checked against them.  ``args`` are
+        canonical class ids (snapshot form), so child lookups go straight
+        into the best tables without union-find calls.
         """
         best = self.best
         nodes = self.snapshot.nodes
         parents = self.snapshot.parents
+        choices: dict = {}
         pending = deque(nodes)
         queued = set(pending)
         while pending:
@@ -98,48 +104,57 @@ class TypedExtractor:
             table = best.setdefault(class_id, {})
             improved = False
             for head, args, node in nodes[class_id]:
-                for ty, cost, arg_types in self._node_options(head, args):
-                    current = table.get(ty)
-                    if current is None or cost < current[0]:
-                        table[ty] = (cost, node, arg_types)
-                        improved = True
+                options = choices.get(head)
+                if options is None:
+                    options = choices[head] = self._choices(head)
+                for ty, cost, arg_types in options:
+                    if len(arg_types) != len(args):
+                        continue
+                    # Own cost first, then the children in order: the same
+                    # float sums, so the tables stay bit-identical.
+                    for arg, arg_ty in zip(args, arg_types):
+                        entry = best.get(arg)
+                        if entry is not None:
+                            entry = entry.get(arg_ty)
+                        if entry is None:
+                            break
+                        cost += entry[0]
+                    else:
+                        current = table.get(ty)
+                        if current is None or cost < current[0]:
+                            table[ty] = (cost, node, arg_types)
+                            improved = True
             if improved:
                 for parent in parents.get(class_id, ()):
                     if parent not in queued:
                         queued.add(parent)
                         pending.append(parent)
 
-    def _node_options(self, head, args: tuple[int, ...]):
-        """Yield ``(ret_type, total_cost, arg_types)`` choices for a node.
-
-        ``args`` are canonical class ids (snapshot form), so child lookups
-        go straight into the best tables without union-find calls.
+    def _choices(self, head) -> tuple[tuple[str, float, tuple[str, ...]], ...]:
+        """``(ret_type, own_cost, arg_types)`` for each way to type a node
+        with ``head``; a node's total adds its children's best costs at
+        ``arg_types`` to ``own_cost``.  Empty when the head never extracts.
         """
+        model = self.cost_model
         if is_op_head(head):
-            signature = self.cost_model.operator_signature(head)
+            signature = model.operator_signature(head)
             if signature is None:
-                return  # real operator: never extracted
+                return ()  # real operator: never extracted
             arg_types, ret_type = signature
-            if len(arg_types) != len(args):
-                return
-            total = self.cost_model.operator_cost(head)
-            for arg, arg_ty in zip(args, arg_types):
-                entry = self.best.get(arg, {}).get(arg_ty)
-                if entry is None:
-                    return
-                total += entry[0]
-            yield ret_type, total, arg_types
-            return
+            return ((ret_type, model.operator_cost(head), arg_types),)
         tag = head[0]
         if tag == "var":
             ty = self.var_types.get(head[1])
-            if ty is not None:
-                yield ty, self.cost_model.variable_cost(ty), ()
-        elif tag in ("num", "const"):
-            if tag == "const" and head[1] in ("TRUE", "FALSE", "NAN"):
-                return
-            for ty in self.cost_model.literal_types():
-                yield ty, self.cost_model.literal_cost(ty), ()
+            if ty is None:
+                return ()
+            return ((ty, model.variable_cost(ty), ()),)
+        if tag == "const" and head[1] in ("TRUE", "FALSE", "NAN"):
+            return ()
+        if tag in ("num", "const"):
+            return tuple(
+                (ty, model.literal_cost(ty), ()) for ty in model.literal_types()
+            )
+        return ()
 
     # --- queries ------------------------------------------------------------------
 

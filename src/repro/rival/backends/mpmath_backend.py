@@ -30,16 +30,18 @@ class MpmathBackend(OracleBackend):
     def eval_batch(
         self, expr: Expr, points: Sequence[dict[str, float]], ty: str = F64
     ) -> list[PointResult]:
-        results = self._ladder_batch(expr, points, ty)
-        self._record_batch(len(points), fastpath=0, escalated=len(points))
-        return results
+        try:
+            return self._ladder_batch(expr, points, ty)
+        finally:
+            self._record_batch(len(points), fastpath=0, escalated=len(points))
 
     def eval_bool_batch(
         self, expr: Expr, points: Sequence[dict[str, float]]
     ) -> list[PointResult]:
-        results = self._ladder_bool_batch(expr, points)
-        self._record_batch(len(points), fastpath=0, escalated=len(points))
-        return results
+        try:
+            return self._ladder_bool_batch(expr, points)
+        finally:
+            self._record_batch(len(points), fastpath=0, escalated=len(points))
 
     # --- the ladder rung (also used by the numpy backend's residue) -----------
 
@@ -51,8 +53,9 @@ class MpmathBackend(OracleBackend):
         Counts one ``evals`` per point it starts and one ``escalations``
         per value settled above the first rung; a batch cut short by
         DeadlineExceeded (a BaseException, which propagates) still
-        counts the points it reached.  Ordinary per-point failures
-        become statuses.
+        counts the points it reached, and its callers still record the
+        whole batch, so ``evals <= escalated_points`` always holds.
+        Ordinary per-point failures become statuses.
         """
         results: list[PointResult] = []
         evals = escalations = 0

@@ -69,12 +69,17 @@ class NumpyBackend(OracleBackend):
         )
 
     def _finish(self, results, points, ladder) -> list[PointResult]:
-        """Send the unsettled points to ``ladder`` and count the batch."""
+        """Send the unsettled points to ``ladder`` and count the batch,
+        also when a deadline cuts the ladder short."""
         residue = [i for i, result in enumerate(results) if result is None]
-        if residue:
-            laddered = ladder([points[i] for i in residue])
-            for i, outcome in zip(residue, laddered):
-                results[i] = outcome
         n = len(points)
-        self._record_batch(n, fastpath=n - len(residue), escalated=len(residue))
+        try:
+            if residue:
+                laddered = ladder([points[i] for i in residue])
+                for i, outcome in zip(residue, laddered):
+                    results[i] = outcome
+        finally:
+            self._record_batch(
+                n, fastpath=n - len(residue), escalated=len(residue)
+            )
         return results

@@ -32,6 +32,7 @@ from repro.api import (
     deadline,
 )
 from repro.benchsuite import core_named
+from repro.deadline import current_deadline
 
 FAST = CompileConfig(iterations=1, localize_points=6, max_variants=12)
 SAMPLES = SampleConfig(n_train=8, n_test=8)
@@ -75,6 +76,43 @@ class TestDeadlinePrimitives:
         with pytest.raises(ValueError):
             with deadline(0):
                 pass
+
+    def test_fresh_thread_has_no_deadline(self):
+        seen = []
+
+        def probe():
+            check_deadline()  # a thread that never armed one: a no-op
+            seen.append(current_deadline())
+
+        thread = threading.Thread(target=probe)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert seen == [None]
+
+    def test_deadline_is_invisible_to_other_threads(self):
+        import time
+
+        seen = []
+
+        def probe():
+            try:
+                check_deadline()
+            except DeadlineExceeded:
+                seen.append("raised")
+            else:
+                seen.append(current_deadline())
+
+        with deadline(0.0001):
+            time.sleep(0.01)
+            thread = threading.Thread(target=probe)
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            with pytest.raises(DeadlineExceeded):
+                check_deadline()
+        assert seen == [None]
+        assert current_deadline() is None
 
 
 class TestSessionTimeouts:

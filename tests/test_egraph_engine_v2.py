@@ -629,6 +629,21 @@ class TestRulesCache:
         assert lowered == {f"lower-{op}" for op in derived.operators}
         assert "lower-hypot.f64" in {r.name for r in _rules_for(builtin)}
 
+    def test_opportunity_rules_cached_per_target_in_order(self):
+        from repro.rules import opportunity_rules
+
+        builtin, derived = get_target("c99"), self._derived()
+        rules = opportunity._rules_for(builtin)
+        assert opportunity._rules_for(builtin) is rules
+        assert [r.name for r in rules] == [
+            r.name
+            for r in list(opportunity_rules()) + builtin.desugar_rules()
+        ]
+        assert "lower-hypot.f64" in {r.name for r in rules}
+        assert "lower-hypot.f64" not in {
+            r.name for r in opportunity._rules_for(derived)
+        }
+
     def test_builtin_payload_ignores_prior_same_named_compile(
         self, monkeypatch
     ):

@@ -418,9 +418,36 @@ class TestOracleCounts:
             backend.eval_batch(expr, points)
         counters = backend.counters()
         assert (counters.evals, counters.escalations) == (3, 3)
-        # The cut batch itself never completed.
-        assert counters.batch_calls == counters.batch_points == 0
+        # The cut batch is still recorded whole, so the ladder never shows
+        # more evals than points sent to it.
+        assert counters.batch_calls == 1
+        assert counters.batch_points == counters.escalated_points == 10
         monkeypatch.undo()
         results = backend.eval_batch(expr, points[:3])
         assert [r.status for r in results] == [OK] * 3
-        assert backend.counters().evals == 6
+        counters = backend.counters()
+        assert counters.evals == 6
+        assert counters.evals <= counters.escalated_points == 13
+
+    def test_deadline_mid_residue_still_counts_the_batch(self, monkeypatch):
+        """On the numpy backend, a deadline inside the ladder residue
+        records the batch with its dd and ladder split."""
+        calls = []
+
+        def fires_on_third_point():
+            calls.append(None)
+            if len(calls) == 3:
+                raise DeadlineExceeded("test deadline")
+
+        monkeypatch.setattr(mpmath_backend, "check_deadline", fires_on_third_point)
+        backend = make_backend("numpy")
+        expr = parse_expr("(- (+ x 1) x)")
+        # The dd rung settles the first four points; the rest need the ladder.
+        points = [{"x": 1.5 * (k + 1)} for k in range(4)]
+        points += [{"x": 1e30 * (k + 1)} for k in range(6)]
+        with pytest.raises(DeadlineExceeded):
+            backend.eval_batch(expr, points)
+        counters = backend.counters()
+        assert counters.evals == 2
+        assert (counters.batch_calls, counters.batch_points) == (1, 10)
+        assert (counters.fastpath_hits, counters.escalated_points) == (4, 6)
