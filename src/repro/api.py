@@ -61,7 +61,7 @@ from .exec import (
 )
 from .ir.fpcore import FPCore, parse_fpcore, parse_fpcores
 from .provenance.ledger import ProvenanceLedger
-from .service.api import JobSpec, run_compile_jobs
+from .service.api import JobSpec
 from .service.cache import CompileCache, job_fingerprint
 from .service.pool import WorkerPool
 from .service.scheduler import JobOutcome, JobTimeout
@@ -100,7 +100,6 @@ __all__ = [
     "WorkerPool",
     "CompileCache",
     "job_fingerprint",
-    "run_compile_jobs",
     # provenance
     "ProvenanceLedger",
     # server front-end

@@ -41,7 +41,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from .accuracy.sampler import SampleConfig
 from .benchsuite import core_named
@@ -133,25 +132,22 @@ def _cmd_compile(args) -> int:
         else:
             print(f"{label}: FAILED ({error_type}: {error})")
 
-    def emit_ok(label, core, result, elapsed, engine_delta, timings) -> None:
+    def emit_ok(label, core, outcome) -> None:
         if args.json:
-            from .service.results import result_to_dict
-
             # The same deterministic row shape the batch report writer emits
             # (joinable on "benchmark"/"target", no bulky fields), plus this
-            # job's engine-counter delta — e-nodes built, rule searches,
-            # stop reasons and per-rule match-budget truncations
-            # (`rules_truncated`) — and its
-            # per-phase wall-clock breakdown, the observability hooks for
-            # tuning node/match budgets and finding the slow phase.
-            row = job_row(
-                label, target.name, "ok", payload=result_to_dict(result)
-            )
-            row["engine"] = engine_delta
-            row["timings"] = timings
+            # job's engine counters — e-nodes built, rule searches, stop
+            # reasons and per-rule match-budget truncations
+            # (`rules_truncated`) — and its per-phase wall-clock breakdown,
+            # the observability hooks for tuning node/match budgets and
+            # finding the slow phase.
+            row = job_row(label, target.name, "ok", payload=outcome.payload)
+            row["engine"] = outcome.engine or {}
+            row["timings"] = outcome.phases
             print(json.dumps(row))
             return
-        print(f"{label} on {target.name} ({elapsed:.1f}s):")
+        result = outcome.result
+        print(f"{label} on {target.name} ({outcome.elapsed:.1f}s):")
         inp = result.input_candidate
         print(f"  input  cost={inp.cost:9.1f}  bits-of-error={inp.error:6.2f}")
         for candidate in result.frontier:
@@ -173,60 +169,22 @@ def _cmd_compile(args) -> int:
     cores = _read_cores(args.input)
     traces: list = []
     status = 0
-    if args.jobs > 1:
-        from .obs.trace import trace_from_dict
-
-        # Pooled path: benchmarks fan out across warm worker processes.
-        # Each worker records its own span trace and engine counters and
-        # ships them back on the JobOutcome; --trace merges every worker's
-        # spans onto one absolute timeline below.
-        outcomes = session.compile_many(
-            [(core, target) for core in cores], trace=bool(args.trace)
-        )
-        for core, outcome in zip(cores, outcomes):
-            label = core.name or core.properties.get("name", "<anonymous>")
-            if outcome.trace:
-                traces.append(outcome.trace)
-            if not outcome.ok:
-                emit_failed(
-                    label, outcome.error_type or outcome.status, outcome.error
-                )
-                status = 1
-                continue
-            timings = (
-                trace_from_dict(outcome.trace).phase_seconds()
-                if outcome.trace else None
-            )
-            emit_ok(
-                label, core, outcome.result, outcome.elapsed,
-                outcome.engine or {}, timings,
-            )
-    else:
-        from .egraph.stats import stats_delta
-        from .obs.trace import Trace, tracing
-
-        for core in cores:
-            label = core.name or core.properties.get("name", "<anonymous>")
-            start = time.monotonic()
-            engine_before = session.stats.engine.as_dict()
-            trace = Trace(name=f"{label}:{target.name}") if args.trace else None
-            try:
-                if trace is not None:
-                    with tracing(trace):
-                        result = session.compile(core, target)
-                else:
-                    result = session.compile(core, target)
-            except Exception as error:  # surface per-core failures, keep going
-                emit_failed(label, type(error).__name__, str(error))
-                status = 1
-                continue
-            if trace is not None:
-                traces.append(trace)
-            emit_ok(
-                label, core, result, time.monotonic() - start,
-                stats_delta(session.stats.engine.as_dict(), engine_before),
-                session.last_phase_timings(),
-            )
+    # Benchmarks fan out across warm worker processes (--jobs >= 2) or
+    # run inline; either way each job ships its phase timings, engine
+    # counters and (with --trace) span trace home on its JobOutcome, and
+    # --trace merges every job's spans onto one absolute timeline below.
+    outcomes = session.compile_many(
+        [(core, target) for core in cores], trace=bool(args.trace)
+    )
+    for core, outcome in zip(cores, outcomes):
+        label = core.name or core.properties.get("name", "<anonymous>")
+        if outcome.trace:
+            traces.append(outcome.trace)
+        if not outcome.ok:
+            emit_failed(label, outcome.error_type or outcome.status, outcome.error)
+            status = 1
+            continue
+        emit_ok(label, core, outcome)
     if args.trace:
         from .obs.trace import write_chrome_trace
 
@@ -526,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="emit one machine-readable JSON object per benchmark "
-        "(includes engine-counter deltas and per-phase timings)",
+        "(includes per-job engine counters and per-phase timings)",
     )
     p_compile.add_argument(
         "--jobs",

@@ -12,7 +12,7 @@ from .extract import (
 from .multi_extract import extract_variants
 from .rewrite import Rewrite, birw, rw
 from .runner import RunnerLimits, RunnerReport, run_rules
-from .stats import EngineStats, current_sink, engine_stats_sink, stats_delta
+from .stats import EngineStats, current_sink, engine_stats_sink
 from .typed_extract import TypedCostModel, TypedExtractor
 from .unionfind import UnionFind
 
@@ -24,5 +24,5 @@ __all__ = [
     "Extractor", "extract_best", "ast_size_cost", "real_only_cost",
     "ExtractionError",
     "TypedExtractor", "TypedCostModel", "extract_variants",
-    "EngineStats", "engine_stats_sink", "current_sink", "stats_delta",
+    "EngineStats", "engine_stats_sink", "current_sink",
 ]

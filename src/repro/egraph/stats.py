@@ -85,27 +85,6 @@ class EngineStats:
         return dataclasses.asdict(self)
 
 
-def stats_delta(after: dict, before: dict) -> dict:
-    """``after - before`` over two :meth:`EngineStats.as_dict` snapshots.
-
-    Used by ``repro compile --json`` to attribute engine work to one job
-    out of a session's running totals.
-    """
-    delta: dict = {}
-    for key, value in after.items():
-        if isinstance(value, dict):
-            prior = before.get(key, {})
-            sub = {
-                name: count - prior.get(name, 0)
-                for name, count in value.items()
-                if count - prior.get(name, 0)
-            }
-            delta[key] = sub
-        else:
-            delta[key] = value - before.get(key, 0)
-    return delta
-
-
 _LOCAL = threading.local()
 
 

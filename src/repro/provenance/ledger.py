@@ -2,7 +2,8 @@
 
 One record per compile/validate/batch job, written next to the persistent
 :class:`~repro.service.cache.CompileCache` (``<cache>/provenance.jsonl``)
-by :class:`~repro.session.ChassisSession` and the batch engine.  A record
+by :class:`~repro.session.ChassisSession`, which folds every compile
+job's outcome into one record (and writes one per validation).  A record
 answers "where did this cached value come from": the job fingerprint and
 its three constituent fingerprints (core/target/config), the benchmark,
 target and number format, the oracle backend that produced the sample
@@ -11,7 +12,7 @@ engine/oracle counter deltas of the work actually done, the host +
 compiler + commit that did it, and the elapsed wall clock.
 
 Records are single ``os.write`` calls on an ``O_APPEND`` descriptor, so
-concurrent threads (serve handlers, the batch engine's parent loop) never
+concurrent threads (serve handlers, ``submit`` workers) never
 interleave partial lines; worker *processes* never write — their outcomes
 ship home on :class:`~repro.service.scheduler.JobOutcome` and the parent
 records them, so one process owns the file per session.  Reads
@@ -145,10 +146,9 @@ class ProvenanceLedger:
 
         ``core``/``target``/``config``/``sample_config`` are the job's
         actual inputs — the constituent fingerprints are derived here so
-        every caller (session entry, batch engine, validate) records the
-        same lineage without importing the fingerprint functions.  Callers
-        pass this method duck-typed (the batch engine takes any object
-        with it), so its signature is the ledger's write API.
+        every caller (the session's job fold, validate) records the same
+        lineage without importing the fingerprint functions.  Its
+        signature is the ledger's write API.
         """
         record = {
             "schema": LEDGER_SCHEMA,

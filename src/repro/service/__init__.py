@@ -7,15 +7,17 @@ The production-facing subsystem layered over the phase pipeline
 * :mod:`repro.service.results`   — JSON round-trip of CompileResult
 * :mod:`repro.service.scheduler` — the job function and outcome shape
 * :mod:`repro.service.pool`      — the persistent worker pool
-* :mod:`repro.service.api`       — the :func:`run_compile_jobs` engine
+* :mod:`repro.service.api`       — the compile-job engine behind every
+  session compile, single entries and batches alike
 * :mod:`repro.service.batch`     — the ``repro batch`` CLI command
 * :mod:`repro.service.server`    — the ``repro serve`` HTTP front-end
 
-Most callers should go through :class:`repro.api.ChassisSession`, which
-owns the cache, pool and oracle backend across calls.
+Callers go through :class:`repro.api.ChassisSession`, which owns the
+cache, pool and oracle backend across calls; ``compile_many`` is the one
+public batch entry.
 """
 
-from .api import JobSpec, iter_ok_results, run_compile_jobs
+from .api import JobSpec
 from .cache import (
     CacheStats,
     CompileCache,
@@ -30,8 +32,6 @@ from .results import result_from_dict, result_to_dict
 from .scheduler import BatchJob, JobOutcome, JobTimeout, job_event
 
 __all__ = [
-    "run_compile_jobs",
-    "iter_ok_results",
     "JobSpec",
     "CompileCache",
     "CacheStats",

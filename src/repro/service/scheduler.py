@@ -19,12 +19,18 @@ Guarantees:
 * **Per-job timeouts** — enforced by a thread-safe cooperative deadline
   (:mod:`repro.deadline`, polled at phase/iteration/sampling boundaries)
   plus ``SIGALRM`` as a hard backstop wherever the job runs in a process's
-  main thread (worker processes always do), so a hung compilation frees
-  its pool slot instead of wedging the batch — and inline jobs running on
-  *non-main* threads (serve handlers, ``submit`` workers) are bounded too.
+  main thread (worker processes always do) with no interval timer of the
+  caller's running, so a hung compilation frees its pool slot instead of
+  wedging the batch — and inline jobs running on *non-main* threads
+  (serve handlers, ``submit`` workers) are bounded too.  A session's
+  single inline compile, which draws its samples through session locks,
+  keeps to the cooperative deadline.
 * Inline jobs (no worker pool, or a target the registry cannot rebuild)
   run in the calling process through the exact same job function, so
-  serial and pooled runs produce identical reports.
+  serial and pooled runs produce identical payloads.  Every plain session
+  compile is such a job — a single ``compile`` is a one-job batch — and
+  only customized pipeline runs (``skip``/``replace``/hooks/``samples``)
+  bypass it.
 
 The jobs run on the session-owned
 :class:`~repro.service.pool.WorkerPool` or inline; see
@@ -38,10 +44,9 @@ import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from ..accuracy.sampler import SampleConfig, SamplingError
+from ..accuracy.sampler import SampleConfig
 from ..core.loop import CompileConfig
 from ..core.pipeline import CompilePipeline, PipelineContext, observe_phase
-from ..core.transcribe import Untranscribable
 from ..deadline import DeadlineExceeded, deadline
 from ..egraph.stats import EngineStats, engine_stats_sink
 from ..ir.fpcore import parse_fpcore
@@ -49,11 +54,6 @@ from ..obs.trace import Trace, span, tracing
 from ..rival.backends import make_backend
 from ..targets import get_target
 from .results import result_to_dict
-
-#: Exceptions that mean "this (benchmark, target) pair is infeasible", as
-#: opposed to a bug; both are captured either way.
-EXPECTED_FAILURES = (Untranscribable, SamplingError)
-
 
 class JobTimeout(DeadlineExceeded):
     """A single compilation exceeded its time budget.
@@ -119,6 +119,9 @@ class BatchJob:
     #: benchmark appears under many targets).  MUST equal what
     #: ``sample_core(core, sample_config)`` would produce — the cache
     #: fingerprint assumes samples are a pure function of those two.
+    #: Inline jobs may carry a zero-argument callable instead (a session's
+    #: sample cache), called when the job runs, so a failed or timed-out
+    #: draw is this job's outcome.
     samples: object | None = None
     #: Per-job timeout (seconds; None = unbounded).
     timeout: float | None = None
@@ -168,6 +171,10 @@ class JobOutcome:
     #: Per-phase wall-clock seconds of the compile wherever it ran (the
     #: pipeline's ``phase_seconds``); None for cache hits.
     phases: dict | None = None
+    #: The live exception of a job that failed inline (None otherwise:
+    #: a pooled job's error crosses the process boundary as
+    #: ``error_type``/``error`` only; see :func:`rebuild_error`).
+    exception: BaseException | None = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -214,12 +221,16 @@ def _alarm_handler(_signum, _frame):
     raise JobTimeout()
 
 
-def run_job(job: BatchJob, target=None) -> dict:
+def run_job(job: BatchJob, target=None, *, keep_error: bool = False) -> dict:
     """Compile one job; returns a JSON-able outcome dict.
 
-    Runs in a worker process (or inline for serial batches); must only
-    touch picklable/JSON-able data at its boundary.  ``target`` may be
-    passed pre-resolved for inline execution of non-registry targets.
+    Runs in a worker process, or inline (no pool, or a target the
+    registry cannot rebuild); must only touch picklable/JSON-able data at
+    its boundary.  ``target`` may be passed pre-resolved for inline
+    execution of non-registry targets.  ``keep_error=True`` (inline
+    callers) also returns a failed job's live exception under
+    ``"exception"``, traceback and attributes intact; the caller must
+    take it out before the dict goes anywhere else.
     """
     import time
 
@@ -238,11 +249,16 @@ def run_job(job: BatchJob, target=None) -> dict:
     # thread; SIGALRM rides along as a hard backstop, but it only arms in
     # the main thread — off-main-thread callers (serve handler threads,
     # submit workers) rely on the deadline alone rather than crashing in
-    # signal.signal.
+    # signal.signal.  Nor does it arm over the caller's own interval timer
+    # (arming would cancel it), or around a session's sample draw (a
+    # callable ``samples``), whose locks an asynchronous exception must
+    # not interrupt: those jobs keep to the cooperative deadline.
     use_alarm = (
         timeout is not None
+        and not callable(job.samples)
         and hasattr(signal, "SIGALRM")
         and threading.current_thread() is threading.main_thread()
+        and signal.getitimer(signal.ITIMER_REAL)[0] == 0.0
     )
     if use_alarm:
         previous = signal.signal(signal.SIGALRM, _alarm_handler)
@@ -259,7 +275,8 @@ def run_job(job: BatchJob, target=None) -> dict:
     trace_arm = tracing(trace) if trace is not None else nullcontext()
     ctx = PipelineContext(
         target=target, config=job.config, sample_config=job.sample_config,
-        oracle=oracle, core=core, samples=job.samples,
+        oracle=oracle, core=core,
+        samples=None if callable(job.samples) else job.samples,
     )
     try:
         try:
@@ -268,15 +285,21 @@ def run_job(job: BatchJob, target=None) -> dict:
                     "compile",
                     benchmark=outcome["benchmark"], target=target.name,
                 ):
+                    if callable(job.samples):
+                        # The draw is the sample phase's work; the phase
+                        # itself then finds the samples in place.
+                        drawn = time.perf_counter()
+                        ctx.samples = job.samples()
+                        ctx.phase_seconds["sample"] = time.perf_counter() - drawn
                     result = CompilePipeline().run(ctx).result
-        except EXPECTED_FAILURES as error:
+        except Exception as error:
+            # Expected failures (Untranscribable, SamplingError: the pair
+            # is infeasible) and genuine bugs alike must not kill the batch.
             outcome["status"] = "failed"
             outcome["error_type"] = type(error).__name__
             outcome["error"] = str(error)
-        except Exception as error:  # genuine bugs still must not kill the batch
-            outcome["status"] = "failed"
-            outcome["error_type"] = type(error).__name__
-            outcome["error"] = str(error)
+            if keep_error:
+                outcome["exception"] = error
         finally:
             if use_alarm:
                 signal.setitimer(signal.ITIMER_REAL, 0.0)

@@ -21,6 +21,17 @@ baselines — goes through a session, so repeated requests hit warm state
 instead of paying process start-up each time.  One-shot callers that want
 no session state use :func:`repro.core.pipeline.compile_core`.
 
+There is one compile path.  :meth:`~ChassisSession.compile_many` hands
+its jobs to the engine :func:`repro.service.api.run_compile_jobs`, and
+every plain single entry — :meth:`~ChassisSession.compile`,
+:meth:`~ChassisSession.compile_payload`, :meth:`~ChassisSession.submit`,
+serve ``/compile`` — is a one-job batch through the same engine.  Each
+job ends as one :class:`~repro.service.scheduler.JobOutcome`, and that
+record is the only input to :class:`SessionStats`, the
+``repro_compiles_total`` counter, the provenance ledger and the thread's
+:meth:`~ChassisSession.last_phase_timings` /
+:meth:`~ChassisSession.last_provenance` view.
+
 Synopsis::
 
     from repro.api import ChassisSession
@@ -42,6 +53,7 @@ uses.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import threading
 import time
@@ -83,7 +95,7 @@ from .obs.trace import span
 from .perf.simulator import PerfSimulator
 from .provenance.ledger import ProvenanceLedger
 from .rival.backends import OracleCounters, make_backend, resolve_backend_name
-from .service.api import JobSpec, _poolable, run_compile_jobs
+from .service.api import JobSpec, _poolable, cached_outcome, run_compile_jobs
 from .service.cache import (
     CompileCache,
     core_fingerprint,
@@ -92,8 +104,8 @@ from .service.cache import (
     target_fingerprint,
 )
 from .service.pool import WorkerPool
-from .service.results import core_to_source, result_from_dict, result_to_dict
-from .service.scheduler import BatchJob, JobOutcome, JobTimeout, rebuild_error
+from .service.results import result_from_dict
+from .service.scheduler import JobOutcome, JobTimeout, rebuild_error
 from .targets import all_targets, get_target
 from .targets.target import Target
 
@@ -114,7 +126,12 @@ class OracleStats:
 
 @dataclass
 class SessionStats:
-    """Counters over one session's lifetime (surfaced by ``/health``)."""
+    """Counters over one session's lifetime (surfaced by ``/health``).
+
+    ``compiles``/``cache_hits``/``failures``/``timeouts`` count compile
+    jobs — single entries and batch jobs alike — by disposition, folded
+    from their :class:`JobOutcome` records.
+    """
 
     compiles: int = 0
     cache_hits: int = 0
@@ -129,21 +146,47 @@ class SessionStats:
     validations: int = 0
     validation_hits: int = 0
     #: E-graph engine counters (e-nodes built, matches found/applied,
-    #: rule searches, stop reasons), accumulated
-    #: from every in-process pipeline run *and* — shipped back through
-    #: ``JobOutcome.engine`` — from every pooled worker-process compile,
-    #: so ``/health`` covers the whole session regardless of where jobs
-    #: ran.
+    #: rule searches, stop reasons), shipped back on ``JobOutcome.engine``
+    #: by every compile job wherever it ran, plus those of customized and
+    #: partial pipeline runs, so ``/health`` covers the whole session.
     engine: EngineStats = field(default_factory=EngineStats)
     #: Always zero (see :class:`OracleStats`).
     oracle: OracleStats = field(default_factory=OracleStats)
-    #: Oracle-backend counters folded back from pooled compiles (shipped
-    #: home on ``JobOutcome.oracle``) — the rival twin of ``engine``, so
-    #: ``/health`` oracle totals cover every process.
+    #: Oracle-backend counters every compile job ships home on
+    #: ``JobOutcome.oracle`` (each job runs its own backend) — the rival
+    #: twin of ``engine``.  The session backend counts the rest: the
+    #: sample draws of inline jobs and partial runs.
     rival: OracleCounters = field(default_factory=OracleCounters)
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+#: The ``repro_compiles_total`` label of a job disposition, and the
+#: :class:`SessionStats` counter it bumps.
+_COUNTER_OF = {
+    "cache_hit": "cache_hits",
+    "ok": "compiles",
+    "timeout": "timeouts",
+    "failure": "failures",
+}
+
+
+def _disposition(outcome: JobOutcome) -> str:
+    """What became of one compile job: a key of :data:`_COUNTER_OF`."""
+    if outcome.cached:
+        return "cache_hit"
+    if outcome.ok:
+        return "ok"
+    return "timeout" if outcome.status == "timeout" else "failure"
+
+
+class _LastEntry(threading.local):
+    """This thread's most recent compile entry: its outcome and the
+    ledger record written for it (None without a ledger)."""
+
+    outcome: JobOutcome | None = None
+    record: dict | None = None
 
 
 @dataclass
@@ -200,8 +243,8 @@ class ChassisSession:
 
     ``config``/``sample_config`` are the session defaults (overridable per
     call); ``cache`` is a :class:`CompileCache`, a directory path, or None;
-    ``jobs``/``timeout`` parameterize batch calls and the :meth:`submit`
-    pool.  Sessions may be shared across threads (the serve front-end and
+    ``jobs``/``timeout`` parameterize every compile job and the
+    :meth:`submit` pool.  Sessions may be shared across threads (the serve front-end and
     :meth:`submit` do): mutable session state sits behind one lock, and
     in-process compiles on different threads run concurrently.  No
     process-global mpmath state is involved: the oracle's ladder passes
@@ -210,12 +253,16 @@ class ChassisSession:
     session's oracle backend (``oracle_backend=`` /
     ``REPRO_ORACLE_BACKEND``).  Duplicate concurrent requests for one job
     share a per-fingerprint gate, so the later one reads the earlier
-    one's cached result.  With ``jobs >= 2``, plain registry-target
-    compiles — :meth:`compile`, :meth:`submit`, :meth:`compile_many`,
-    serve ``/compile`` — run on the session's persistent
+    one's cached result.  Plain compiles — :meth:`compile`,
+    :meth:`submit`, :meth:`compile_payload`, serve ``/compile`` and every
+    :meth:`compile_many` job — are jobs of one engine
+    (:func:`~repro.service.api.run_compile_jobs`).  With ``jobs >= 2``,
+    registry-target misses run on the session's persistent
     :class:`~repro.service.pool.WorkerPool`, whose workers stay warm
-    across calls.  ``timeout`` bounds each compilation wherever it runs
-    (cooperative deadline on any thread, SIGALRM backstop in workers).
+    across calls; otherwise they run inline through the same job
+    function.  ``timeout`` bounds each compilation wherever it runs
+    (cooperative deadline on any thread, SIGALRM backstop in pool workers
+    and for inline :meth:`compile_many` jobs on a main thread).
     """
 
     def __init__(
@@ -258,14 +305,9 @@ class ChassisSession:
         self.ledger = ledger
         self.stats = SessionStats()
         self._lock = threading.RLock()
-        #: Per-thread phase timings of the last fresh compile (None after
-        #: a warm cache hit — no phases ran); see :meth:`last_phase_timings`.
-        self._timings_local = threading.local()
-        #: Per-thread marker of the last compile entry's provenance (its
-        #: fingerprint + the ledger record written), resolved lazily by
-        #: :meth:`last_provenance` — serve handlers attach it only when a
-        #: client opts in, so warm hits never pay a ledger scan.
-        self._prov_local = threading.local()
+        #: Per-thread record of the last compile entry, read by
+        #: :meth:`last_phase_timings` and :meth:`last_provenance`.
+        self._last = _LastEntry()
         self._samples: OrderedDict[str, SampleSet] = OrderedDict()
         #: Per-fingerprint gates serializing duplicate *sampling* requests
         #: (the global-lock dedup this replaces serialized all sampling).
@@ -273,9 +315,10 @@ class ChassisSession:
         #: Per-fingerprint gates serializing duplicate *compiles*;
         #: see :meth:`_gate`.
         self._compile_gates: dict[str, threading.Lock] = {}
-        #: The session's batched oracle backend for in-process work; it
-        #: counts that work itself.  Pooled compiles build their own per
-        #: job (see ``scheduler.run_job``).
+        #: The session's batched oracle backend: the sample cache draws
+        #: through it, as do partial pipeline runs, and it counts that
+        #: work itself.  Compile jobs build their own per job (see
+        #: ``scheduler.run_job``) and ship the counts home.
         self.oracle = make_backend(self.oracle_backend)
         # Keyed by id() (targets are unhashable frozen objects); entries
         # are evicted by a weakref.finalize when their target dies, so a
@@ -423,11 +466,32 @@ class ChassisSession:
         itself, so inline compiles are bounded on *any* thread, raising
         :class:`~repro.deadline.DeadlineExceeded`.
         """
+        engine = EngineStats()
+        try:
+            return self._run_pipeline(
+                engine, {}, core, target,
+                config=config, sample_config=sample_config, samples=samples,
+                skip=skip, replace=replace, before=before, after=after,
+                timeout=timeout,
+            )
+        finally:
+            # Folded even when the run times out or fails partway.
+            if engine.any():
+                with self._lock:
+                    self.stats.engine.merge(engine)
+
+    def _run_pipeline(
+        self, engine: EngineStats, phases: dict[str, float], core, target, *,
+        config, sample_config, samples, skip, replace, before, after, timeout,
+    ) -> PipelineContext:
+        """:meth:`run_pipeline`, counting the run's engine work into
+        ``engine`` and its per-phase seconds into ``phases`` (the
+        context's ``phase_seconds``), also when it raises, instead of
+        folding them into the session."""
         effective_timeout = self.timeout if timeout is None else timeout
         target = self.resolve_target(target)
         sample_config = sample_config or self.sample_config
         core = self.parse(core, target)
-        sample_elapsed = 0.0
         with span(
             "compile",
             benchmark=core.name or "<anonymous>", target=target.name,
@@ -435,11 +499,14 @@ class ChassisSession:
             if samples is None and "sample" not in set(skip) and (
                 replace is None or "sample" not in replace
             ):
+                # Session pre-sampling makes the pipeline's own sample
+                # phase a no-op; the real draw is that phase's time, so
+                # the breakdown sums to the compile's wall clock.
                 sample_start = time.perf_counter()
                 samples = self.samples_for(
                     core, sample_config, timeout=effective_timeout
                 )
-                sample_elapsed = time.perf_counter() - sample_start
+                phases["sample"] = time.perf_counter() - sample_start
             ctx = PipelineContext(
                 target=target,
                 config=config or self.config,
@@ -447,35 +514,13 @@ class ChassisSession:
                 oracle=self.oracle,
                 core=core,
                 samples=samples,
+                phase_seconds=phases,
             )
             pipeline = CompilePipeline(
                 skip=skip, replace=replace, before=before, after=after
             )
-            # Engine counters accumulate into a local sink and fold into the
-            # session totals even when the run times out or fails partway.
-            engine_local = EngineStats()
-            try:
-                with deadline(effective_timeout), engine_stats_sink(engine_local):
-                    return pipeline.run(ctx)
-            finally:
-                if engine_local.any():
-                    with self._lock:
-                        self.stats.engine.merge(engine_local)
-                # Session pre-sampling makes the pipeline's own sample
-                # phase a no-op; attribute the real draw to it so the
-                # per-phase breakdown sums to the compile's wall clock.
-                timings = dict(ctx.phase_seconds)
-                if sample_elapsed:
-                    timings["sample"] = (
-                        timings.get("sample", 0.0) + sample_elapsed
-                    )
-                self._timings_local.phases = timings
-                # This run's exact engine deltas, for the provenance
-                # record the compile entry writes (the session totals
-                # above are cumulative — useless for one job).
-                self._timings_local.engine = (
-                    engine_local.as_dict() if engine_local.any() else None
-                )
+            with deadline(effective_timeout), engine_stats_sink(engine):
+                return pipeline.run(ctx)
 
     def last_phase_timings(self) -> dict[str, float] | None:
         """Per-phase wall-clock seconds of this thread's most recent fresh
@@ -483,7 +528,8 @@ class ChassisSession:
         ``None`` when the last compile entry was a warm cache hit (no
         phases ran).  Thread-local, so concurrent serve handlers each see
         their own compile's breakdown."""
-        return getattr(self._timings_local, "phases", None)
+        outcome = self._last.outcome
+        return None if outcome is None else outcome.phases
 
     def last_provenance(self) -> dict | None:
         """Provenance of this thread's most recent compile entry, or None
@@ -496,19 +542,17 @@ class ChassisSession:
         opt-in ``provenance`` knob, outside the byte-identical payload).
         The origin resolve scans the journal, which is why it happens
         here, lazily, and not on every hit."""
-        entry = getattr(self._prov_local, "entry", None)
-        if entry is None or self.ledger is None:
+        outcome, record = self._last.outcome, self._last.record
+        if outcome is None or record is None:
             return None
-        record = entry["record"]
-        origin = (
-            record if record.get("cache") != "hit"
-            else self.ledger.resolve(entry["fingerprint"])
-        )
         return {
-            "fingerprint": entry["fingerprint"],
-            "cached": record.get("cache") == "hit",
+            "fingerprint": outcome.fingerprint,
+            "cached": outcome.cached,
             "record": record,
-            "origin": origin,
+            "origin": (
+                self.ledger.resolve(outcome.fingerprint)
+                if outcome.cached else record
+            ),
         }
 
     def provenance_for(self, fingerprint: str) -> list[dict]:
@@ -535,33 +579,41 @@ class ChassisSession:
     ) -> CompileResult:
         """Compile one benchmark for one target through the warm session.
 
-        Checks the persistent cache first, then runs the phase pipeline
-        and stores the fresh result.  Customized calls never touch the
-        cache: a ``skip``/``replace`` pipeline's product is not a full
-        compilation, caller-supplied ``samples`` are not provably the
-        seeded ones the fingerprint describes (unlike ``compile_many``,
-        which documents that contract, this method stays safe by
-        bypassing instead), and ``before``/``after`` hooks must actually
-        observe phases running (a cache hit runs none) and may mutate the
-        context.
+        A plain call is a one-job :meth:`compile_many` batch held behind a
+        per-fingerprint gate: the persistent cache answers it if it can,
+        else the job compiles — on the session's warm worker pool with
+        ``jobs >= 2``, inline otherwise, sampling through the session's
+        sample cache — and its fresh result is stored; concurrent
+        identical calls compile once.  A failed job raises its error —
+        the exception itself when the job ran inline, one rebuilt from its
+        type name and message when it ran on the pool — and a timed-out
+        one :class:`~repro.service.scheduler.JobTimeout`.
+
+        Customized calls never touch the cache: a ``skip``/``replace``
+        pipeline's product is not a full compilation, caller-supplied
+        ``samples`` are not provably the seeded ones the fingerprint
+        describes (unlike ``compile_many``, which documents that
+        contract, this method stays safe by bypassing instead), and
+        ``before``/``after`` hooks must actually observe phases running (a
+        cache hit runs none) and may mutate the context.  They are partial
+        runs of :meth:`run_pipeline`, not jobs, but fold into the session
+        the same way and raise their own exceptions.
 
         ``timeout`` overrides the session default for this call; running
         past it raises :class:`~repro.deadline.DeadlineExceeded` (works
         from any thread — serve handlers, ``submit`` workers).
-
-        With ``jobs >= 2``, a plain registry-target call that misses the
-        cache compiles on the session's warm worker pool; concurrent
-        identical calls compile once.
         """
-        payload, cached, _fingerprint, result = self._compile_entry(
+        outcome = self._compile_entry(
             core, target,
             config=config, sample_config=sample_config, samples=samples,
             skip=tuple(skip), replace=replace, before=before, after=after,
             use_cache=use_cache, timeout=timeout,
         )
-        if result is None:
-            result = result_from_dict(payload, self.resolve_target(target))
-        return result
+        if outcome.result is None:
+            outcome.result = result_from_dict(
+                outcome.payload, self.resolve_target(target)
+            )
+        return outcome.result
 
     def compile_payload(
         self,
@@ -579,144 +631,103 @@ class ChassisSession:
         requests serialize to byte-identical JSON — the contract the
         ``repro serve`` front-end exposes on the wire.
         """
-        payload, cached, _fingerprint, _result = self._compile_entry(
+        outcome = self._compile_entry(
             core, target, config=config, sample_config=sample_config,
             samples=None, skip=(), replace=None, before=None, after=None,
             use_cache=True, timeout=timeout,
         )
-        return payload, cached
+        return outcome.payload, outcome.cached
 
     def _compile_entry(
         self, core, target, *, config, sample_config, samples,
-        skip, replace, before, after, use_cache, timeout=None,
-    ) -> tuple[dict, bool, str, CompileResult | None]:
+        skip, replace, before, after, use_cache, timeout,
+    ) -> JobOutcome:
+        """One compile entry: its job's ok outcome, or the job's error
+        raised.  Either way the outcome is folded and becomes this
+        thread's last entry."""
         target = self.resolve_target(target)
         core = self.parse(core, target)
         config = config or self.config
         sample_config = sample_config or self.sample_config
-        customized = (
-            bool(skip) or bool(replace) or samples is not None
-            or before is not None or after is not None
-        )
-        fingerprint = job_fingerprint(core, target, config, sample_config)
-        cacheable = self.cache is not None and use_cache and not customized
-        # Plain compiles run on the warm worker pool when the session has
-        # one (jobs >= 2, not closed); customized calls and non-registry
-        # targets cannot cross the process boundary and run inline.
-        pool = (
-            self.worker_pool()
-            if not customized and _poolable(target) else None
-        )
-        # A cache hit runs no phases; stale timings from an earlier compile
-        # on this thread must not be attributed to it.  Same for the
-        # provenance marker: it must describe *this* entry or nothing.
-        self._timings_local.phases = None
-        self._timings_local.engine = None
-        self._prov_local.entry = None
-
-        def outcome_counter(outcome: str):
-            return METRICS.counter(
-                "repro_compiles_total",
-                "Session compile entries by outcome.",
-                outcome=outcome,
+        timeout = self.timeout if timeout is None else timeout
+        job = (core, target, job_fingerprint(core, target, config, sample_config), None)
+        self._last.outcome = None
+        if skip or replace or samples is not None or before or after:
+            # A partial run on the session backend, not a job: never
+            # cached, but folded like one.
+            engine = EngineStats()
+            outcome = JobOutcome(
+                0, core.name or "<anonymous>", target.name, "ok",
+                fingerprint=job[2], phases={},
             )
-
-        def record(cache_state: str, **kwargs):
-            if self.ledger is None:
-                return
-            written = self.ledger.record_job(
-                "compile", core, target, config, sample_config, fingerprint,
-                cache=cache_state, oracle_backend=self.oracle_backend,
-                **kwargs,
-            )
-            self._prov_local.entry = {
-                "fingerprint": fingerprint, "record": written,
-            }
-
-        def cache_hit() -> dict | None:
-            payload = self.cache.get(fingerprint) if cacheable else None
-            if payload is not None:
-                with self._lock:
-                    self.stats.cache_hits += 1
-                outcome_counter("cache_hit").inc()
-                record("hit")
-            return payload
-
-        payload = cache_hit()
-        if payload is not None:
-            return payload, True, fingerprint, None
-
-        # Inline and pooled compiles alike only gate concurrent duplicates
-        # of this job.
-        section = (
-            self._gate(self._compile_gates, fingerprint)
-            if cacheable else nullcontext()
-        )
-        with section:
-            # A concurrent identical request may have compiled and stored
-            # this job while we waited; a second lookup beats redoing the
-            # whole pipeline.  (A cold compile therefore records two cache
-            # misses.)
-            payload = cache_hit()
-            if payload is not None:
-                return payload, True, fingerprint, None
-            result = None
+            start = time.monotonic()
             try:
-                if pool is not None:
-                    payload, elapsed = self._run_on_pool(
-                        pool, core, target, config, sample_config, timeout
-                    )
-                else:
-                    ctx = self.run_pipeline(
-                        core, target,
-                        config=config, sample_config=sample_config,
-                        samples=samples, skip=skip, replace=replace,
-                        before=before, after=after, timeout=timeout,
-                    )
-            except DeadlineExceeded as error:
-                with self._lock:
-                    self.stats.timeouts += 1
-                outcome_counter("timeout").inc()
-                record(
-                    "none", status="timeout",
-                    error_type=type(error).__name__,
-                    engine=self._timings_local.engine,
+                ctx = self._run_pipeline(
+                    engine, outcome.phases, core, target,
+                    config=config, sample_config=sample_config,
+                    samples=samples, skip=skip, replace=replace,
+                    before=before, after=after, timeout=timeout,
                 )
-                raise
-            except Exception as error:
-                with self._lock:
-                    self.stats.failures += 1
-                outcome_counter("failure").inc()
-                record(
-                    "none", status="failed",
-                    error_type=type(error).__name__,
-                    engine=self._timings_local.engine,
-                )
-                raise
-            if pool is None:
                 if ctx.result is None:
                     raise PipelineError(
                         "customized pipeline produced no CompileResult; use "
                         "run_pipeline() for partial runs"
                     )
-                result = ctx.result
-                payload, elapsed = result_to_dict(result), result.elapsed
-            with self._lock:
-                self.stats.compiles += 1
-            outcome_counter("ok").inc()
-            if cacheable:
-                # Stored before the gate is released, so a waiting
-                # duplicate's re-check above finds it.
-                self.cache.put(fingerprint, payload)
-            record(
-                # "bypass": a fresh result deliberately kept out of a
-                # configured cache (customized pipeline or use_cache=False).
-                "store" if cacheable
-                else ("bypass" if self.cache is not None else "none"),
-                elapsed=elapsed,
-                engine=self._timings_local.engine,
+                outcome.result = ctx.result
+            except BaseException as error:
+                outcome.status = (
+                    "timeout" if isinstance(error, DeadlineExceeded) else "failed"
+                )
+                outcome.error_type, outcome.error = type(error).__name__, str(error)
+                raise
+            finally:
+                outcome.elapsed = time.monotonic() - start
+                outcome.engine = engine.as_dict() if engine.any() else None
+                self._finish_entry(
+                    job, outcome, config, sample_config, store=False
+                )
+            return outcome
+        cache = self.cache if use_cache else None
+        outcome = cached_outcome(cache, 0, *job[:3])
+        # Only a miss waits at the gate: a concurrent identical request may
+        # be compiling this job, and the engine's own lookup then finds its
+        # stored result (a cold compile therefore records two cache misses).
+        with (
+            self._gate(self._compile_gates, job[2])
+            if outcome is None and cache is not None else nullcontext()
+        ):
+            if outcome is None:
+                pool = self.worker_pool() if _poolable(target) else None
+                if pool is None:
+                    # Inline jobs draw through the session's sample cache.
+                    job = (*job[:3], functools.partial(
+                        self.samples_for, core, sample_config, timeout=timeout
+                    ))
+                [outcome] = run_compile_jobs(
+                    [job], config=config, sample_config=sample_config,
+                    cache=cache, timeout=timeout, pool=pool,
+                    oracle_backend=self.oracle_backend,
+                )
+            # Folded before the gate opens, so the ledger records a fresh
+            # compile before any duplicate's hit on it.
+            self._finish_entry(
+                job, outcome, config, sample_config, store=cache is not None
             )
-        return payload, False, fingerprint, result
+        if outcome.status == "timeout":
+            raise JobTimeout(outcome.error)
+        if not outcome.ok:
+            # An inline job's own exception (the last-entry record must
+            # not keep its traceback alive); a pooled job's, rebuilt.
+            error, outcome.exception = outcome.exception, None
+            raise error or rebuild_error(outcome.error_type, outcome.error)
+        return outcome
+
+    def _finish_entry(self, job, outcome, config, sample_config, *, store):
+        """Fold one entry's outcome and make it this thread's last entry."""
+        [record] = self._fold_outcomes(
+            "compile", [job], [outcome], config, sample_config, store=store
+        )
+        self._last.outcome, self._last.record = outcome, record
 
     @contextmanager
     def _gate(self, gates: dict[str, threading.Lock], key: str):
@@ -734,35 +745,6 @@ class ChassisSession:
                 with self._lock:
                     if gates.get(key) is gate:
                         del gates[key]
-
-    def _run_on_pool(
-        self, pool: WorkerPool, core: FPCore, target: Target,
-        config: CompileConfig, sample_config: SampleConfig,
-        timeout: float | None,
-    ) -> tuple[dict, float]:
-        """Compile one job on the warm worker pool; returns its payload
-        and the worker's wall time, or raises what an inline compile would.
-
-        The worker's phase timings and engine counters land in this
-        thread's locals (for :meth:`last_phase_timings` and the ledger),
-        and its engine and oracle counters fold into :attr:`stats`.
-        """
-        effective_timeout = self.timeout if timeout is None else timeout
-        job = BatchJob(
-            0, core_to_source(core), target.name,
-            config=config, sample_config=sample_config,
-            oracle_backend=self.oracle_backend,
-        )
-        [outcome] = pool.run_batch([job], timeout=effective_timeout)
-        self._timings_local.phases = outcome["phases"]
-        self._timings_local.engine = outcome["engine"]
-        with self._lock:
-            self._fold_counters(outcome["engine"], outcome["oracle"])
-        if outcome["status"] == "timeout":
-            raise JobTimeout(outcome["error"])
-        if outcome["status"] != "ok":
-            raise rebuild_error(outcome["error_type"], outcome["error"])
-        return outcome["payload"], outcome["elapsed"]
 
     def improve(
         self,
@@ -1091,40 +1073,59 @@ class ChassisSession:
             pool = self._pool
         return pool.info() if pool is not None else None
 
-    def _fold_outcomes(self, outcomes: list[JobOutcome]) -> None:
-        """Fold batch outcomes into the session counters (``/health``).
+    def _fold_outcomes(
+        self, kind: str, jobs: list[tuple], outcomes: list[JobOutcome],
+        config: CompileConfig, sample_config: SampleConfig, *, store: bool,
+    ) -> list[dict | None]:
+        """Fold compile-job outcomes into every surface that counts them.
 
-        ``compile`` bumps these inline; batch paths historically did not,
-        so ``/health`` under-reported failures and never saw timeouts.
-        Engine counters shipped back on ``JobOutcome.engine`` — from
-        worker processes and inline batch jobs alike — merge into
-        ``stats.engine``, closing the gap where pooled compiles did real
-        e-graph work that ``/health`` never saw.  Oracle counters ride the
-        same road: each job's backend counters ship back on
-        ``JobOutcome.oracle`` and merges into ``stats.rival``.
+        The one place that bumps ``stats.compiles``/``cache_hits``/
+        ``failures``/``timeouts`` and ``repro_compiles_total``, merges each
+        job's shipped engine and oracle counters into ``stats.engine`` and
+        ``stats.rival``, and writes the job's provenance-ledger record
+        (``kind`` ``"compile"`` for single entries, ``"batch"`` for
+        :meth:`compile_many`).  ``store`` says whether a fresh ok result
+        went into the configured cache (``"store"``) or was kept out of it
+        (``"bypass"``).  Returns the record written per outcome (None
+        without a ledger).
         """
+        dispositions = [_disposition(outcome) for outcome in outcomes]
         with self._lock:
-            for outcome in outcomes:
-                if outcome.cached:
-                    self.stats.cache_hits += 1
-                elif outcome.ok:
-                    self.stats.compiles += 1
-                elif outcome.status == "timeout":
-                    self.stats.timeouts += 1
-                else:
-                    self.stats.failures += 1
-                self._fold_counters(outcome.engine, outcome.oracle)
-
-    def _fold_counters(self, engine: dict | None, oracle: dict | None) -> None:
-        """Merge one job's shipped engine and oracle counters into
-        :attr:`stats` (the caller holds ``self._lock``)."""
-        if engine:
-            known = {fld.name for fld in dataclasses.fields(EngineStats)}
-            self.stats.engine.merge(EngineStats(**{
-                key: value for key, value in engine.items() if key in known
-            }))
-        if oracle:
-            self.stats.rival.merge(oracle)
+            for outcome, disposition in zip(outcomes, dispositions):
+                counter = _COUNTER_OF[disposition]
+                setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+                if outcome.engine:
+                    self.stats.engine.merge(EngineStats(**outcome.engine))
+                if outcome.oracle:
+                    self.stats.rival.merge(outcome.oracle)
+        records: list[dict | None] = []
+        for job, outcome, disposition in zip(jobs, outcomes, dispositions):
+            METRICS.counter(
+                "repro_compiles_total",
+                "Compile jobs by outcome, single entries and batches alike.",
+                outcome=disposition,
+            ).inc()
+            if self.ledger is None:
+                records.append(None)
+                continue
+            if outcome.cached:
+                cache = "hit"
+            elif not outcome.ok or self.cache is None:
+                cache = "none"
+            else:
+                cache = "store" if store else "bypass"
+            core, target, fingerprint, _samples = job
+            records.append(self.ledger.record_job(
+                kind, core, target, config, sample_config, fingerprint,
+                cache=cache,
+                status=outcome.status,
+                elapsed=outcome.elapsed,
+                engine=outcome.engine,
+                oracle=outcome.oracle,
+                oracle_backend=self.oracle_backend,
+                error_type=outcome.error_type or None,
+            ))
+        return records
 
     def compile_many(
         self,
@@ -1138,38 +1139,61 @@ class ChassisSession:
     ) -> list[JobOutcome]:
         """Batch compilation through the session's pool, cache and knobs.
 
-        Same contract as the engine it drives
-        (:func:`repro.service.api.run_compile_jobs`): outcomes in spec
-        order, expected failures captured per job, warm cache hits flagged.
-        Every outcome — ok, failed, timeout, cached — is folded into
-        :attr:`stats`.
+        A spec is ``(core, target)`` or ``(core, target, samples)``; the
+        optional :class:`~repro.accuracy.sampler.SampleSet` skips per-job
+        sampling and MUST equal what ``sample_core(core, sample_config)``
+        would produce (samples are seeded, so precomputing them is purely
+        an optimization; the cache fingerprint assumes this equality — see
+        :meth:`shared_samples_for`).
+
+        Returns outcomes in spec order: expected failures captured per
+        job, warm cache hits flagged, and every ok outcome carrying both
+        its JSON payload and the deserialized ``result``.  Every outcome
+        — ok, failed, timeout, cached — is folded into :attr:`stats`,
+        ``repro_compiles_total`` and the ledger (``"batch"`` records),
+        exactly like a single :meth:`compile`.
 
         With ``jobs >= 2``, registry-target cache misses are dispatched
         through the session's *persistent* :class:`WorkerPool` (workers
         warm across calls).  Everything else — non-registry targets,
-        ``jobs == 1`` and a closed session — runs inline in this thread,
-        concurrently with other threads' compiles.
+        ``jobs == 1`` and a closed session — runs inline in this thread
+        through the same job function, concurrently with other threads'
+        compiles.
 
         ``trace=True`` records a span trace per freshly-compiled job
         (returned on ``JobOutcome.trace``, merged across workers by
-        ``repro compile --trace``); engine counters ship back and fold
-        into ``stats.engine`` unconditionally.
+        ``repro compile --trace``); engine and oracle counters and phase
+        timings ship back on every fresh outcome unconditionally.
         """
+        config = config or self.config
+        sample_config = sample_config or self.sample_config
+        jobs = []
+        for spec in specs:
+            target = self.resolve_target(spec[1])
+            core = self.parse(spec[0], target)
+            jobs.append((
+                core, target, job_fingerprint(core, target, config, sample_config),
+                spec[2] if len(spec) > 2 else None,
+            ))
         with self._lock:
             self.stats.batches += 1
         outcomes = run_compile_jobs(
-            specs,
-            config=config or self.config,
-            sample_config=sample_config or self.sample_config,
+            jobs,
+            config=config,
+            sample_config=sample_config,
             cache=self.cache,
             timeout=self.timeout if timeout is None else timeout,
             progress=progress,
             pool=self.worker_pool(),
             trace=trace,
-            ledger=self.ledger,
             oracle_backend=self.oracle_backend,
         )
-        self._fold_outcomes(outcomes)
+        self._fold_outcomes(
+            "batch", jobs, outcomes, config, sample_config, store=True
+        )
+        for (_core, target, _fingerprint, _samples), outcome in zip(jobs, outcomes):
+            if outcome.ok:
+                outcome.result = result_from_dict(outcome.payload, target)
         return outcomes
 
     def submit(

@@ -11,7 +11,7 @@ import urllib.request
 
 import pytest
 
-from repro.accuracy.sampler import SampleConfig
+from repro.accuracy.sampler import SampleConfig, sample_core
 from repro.api import ChassisSession, CompileConfig, create_server
 from repro.cli import main
 from repro.ir import parse_fpcore
@@ -24,6 +24,7 @@ from repro.obs.trace import (
     tracing,
     write_chrome_trace,
 )
+from repro.rival.backends import make_backend
 from repro.targets import get_target
 
 FAST = CompileConfig(iterations=1, localize_points=6, max_variants=12)
@@ -238,15 +239,21 @@ class TestInstrumentedCompile:
             # the same breakdown is surfaced to the caller thread-locally
             timings = session.last_phase_timings()
             assert timings is not None and set(timings) == set(phases)
-            # the oracle counts its work
-            assert session.oracle.counters().evals > 0
+            # the oracle counts its work: the session backend exactly the
+            # sample draw, the job's own backend the rest
+            draw = make_backend(session.oracle_backend)
+            sample_core(core, SAMPLES, oracle=draw)
+            assert session.oracle.counters() == draw.counters()
+            assert session.stats.rival.evals > 0
             after_ok = METRICS.counter(
                 "repro_compiles_total", outcome="ok"
             ).value
             assert after_ok == before_ok + 1
             health = session.health()
             assert health["ok"] is True
-            assert health["oracle"]["evals"] == session.oracle.counters().evals
+            assert health["oracle"]["evals"] == (
+                draw.counters().evals + session.stats.rival.evals
+            )
 
     def test_pooled_jobs_ship_traces_and_engine_counters(self):
         cores = [parse_fpcore(SRC), parse_fpcore(SRC2)]

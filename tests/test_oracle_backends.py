@@ -383,10 +383,14 @@ class TestOracleCounts:
             oracle = session.health()["oracle"]
             assert oracle.pop("backend") == backend
             assert oracle == PINNED_SQRT_SUB_COUNTS[backend]
-            # Inline work is the session backend's; pooled work arrives
-            # in ``stats.rival`` and the session backend stays idle.
+            # The session backend holds exactly an inline job's sample
+            # draw (a pooled job samples in its worker); the job's own
+            # backend ships the rest home in ``stats.rival``.
+            draw = make_backend(backend)
+            if jobs == 1:
+                sample_core(core_named("sqrt-sub"), SampleConfig(), oracle=draw)
+            assert session.oracle.counters() == draw.counters()
             own = session.oracle.counters().evals
-            assert own == (oracle["evals"] if jobs == 1 else 0)
             assert session.stats.rival.evals == oracle["evals"] - own
             server = create_server(session)
             try:
