@@ -28,7 +28,6 @@ from ..accuracy.scoring import score_program
 from ..cost.model import TargetCostModel
 from ..ir.expr import Expr
 from ..ir.fpcore import FPCore, parse_fpcore
-from ..obs.metrics import METRICS
 from ..obs.trace import span
 from ..rival.backends import make_backend
 from ..targets.target import Target
@@ -302,18 +301,7 @@ class CompilePipeline:
             ctx.phase_seconds[phase.name] = (
                 ctx.phase_seconds.get(phase.name, 0.0) + elapsed
             )
-            observe_phase(phase.name, elapsed)
         return ctx
-
-
-def observe_phase(name: str, seconds: float) -> None:
-    """Record one phase's wall clock in the ``repro_phase_seconds``
-    histogram (pool collectors replay the phases workers ran)."""
-    METRICS.histogram(
-        "repro_phase_seconds",
-        "Wall-clock seconds spent in each compile pipeline phase.",
-        phase=name,
-    ).observe(seconds)
 
 
 def compile_core(

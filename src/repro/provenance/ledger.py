@@ -53,9 +53,9 @@ LEDGER_SCHEMA = 1
 
 #: Values of a record's ``cache`` field.  ``hit`` = served from the
 #: persistent cache; ``store`` = fresh result stored into it (every ok
-#: result of a plain job is); ``none`` = no cache configured, or the job
-#: failed; ``bypass`` = a session compile deliberately kept out of a
-#: configured cache (customized pipelines, ``use_cache=False``).
+#: result of a job is); ``none`` = no cache configured, or the job
+#: failed.  ``bypass`` (a compile kept out of a configured cache) is
+#: written no more but kept, because older journals hold it.
 CACHE_STATES = ("hit", "store", "none", "bypass")
 
 _HOST_LOCK = threading.Lock()

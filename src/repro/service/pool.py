@@ -46,7 +46,7 @@ import multiprocessing
 import threading
 import time
 
-from .scheduler import BatchJob, job_event, observe_worker_phases, run_job
+from .scheduler import BatchJob, job_event, run_job
 
 #: Parent-side slack (seconds) on top of the per-job timeout before the
 #: watchdog declares the pool wedged.  The watchdog is *progress-based*:
@@ -265,8 +265,7 @@ class WorkerPool:
         Outcomes come back in submission order (the scheduler sorts by
         index anyway); ``progress`` is called per outcome as it lands.
         ``timeout`` is attached to each job (workers arm their own
-        deadline from it).  Phases the workers ran are observed in this
-        process's ``repro_phase_seconds`` histogram.  A parent-side
+        deadline from it).  A parent-side
         watchdog additionally guards against a worker wedged past its own
         in-process alarm: it fires only when *no* completion happens
         anywhere in the pool for a whole job budget plus grace
@@ -294,7 +293,6 @@ class WorkerPool:
                             WATCHDOG_POLL if timeout is not None else None
                         )
                         self._progress_mark = time.monotonic()
-                        observe_worker_phases(outcome)
                     except multiprocessing.TimeoutError:
                         stall = time.monotonic() - self._progress_mark
                         if stall <= timeout + WATCHDOG_GRACE:

@@ -27,10 +27,12 @@ Guarantees:
   keeps to the cooperative deadline.
 * Inline jobs (no worker pool, or a target the registry cannot rebuild)
   run in the calling process through the exact same job function, so
-  serial and pooled runs produce identical payloads.  Every plain session
-  compile is such a job — a single ``compile`` is a one-job batch — and
-  only customized pipeline runs (``skip``/``replace``/hooks/``samples``)
-  bypass it.
+  serial and pooled runs produce identical payloads.  Every session
+  compile is such a job — a single ``compile`` is a one-job batch;
+  customized pipelines are ``ChassisSession.run_pipeline`` runs, not jobs.
+* **Phases on the outcome** — a job's per-phase seconds ride home on
+  its outcome, and the session that folds the outcome is the one place
+  they reach the ``repro_phase_seconds`` histogram, wherever the job ran.
 
 The jobs run on the session-owned
 :class:`~repro.service.pool.WorkerPool` or inline; see
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 
 from ..accuracy.sampler import SampleConfig
 from ..core.loop import CompileConfig
-from ..core.pipeline import CompilePipeline, PipelineContext, observe_phase
+from ..core.pipeline import CompilePipeline, PipelineContext
 from ..deadline import DeadlineExceeded, deadline
 from ..egraph.stats import EngineStats, engine_stats_sink
 from ..ir.fpcore import parse_fpcore
@@ -179,14 +181,6 @@ class JobOutcome:
     @property
     def ok(self) -> bool:
         return self.status == "ok"
-
-
-def observe_worker_phases(outcome: dict) -> None:
-    """Observe the phases a job ran in a worker process in this process's
-    ``repro_phase_seconds`` histogram; the worker's own metrics registry
-    never reaches ``/metrics``."""
-    for phase, seconds in (outcome.get("phases") or {}).items():
-        observe_phase(phase, seconds)
 
 
 def rebuild_error(error_type: str, message: str) -> Exception:

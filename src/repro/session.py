@@ -44,10 +44,14 @@ Synopsis::
         ...                      # do other work
         result = handle.result() # block for the compilation
 
-Pipeline hooks ride along: ``session.compile(core, t, skip=("regimes",))``
-compiles without branch inference, ``replace={"sample": MyPhase()}`` swaps
-a phase, and :meth:`improve` is the score-free variant the Herbie baseline
-uses.
+A compile takes only the knobs a job has (``config``, ``sample_config``,
+``timeout``).  Customized and partial runs go through
+:meth:`~ChassisSession.run_pipeline`, which returns the pipeline context
+and never touches the cache: ``session.run_pipeline(core, t,
+skip=("regimes",)).result`` compiles without branch inference,
+``replace={"sample": MyPhase()}`` swaps a phase, and :meth:`improve` is
+the score-free variant the Herbie baseline uses.  Job outcomes and those
+runs are the only two feeds of the ``repro_phase_seconds`` histogram.
 """
 
 from __future__ import annotations
@@ -73,7 +77,6 @@ from .core.pipeline import (
     Phase,
     PhaseHook,
     PipelineContext,
-    PipelineError,
 )
 from .cost.model import TargetCostModel
 from .deadline import DeadlineExceeded, check_deadline, deadline
@@ -147,15 +150,17 @@ class SessionStats:
     validation_hits: int = 0
     #: E-graph engine counters (e-nodes built, matches found/applied,
     #: rule searches, stop reasons), shipped back on ``JobOutcome.engine``
-    #: by every compile job wherever it ran, plus those of customized and
-    #: partial pipeline runs, so ``/health`` covers the whole session.
+    #: by every compile job wherever it ran, plus those of
+    #: :meth:`ChassisSession.run_pipeline` runs, so ``/health`` covers the
+    #: whole session.
     engine: EngineStats = field(default_factory=EngineStats)
     #: Always zero (see :class:`OracleStats`).
     oracle: OracleStats = field(default_factory=OracleStats)
     #: Oracle-backend counters every compile job ships home on
     #: ``JobOutcome.oracle`` (each job runs its own backend) — the rival
     #: twin of ``engine``.  The session backend counts the rest: the
-    #: sample draws of inline jobs and partial runs.
+    #: sample draws of inline jobs and :meth:`ChassisSession.run_pipeline`
+    #: runs.
     rival: OracleCounters = field(default_factory=OracleCounters)
 
     def as_dict(self) -> dict:
@@ -179,6 +184,17 @@ def _disposition(outcome: JobOutcome) -> str:
     if outcome.ok:
         return "ok"
     return "timeout" if outcome.status == "timeout" else "failure"
+
+
+def _observe_phases(phases: dict[str, float] | None) -> None:
+    """Record one run's per-phase wall clock in the ``repro_phase_seconds``
+    histogram (nothing for a cache hit, which ran no phase)."""
+    for phase, seconds in (phases or {}).items():
+        METRICS.histogram(
+            "repro_phase_seconds",
+            "Wall-clock seconds spent in each compile pipeline phase.",
+            phase=phase,
+        ).observe(seconds)
 
 
 class _LastEntry(threading.local):
@@ -316,7 +332,7 @@ class ChassisSession:
         #: see :meth:`_gate`.
         self._compile_gates: dict[str, threading.Lock] = {}
         #: The session's batched oracle backend: the sample cache draws
-        #: through it, as do partial pipeline runs, and it counts that
+        #: through it, as do :meth:`run_pipeline` runs, and it counts that
         #: work itself.  Compile jobs build their own per job (see
         #: ``scheduler.run_job``) and ship the counts home.
         self.oracle = make_backend(self.oracle_backend)
@@ -458,69 +474,62 @@ class ChassisSession:
         timeout: float | None = None,
     ) -> PipelineContext:
         """Run the phase pipeline with session-owned resources; returns the
-        full context (for partial runs — e.g. ``skip=("score",)`` leaves
-        ``ctx.train_frontier`` as the product).
+        full context.  ``ctx.result`` is the :class:`CompileResult` of a run
+        that reached *score*; partial runs leave their product (e.g.
+        ``skip=("score",)`` leaves ``ctx.train_frontier``).
 
-        ``timeout`` (default: the session's) arms a thread-safe
-        cooperative deadline around sampling, then around the pipeline
-        itself, so inline compiles are bounded on *any* thread, raising
+        The one way to customize a compilation: ``skip``/``replace`` phases,
+        ``before``/``after`` hooks and caller-supplied ``samples``.  A run
+        is not a job: it never reads or writes the persistent cache
+        (its product need not be a full compilation of the seeded samples
+        the fingerprint describes, and hooks must see phases run), and it
+        feeds ``stats.engine`` and ``repro_phase_seconds`` — also when it
+        raises — but no compile counter or ledger record.
+
+        ``timeout`` (default: the session's) arms one thread-safe
+        cooperative deadline around sampling and the pipeline together, so
+        a run is bounded by it on *any* thread, raising
         :class:`~repro.deadline.DeadlineExceeded`.
         """
+        target = self.resolve_target(target)
+        sample_config = sample_config or self.sample_config
+        core = self.parse(core, target)
+        timeout = self.timeout if timeout is None else timeout
+        ctx = PipelineContext(
+            target=target,
+            config=config or self.config,
+            sample_config=sample_config,
+            oracle=self.oracle,
+            core=core,
+            samples=samples,
+        )
+        pipeline = CompilePipeline(
+            skip=skip, replace=replace, before=before, after=after
+        )
         engine = EngineStats()
         try:
-            return self._run_pipeline(
-                engine, {}, core, target,
-                config=config, sample_config=sample_config, samples=samples,
-                skip=skip, replace=replace, before=before, after=after,
-                timeout=timeout,
-            )
+            with deadline(timeout), engine_stats_sink(engine), span(
+                "compile",
+                benchmark=core.name or "<anonymous>", target=target.name,
+            ):
+                if samples is None and "sample" not in skip and (
+                    replace is None or "sample" not in replace
+                ):
+                    # Session pre-sampling makes the pipeline's own sample
+                    # phase a no-op; the real draw is that phase's time, so
+                    # the breakdown sums to the compile's wall clock.
+                    drawn = time.perf_counter()
+                    ctx.samples = self.samples_for(
+                        core, sample_config, timeout=timeout
+                    )
+                    ctx.phase_seconds["sample"] = time.perf_counter() - drawn
+                return pipeline.run(ctx)
         finally:
             # Folded even when the run times out or fails partway.
             if engine.any():
                 with self._lock:
                     self.stats.engine.merge(engine)
-
-    def _run_pipeline(
-        self, engine: EngineStats, phases: dict[str, float], core, target, *,
-        config, sample_config, samples, skip, replace, before, after, timeout,
-    ) -> PipelineContext:
-        """:meth:`run_pipeline`, counting the run's engine work into
-        ``engine`` and its per-phase seconds into ``phases`` (the
-        context's ``phase_seconds``), also when it raises, instead of
-        folding them into the session."""
-        effective_timeout = self.timeout if timeout is None else timeout
-        target = self.resolve_target(target)
-        sample_config = sample_config or self.sample_config
-        core = self.parse(core, target)
-        with span(
-            "compile",
-            benchmark=core.name or "<anonymous>", target=target.name,
-        ):
-            if samples is None and "sample" not in set(skip) and (
-                replace is None or "sample" not in replace
-            ):
-                # Session pre-sampling makes the pipeline's own sample
-                # phase a no-op; the real draw is that phase's time, so
-                # the breakdown sums to the compile's wall clock.
-                sample_start = time.perf_counter()
-                samples = self.samples_for(
-                    core, sample_config, timeout=effective_timeout
-                )
-                phases["sample"] = time.perf_counter() - sample_start
-            ctx = PipelineContext(
-                target=target,
-                config=config or self.config,
-                sample_config=sample_config,
-                oracle=self.oracle,
-                core=core,
-                samples=samples,
-                phase_seconds=phases,
-            )
-            pipeline = CompilePipeline(
-                skip=skip, replace=replace, before=before, after=after
-            )
-            with deadline(effective_timeout), engine_stats_sink(engine):
-                return pipeline.run(ctx)
+            _observe_phases(ctx.phase_seconds)
 
     def last_phase_timings(self) -> dict[str, float] | None:
         """Per-phase wall-clock seconds of this thread's most recent fresh
@@ -569,35 +578,23 @@ class ChassisSession:
         *,
         config: CompileConfig | None = None,
         sample_config: SampleConfig | None = None,
-        samples: SampleSet | None = None,
-        skip: tuple[str, ...] | list[str] = (),
-        replace: dict[str, Phase] | None = None,
-        before: PhaseHook | None = None,
-        after: PhaseHook | None = None,
-        use_cache: bool = True,
         timeout: float | None = None,
     ) -> CompileResult:
         """Compile one benchmark for one target through the warm session.
 
-        A plain call is a one-job :meth:`compile_many` batch held behind a
-        per-fingerprint gate: the persistent cache answers it if it can,
-        else the job compiles — on the session's warm worker pool with
-        ``jobs >= 2``, inline otherwise, sampling through the session's
-        sample cache — and its fresh result is stored; concurrent
-        identical calls compile once.  A failed job raises its error —
-        the exception itself when the job ran inline, one rebuilt from its
-        type name and message when it ran on the pool — and a timed-out
-        one :class:`~repro.service.scheduler.JobTimeout`.
+        A one-job :meth:`compile_many` batch held behind a per-fingerprint
+        gate: the persistent cache answers it if it can, else the job
+        compiles — on the session's warm worker pool with ``jobs >= 2``,
+        inline otherwise, sampling through the session's sample cache —
+        and its fresh result is stored; concurrent identical calls compile
+        once.  A failed job raises its error — the exception itself when
+        the job ran inline, one rebuilt from its type name and message when
+        it ran on the pool — and a timed-out one
+        :class:`~repro.service.scheduler.JobTimeout`.
 
-        Customized calls never touch the cache: a ``skip``/``replace``
-        pipeline's product is not a full compilation, caller-supplied
-        ``samples`` are not provably the seeded ones the fingerprint
-        describes (unlike ``compile_many``, which documents that
-        contract, this method stays safe by bypassing instead), and
-        ``before``/``after`` hooks must actually observe phases running (a
-        cache hit runs none) and may mutate the context.  They are partial
-        runs of :meth:`run_pipeline`, not jobs, but fold into the session
-        the same way and raise their own exceptions.
+        It takes the knobs a job has and no others; skipped or replaced
+        phases, hooks and caller-supplied samples are :meth:`run_pipeline`
+        runs (``run_pipeline(...).result``), which stay out of the cache.
 
         ``timeout`` overrides the session default for this call; running
         past it raises :class:`~repro.deadline.DeadlineExceeded` (works
@@ -605,9 +602,7 @@ class ChassisSession:
         """
         outcome = self._compile_entry(
             core, target,
-            config=config, sample_config=sample_config, samples=samples,
-            skip=tuple(skip), replace=replace, before=before, after=after,
-            use_cache=use_cache, timeout=timeout,
+            config=config, sample_config=sample_config, timeout=timeout,
         )
         if outcome.result is None:
             outcome.result = result_from_dict(
@@ -632,15 +627,13 @@ class ChassisSession:
         ``repro serve`` front-end exposes on the wire.
         """
         outcome = self._compile_entry(
-            core, target, config=config, sample_config=sample_config,
-            samples=None, skip=(), replace=None, before=None, after=None,
-            use_cache=True, timeout=timeout,
+            core, target,
+            config=config, sample_config=sample_config, timeout=timeout,
         )
         return outcome.payload, outcome.cached
 
     def _compile_entry(
-        self, core, target, *, config, sample_config, samples,
-        skip, replace, before, after, use_cache, timeout,
+        self, core, target, *, config, sample_config, timeout,
     ) -> JobOutcome:
         """One compile entry: its job's ok outcome, or the job's error
         raised.  Either way the outcome is folded and becomes this
@@ -652,49 +645,13 @@ class ChassisSession:
         timeout = self.timeout if timeout is None else timeout
         job = (core, target, job_fingerprint(core, target, config, sample_config), None)
         self._last.outcome = None
-        if skip or replace or samples is not None or before or after:
-            # A partial run on the session backend, not a job: never
-            # cached, but folded like one.
-            engine = EngineStats()
-            outcome = JobOutcome(
-                0, core.name or "<anonymous>", target.name, "ok",
-                fingerprint=job[2], phases={},
-            )
-            start = time.monotonic()
-            try:
-                ctx = self._run_pipeline(
-                    engine, outcome.phases, core, target,
-                    config=config, sample_config=sample_config,
-                    samples=samples, skip=skip, replace=replace,
-                    before=before, after=after, timeout=timeout,
-                )
-                if ctx.result is None:
-                    raise PipelineError(
-                        "customized pipeline produced no CompileResult; use "
-                        "run_pipeline() for partial runs"
-                    )
-                outcome.result = ctx.result
-            except BaseException as error:
-                outcome.status = (
-                    "timeout" if isinstance(error, DeadlineExceeded) else "failed"
-                )
-                outcome.error_type, outcome.error = type(error).__name__, str(error)
-                raise
-            finally:
-                outcome.elapsed = time.monotonic() - start
-                outcome.engine = engine.as_dict() if engine.any() else None
-                self._finish_entry(
-                    job, outcome, config, sample_config, store=False
-                )
-            return outcome
-        cache = self.cache if use_cache else None
-        outcome = cached_outcome(cache, 0, *job[:3])
+        outcome = cached_outcome(self.cache, 0, *job[:3])
         # Only a miss waits at the gate: a concurrent identical request may
         # be compiling this job, and the engine's own lookup then finds its
         # stored result (a cold compile therefore records two cache misses).
         with (
             self._gate(self._compile_gates, job[2])
-            if outcome is None and cache is not None else nullcontext()
+            if outcome is None and self.cache is not None else nullcontext()
         ):
             if outcome is None:
                 pool = self.worker_pool() if _poolable(target) else None
@@ -705,14 +662,15 @@ class ChassisSession:
                     ))
                 [outcome] = run_compile_jobs(
                     [job], config=config, sample_config=sample_config,
-                    cache=cache, timeout=timeout, pool=pool,
+                    cache=self.cache, timeout=timeout, pool=pool,
                     oracle_backend=self.oracle_backend,
                 )
             # Folded before the gate opens, so the ledger records a fresh
             # compile before any duplicate's hit on it.
-            self._finish_entry(
-                job, outcome, config, sample_config, store=cache is not None
+            [record] = self._fold_outcomes(
+                "compile", [job], [outcome], config, sample_config
             )
+            self._last.outcome, self._last.record = outcome, record
         if outcome.status == "timeout":
             raise JobTimeout(outcome.error)
         if not outcome.ok:
@@ -721,13 +679,6 @@ class ChassisSession:
             error, outcome.exception = outcome.exception, None
             raise error or rebuild_error(outcome.error_type, outcome.error)
         return outcome
-
-    def _finish_entry(self, job, outcome, config, sample_config, *, store):
-        """Fold one entry's outcome and make it this thread's last entry."""
-        [record] = self._fold_outcomes(
-            "compile", [job], [outcome], config, sample_config, store=store
-        )
-        self._last.outcome, self._last.record = outcome, record
 
     @contextmanager
     def _gate(self, gates: dict[str, threading.Lock], key: str):
@@ -1075,19 +1026,18 @@ class ChassisSession:
 
     def _fold_outcomes(
         self, kind: str, jobs: list[tuple], outcomes: list[JobOutcome],
-        config: CompileConfig, sample_config: SampleConfig, *, store: bool,
+        config: CompileConfig, sample_config: SampleConfig,
     ) -> list[dict | None]:
         """Fold compile-job outcomes into every surface that counts them.
 
         The one place that bumps ``stats.compiles``/``cache_hits``/
         ``failures``/``timeouts`` and ``repro_compiles_total``, merges each
         job's shipped engine and oracle counters into ``stats.engine`` and
-        ``stats.rival``, and writes the job's provenance-ledger record
-        (``kind`` ``"compile"`` for single entries, ``"batch"`` for
-        :meth:`compile_many`).  ``store`` says whether a fresh ok result
-        went into the configured cache (``"store"``) or was kept out of it
-        (``"bypass"``).  Returns the record written per outcome (None
-        without a ledger).
+        ``stats.rival``, observes its phases in ``repro_phase_seconds``
+        (the only other writer is :meth:`run_pipeline`), and writes the
+        job's provenance-ledger record (``kind`` ``"compile"`` for single
+        entries, ``"batch"`` for :meth:`compile_many`).  Returns the record
+        written per outcome (None without a ledger).
         """
         dispositions = [_disposition(outcome) for outcome in outcomes]
         with self._lock:
@@ -1105,6 +1055,7 @@ class ChassisSession:
                 "Compile jobs by outcome, single entries and batches alike.",
                 outcome=disposition,
             ).inc()
+            _observe_phases(outcome.phases)
             if self.ledger is None:
                 records.append(None)
                 continue
@@ -1113,7 +1064,7 @@ class ChassisSession:
             elif not outcome.ok or self.cache is None:
                 cache = "none"
             else:
-                cache = "store" if store else "bypass"
+                cache = "store"
             core, target, fingerprint, _samples = job
             records.append(self.ledger.record_job(
                 kind, core, target, config, sample_config, fingerprint,
@@ -1188,9 +1139,7 @@ class ChassisSession:
             trace=trace,
             oracle_backend=self.oracle_backend,
         )
-        self._fold_outcomes(
-            "batch", jobs, outcomes, config, sample_config, store=True
-        )
+        self._fold_outcomes("batch", jobs, outcomes, config, sample_config)
         for (_core, target, _fingerprint, _samples), outcome in zip(jobs, outcomes):
             if outcome.ok:
                 outcome.result = result_from_dict(outcome.payload, target)
@@ -1206,11 +1155,11 @@ class ChassisSession:
         persistent cache and sample cache are shared, so submitting a
         duplicate of a finished job completes instantly.
 
-        The handle runs :meth:`compile` on a thread, so with ``jobs >= 2``
-        plain registry-target jobs compile in parallel on the session's
-        worker pool; customized calls (``skip``/``replace``/hooks/
-        ``samples``) and non-registry targets run in-process on that
-        thread, and the per-job deadline bounds them there too.
+        The handle runs :meth:`compile` on a thread, so ``compile_kwargs``
+        are its knobs (``config``, ``sample_config``, ``timeout``); with
+        ``jobs >= 2`` registry-target jobs compile in parallel on the
+        session's worker pool, and non-registry targets run in-process on
+        that thread, bounded there by the per-job deadline too.
         """
         target_resolved = self.resolve_target(target)
         core_parsed = self.parse(core, target_resolved)

@@ -4,8 +4,10 @@ that stats, ``/metrics``, the ledger and the ``--json`` rows read."""
 
 from __future__ import annotations
 
+import inspect
 import json
 import signal
+import time
 import traceback
 
 import pytest
@@ -207,3 +209,61 @@ def test_timed_compile_keeps_the_callers_interval_timer(entry):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_compile_takes_the_job_knobs_only():
+    """Customized runs are ``run_pipeline`` runs: ``compile`` takes the
+    same keyword arguments as ``compile_payload``, a job's knobs."""
+    def knobs(method):
+        return [
+            name for name, parameter in inspect.signature(method).parameters.items()
+            if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+        ]
+
+    assert knobs(ChassisSession.compile) == ["config", "sample_config", "timeout"]
+    assert knobs(ChassisSession.compile) == knobs(ChassisSession.compile_payload)
+
+
+def _sample_phase_sum() -> float:
+    return METRICS.histogram("repro_phase_seconds", phase="sample").sum
+
+
+@pytest.mark.parametrize("entry", ("compile", "run_pipeline"))
+def test_sample_phase_metric_matches_timings(entry):
+    """The session's own sample draw reaches ``repro_phase_seconds``: a
+    fresh run raises the histogram by exactly its ``sample`` timing."""
+    with ChassisSession(config=FAST, sample_config=SAMPLES, jobs=1) as session:
+        before = _sample_phase_sum()
+        if entry == "compile":
+            session.compile(SRC, "c99")
+            phases = session.last_phase_timings()
+        else:
+            phases = session.run_pipeline(SRC, "c99").phase_seconds
+        rise = _sample_phase_sum() - before
+    assert phases["sample"] > 0.0
+    assert rise == pytest.approx(phases["sample"], rel=1e-9)
+
+
+def test_run_pipeline_has_one_time_budget(monkeypatch):
+    """``run_pipeline(timeout=)`` bounds sampling and the pipeline
+    together: a draw using 60% of the budget and a first phase using
+    another 60% run out of it."""
+    budget = 1.5
+    with ChassisSession(config=FAST, sample_config=SAMPLES) as session:
+        core = session.parse(SRC)
+        draw = session.samples_for
+        draw(core)  # warm: the patched draw only adds its sleep
+
+        def slow_draw(*args, **kwargs):
+            time.sleep(0.6 * budget)
+            return draw(*args, **kwargs)
+
+        def slow_first_phase(name, _ctx):
+            if name == PHASE_NAMES[0]:
+                time.sleep(0.6 * budget)
+
+        monkeypatch.setattr(session, "samples_for", slow_draw)
+        with pytest.raises(DeadlineExceeded):
+            session.run_pipeline(
+                core, "c99", before=slow_first_phase, timeout=budget
+            )

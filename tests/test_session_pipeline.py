@@ -27,8 +27,11 @@ def session():
 class TestPipelinePhases:
     def test_default_runs_all_phases_in_order(self, session):
         seen = []
-        session.compile(SRC, "c99", before=lambda name, ctx: seen.append(name))
+        ctx = session.run_pipeline(
+            SRC, "c99", before=lambda name, ctx: seen.append(name)
+        )
         assert seen == list(PHASE_NAMES)
+        assert ctx.result is not None
 
     def test_skip_score_yields_train_frontier_only(self, session):
         ctx = session.run_pipeline(SRC, "c99", skip=("score",))
@@ -42,9 +45,9 @@ class TestPipelinePhases:
 
     def test_skip_regimes(self, session):
         seen = []
-        result = session.compile(
+        result = session.run_pipeline(
             SRC, "c99", skip=("regimes",), after=lambda name, ctx: seen.append(name)
-        )
+        ).result
         assert "regimes" not in seen and "score" in seen
         assert all(c.origin != "regimes" for c in result.frontier)
 
@@ -58,7 +61,9 @@ class TestPipelinePhases:
             def run(self, ctx):
                 ctx.samples = fixed
 
-        result = session.compile(SRC, "c99", replace={"sample": FixedSamples()})
+        result = session.run_pipeline(
+            SRC, "c99", replace={"sample": FixedSamples()}
+        ).result
         assert result.samples is fixed
 
     def test_unknown_phase_name_rejected(self):
@@ -96,16 +101,16 @@ class TestChassisSession:
     def test_customized_pipeline_bypasses_cache(self, tmp_path):
         session = ChassisSession(config=FAST, sample_config=SAMPLES, cache=str(tmp_path))
         session.compile(SRC, "c99")
-        session.compile(SRC, "c99", skip=("regimes",))
-        # the partial compile neither hit nor stored
-        assert session.stats.cache_hits == 0
+        session.run_pipeline(SRC, "c99", skip=("regimes",))
+        # the partial run neither hit nor stored
+        assert session.stats.cache_hits == 0 and session.cache.stats.hits == 0
         assert session.cache.stats.stores == 1
 
     def test_caller_supplied_samples_bypass_the_cache(self, tmp_path):
         """Arbitrary samples must never poison the persistent cache."""
         session = ChassisSession(config=FAST, sample_config=SAMPLES, cache=str(tmp_path))
         core = session.parse(SRC)
-        session.compile(core, "c99", samples=session.samples_for(core))
+        session.run_pipeline(core, "c99", samples=session.samples_for(core))
         assert session.cache.stats.stores == 0
         # a plain compile afterwards is a miss, not a (possibly wrong) hit
         session.compile(core, "c99")

@@ -285,9 +285,9 @@ class TestPooledCompile:
 
     def test_customized_compiles_stay_inline(self):
         with ChassisSession(config=FAST, sample_config=SAMPLES, jobs=2) as session:
-            result = session.compile(
+            result = session.run_pipeline(
                 core_named("sqrt-sub"), "c99", skip=("regimes",)
-            )
+            ).result
             assert len(result.frontier) > 0
             assert session.pool_info() is None  # no worker ever started
 
