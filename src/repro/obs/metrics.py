@@ -37,13 +37,6 @@ DEFAULT_BUCKETS = (
     0.001, 0.005, 0.025, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0,
 )
 
-#: Power-of-two count ladder for size-shaped histograms (oracle batch
-#: sizes): single points through full benchsuite sample sets.
-COUNT_BUCKETS = (
-    1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
-    2048.0, 4096.0,
-)
-
 
 def _format_value(value: float) -> str:
     """Prometheus sample-value formatting (integers stay integral)."""

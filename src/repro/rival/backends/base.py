@@ -27,7 +27,6 @@ from typing import Iterator, Sequence
 
 from ...ir.expr import Expr
 from ...ir.types import F64
-from ...obs.metrics import COUNT_BUCKETS, METRICS
 from ..eval import PrecisionExhausted
 from ..interval import DomainError
 
@@ -202,38 +201,13 @@ class OracleBackend:
             self._counters.merge(deltas)
 
     def _record_batch(self, points: int, fastpath: int, escalated: int) -> None:
-        """Count one ``eval_batch``/``eval_bool_batch`` and bump its
-        metrics."""
+        """Count one ``eval_batch``/``eval_bool_batch``.  Only the counters
+        move: ``/metrics`` reads them through the session (a pool worker's
+        metrics registry is never scraped)."""
         self._count(
             batch_calls=1, batch_points=points, fastpath_hits=fastpath,
             dd_hits=fastpath, escalated_points=escalated,
         )
-        METRICS.counter(
-            "repro_oracle_batch_points",
-            "Points submitted to batched oracle evaluation.",
-            backend=self.name,
-        ).inc(points)
-        METRICS.counter(
-            "repro_oracle_fastpath_hits",
-            "Batched points settled by the vectorized fast path "
-            "(no mpmath escalation).",
-            backend=self.name,
-        ).inc(fastpath)
-        for rung, hits in (("dd", fastpath), ("ladder", escalated)):
-            if hits:
-                METRICS.counter(
-                    "repro_oracle_rung_points",
-                    "Batched points settled per oracle rung "
-                    "(double-double, mpmath ladder).",
-                    backend=self.name,
-                    rung=rung,
-                ).inc(hits)
-        METRICS.histogram(
-            "repro_oracle_batch_size",
-            "Distribution of oracle batch sizes (points per call).",
-            buckets=COUNT_BUCKETS,
-            backend=self.name,
-        ).observe(points)
 
 
 def iter_ok_values(results: Sequence[PointResult]) -> Iterator[float]:

@@ -8,10 +8,14 @@ layers the persistent cache under the session's
 
 1. every job is looked up in the cache (parent process, so hit/miss stats
    are centralized and workers stay cache-free);
-2. misses go to the worker pool when one is given, and run inline through
+2. misses get their samples from the caller's sample cache when it
+   holds them, and misses that share a benchmark's sample fingerprint —
+   one core under several targets — share one draw, made up front through
+   the caller's ``sampler`` (samples do not depend on the target);
+3. misses go to the worker pool when one is given, and run inline through
    the same job function otherwise — as do targets not resolvable from
    the registry by name (custom targets hold unpicklable closures);
-3. fresh ok payloads are stored back.
+4. fresh ok payloads are stored back.
 
 The engine returns plain :class:`~repro.service.scheduler.JobOutcome`
 records carrying the JSON payload; it neither deserializes results nor
@@ -24,23 +28,23 @@ run reproduces a cold run's report byte-for-byte.
 
 from __future__ import annotations
 
-from typing import Sequence, TypeAlias
+import functools
+from typing import Callable, Sequence, TypeAlias
 
-from ..accuracy.sampler import SampleConfig, SampleSet
+from ..accuracy.sampler import SampleConfig, SampleSet, SamplingError
 from ..core.loop import CompileConfig
+from ..deadline import DeadlineExceeded
 from ..ir.fpcore import FPCore
 from ..targets import get_target
 from ..targets.target import Target
-from .cache import CompileCache, target_fingerprint
+from .cache import CompileCache, sample_fingerprint, target_fingerprint
 from .results import core_to_source
 from .scheduler import BatchJob, JobOutcome, job_event, run_job
 
 #: A unit of requested work: a benchmark plus a target (object or registry
-#: name), optionally with pre-computed samples (see
-#: :meth:`~repro.session.ChassisSession.compile_many`).
-JobSpec: TypeAlias = (
-    tuple[FPCore, "Target | str"] | tuple[FPCore, "Target | str", "SampleSet | None"]
-)
+#: name).  Samples are the engine's business: it shares one draw among a
+#: call's jobs of the same benchmark (see :func:`run_compile_jobs`).
+JobSpec: TypeAlias = tuple[FPCore, "Target | str"]
 
 
 def _poolable(target: Target) -> bool:
@@ -75,11 +79,48 @@ def cached_outcome(
     )
 
 
+def _shared_samples(
+    jobs: Sequence[tuple[FPCore, Target, str]],
+    misses: Sequence[int],
+    sample_config: SampleConfig,
+    sampler: Callable[[FPCore], SampleSet],
+    held_samples: Callable[[str], SampleSet | None],
+) -> dict[int, SampleSet]:
+    """The sample set each of ``misses`` (job indices) is handed, by
+    sample fingerprint: the one ``held_samples`` already holds, else one
+    draw through ``sampler`` for a group of two or more.  A lone miss
+    whose set is not held is left out and samples in its job (pooled
+    workers draw in parallel).
+
+    A group whose draw raises :class:`~repro.accuracy.sampler.SamplingError`
+    or :class:`~repro.deadline.DeadlineExceeded` is left out too, so each
+    of its jobs samples itself and fails on its own (the paper's removal
+    protocol is per job).
+    """
+    groups: dict[str, list[int]] = {}
+    for index in misses:
+        key = sample_fingerprint(jobs[index][0], sample_config)
+        groups.setdefault(key, []).append(index)
+    shared: dict[int, SampleSet] = {}
+    for key, indices in groups.items():
+        samples = held_samples(key)
+        if samples is None and len(indices) > 1:
+            try:
+                samples = sampler(jobs[indices[0]][0])
+            except (SamplingError, DeadlineExceeded):
+                continue
+        if samples is not None:
+            shared.update(dict.fromkeys(indices, samples))
+    return shared
+
+
 def run_compile_jobs(
-    jobs: Sequence[tuple[FPCore, Target, str, object]],
+    jobs: Sequence[tuple[FPCore, Target, str]],
     *,
     config: CompileConfig,
     sample_config: SampleConfig,
+    sampler: Callable[[FPCore], SampleSet],
+    held_samples: Callable[[str], SampleSet | None],
     cache: CompileCache | None = None,
     timeout: float | None = None,
     progress=None,
@@ -89,15 +130,25 @@ def run_compile_jobs(
 ) -> list[JobOutcome]:
     """Compile many jobs; returns their outcomes in job order.
 
-    A job is ``(core, target, fingerprint, samples)``: a parsed benchmark,
-    a resolved target, the job fingerprint its caller already computed,
-    and the job's samples.  ``samples`` is None (the job samples itself),
-    a :class:`~repro.accuracy.sampler.SampleSet` that MUST equal what
-    ``sample_core(core, sample_config)`` would produce (samples are
-    seeded, so precomputing them is purely an optimization; the cache
-    fingerprint assumes this equality), or — for inline jobs only — a
-    zero-argument callable returning that set, drawn when the job runs
-    (see :func:`~repro.service.scheduler.run_job`).
+    A job is ``(core, target, fingerprint)``: a parsed benchmark, a
+    resolved target and the job fingerprint its caller already computed.
+
+    Samples are the engine's business.  ``sampler`` draws one benchmark's
+    samples under ``sample_config`` through the caller's sample cache, and
+    ``held_samples`` returns the set that cache already holds for a
+    :func:`~repro.service.cache.sample_fingerprint` (None when it holds
+    none).  After the cache lookups, cache misses are grouped by sample
+    fingerprint; each group gets its held set, or else — for a group of
+    two or more — one draw made up front through ``sampler``, and every
+    job of the group, inline or pooled, is handed that
+    :class:`~repro.accuracy.sampler.SampleSet` (see
+    :func:`_shared_samples`).  A lone miss with nothing held samples in
+    its job, except the miss of a one-job call that runs inline (a
+    session's single compile): it draws through ``sampler`` as it runs,
+    so later calls reuse its samples (see
+    :func:`~repro.service.scheduler.run_job`).  Samples are seeded, so
+    all of this is purely an optimization: the set equals what each job
+    would draw.  Hits draw nothing, so a warm rerun stays oracle-free.
 
     ``cache`` (None disables caching) answers hits and stores fresh ok
     payloads.  ``timeout`` bounds each individual compilation in seconds.
@@ -121,22 +172,34 @@ def run_compile_jobs(
         raise ValueError(f"timeout must be positive, got {timeout}")
 
     outcomes: list[JobOutcome | None] = [None] * len(jobs)
+    misses: list[int] = []
+    for index, (core, target, fingerprint) in enumerate(jobs):
+        hit = cached_outcome(cache, index, core, target, fingerprint)
+        if hit is None:
+            misses.append(index)
+            continue
+        outcomes[index] = hit
+        if progress is not None:
+            progress(job_event(index, hit.benchmark, hit.target, cached=True))
+
+    shared = _shared_samples(
+        jobs, misses, sample_config, sampler, held_samples
+    )
     pool_batch: list[BatchJob] = []
     inline_jobs: list[tuple[BatchJob, Target]] = []
-    for index, (core, target, fingerprint, samples) in enumerate(jobs):
-        hit = cached_outcome(cache, index, core, target, fingerprint)
-        if hit is not None:
-            outcomes[index] = hit
-            if progress is not None:
-                progress(job_event(index, hit.benchmark, hit.target, cached=True))
-            continue
+    for index in misses:
+        core, target, _fingerprint = jobs[index]
+        pooled = pool is not None and _poolable(target)
+        samples = shared.get(index)
+        if samples is None and len(jobs) == 1 and not pooled:
+            samples = functools.partial(sampler, core)
         job = BatchJob(
             index, core_to_source(core), target.name,
-            samples=samples, timeout=timeout, config=config,
-            sample_config=sample_config, trace=trace,
+            samples=samples, timeout=timeout,
+            config=config, sample_config=sample_config, trace=trace,
             oracle_backend=oracle_backend,
         )
-        if pool is not None and _poolable(target):
+        if pooled:
             pool_batch.append(job)
         else:
             inline_jobs.append((job, target))
@@ -155,7 +218,7 @@ def run_compile_jobs(
 
     for outcome_dict in raw:
         index = outcome_dict["index"]
-        core, _target, fingerprint, _samples = jobs[index]
+        core, _target, fingerprint = jobs[index]
         outcome = JobOutcome(
             index=index,
             # Label from the parent's core, not the worker's re-parse, so

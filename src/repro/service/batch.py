@@ -118,15 +118,9 @@ def cmd_batch(args) -> int:
         timeout=args.timeout,
     )
 
-    # Multi-target batches sample each benchmark once and share the
-    # points across targets; see ChassisSession.shared_samples_for for
-    # the warm-cache and failure-capture rules.
-    shared_samples = session.shared_samples_for(cores, target_names)
-    specs = [
-        (core, name, samples)
-        for name in target_names
-        for core, samples in zip(cores, shared_samples)
-    ]
+    # Target-major order; the engine draws each benchmark's samples once
+    # for all of its targets that miss the cache.
+    specs = [(core, name) for name in target_names for core in cores]
 
     def progress(outcome: dict) -> None:
         if not args.quiet:

@@ -26,12 +26,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from ..accuracy.sampler import SampleConfig
-from ..core.pipeline import CompileResult
 from ..core.loop import CompileConfig
 from ..ir.fpcore import FPCore
 from ..ir.printer import expr_to_sexpr
 from ..targets.target import Target
-from .results import SCHEMA_VERSION, core_to_source, result_from_dict, result_to_dict
+from .results import SCHEMA_VERSION, core_to_source
 
 # --- fingerprints -----------------------------------------------------------------
 
@@ -236,13 +235,6 @@ class CompileCache:
         self.stats.hits += 1
         return payload
 
-    def contains(self, key: str) -> bool:
-        """Stat-free existence probe (no hit/miss accounting, no payload
-        validation).  Lets batch front-ends decide whether pre-sampling is
-        worth doing without perturbing the counters the engine's real
-        lookups record."""
-        return self._path(key).exists()
-
     def put(self, key: str, payload: dict) -> None:
         """Store one entry atomically (write-to-temp, rename)."""
         path = self._path(key)
@@ -259,32 +251,6 @@ class CompileCache:
                 pass
             raise
         self.stats.stores += 1
-
-    # --- typed convenience interface ----------------------------------------------
-
-    def load_result(
-        self,
-        core: FPCore,
-        target: Target,
-        config: CompileConfig | None = None,
-        sample_config: SampleConfig | None = None,
-    ) -> CompileResult | None:
-        """Look up and deserialize one compilation, or None on miss."""
-        payload = self.get(job_fingerprint(core, target, config, sample_config))
-        if payload is None:
-            return None
-        return result_from_dict(payload, target)
-
-    def store_result(
-        self,
-        result: CompileResult,
-        config: CompileConfig | None = None,
-        sample_config: SampleConfig | None = None,
-    ) -> str:
-        """Serialize and store one compilation; returns its fingerprint."""
-        key = job_fingerprint(result.core, result.target, config, sample_config)
-        self.put(key, result_to_dict(result))
-        return key
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*/*.json"))

@@ -117,13 +117,14 @@ class BatchJob:
     index: int
     core_source: str
     target_name: str
-    #: Pre-computed samples (an optimization for batches where one
-    #: benchmark appears under many targets).  MUST equal what
+    #: None (the job samples itself), or the one set the engine handed
+    #: all of a call's cache misses of this benchmark (see
+    #: :func:`~repro.service.api.run_compile_jobs`).  It MUST equal what
     #: ``sample_core(core, sample_config)`` would produce — the cache
     #: fingerprint assumes samples are a pure function of those two.
-    #: Inline jobs may carry a zero-argument callable instead (a session's
-    #: sample cache), called when the job runs, so a failed or timed-out
-    #: draw is this job's outcome.
+    #: The inline job of a one-job call carries a zero-argument callable
+    #: instead (a draw through the session's sample cache), called when
+    #: the job runs, so a failed or timed-out draw is this job's outcome.
     samples: object | None = None
     #: Per-job timeout (seconds; None = unbounded).
     timeout: float | None = None

@@ -402,19 +402,10 @@ class ChassisRequestHandler(BaseHTTPRequestHandler):
         cores = [self._parse_core(source, None) for source in sources]
         config, sample_config = self._configs_from(body)
         timeout = self._timeout_from(body)
-        # Multi-target batches sample each benchmark once and share the
-        # points across targets; see ChassisSession.shared_samples_for
-        # for the warm-cache and failure-capture rules.
-        shared_samples = self.session.shared_samples_for(
-            cores, targets,
-            config=config, sample_config=sample_config, timeout=timeout,
-        )
+        # The engine draws each benchmark's samples once for all of its
+        # targets that miss the cache.
         outcomes = self.session.compile_many(
-            [
-                (core, target, samples)
-                for target in targets
-                for core, samples in zip(cores, shared_samples)
-            ],
+            [(core, target) for target in targets for core in cores],
             config=config,
             sample_config=sample_config,
             timeout=timeout,
@@ -559,10 +550,17 @@ class ChassisServer(ThreadingHTTPServer):
                 ("Correctly-rounded oracle ladder evaluations, in-process "
                  "plus folded back from pooled workers.",
                  lambda: session.oracle_counters().evals),
+            "repro_oracle_batch_points":
+                ("Points submitted to batched oracle evaluation, in-process "
+                 "plus folded back from pooled workers.",
+                 lambda: session.oracle_counters().batch_points),
             "repro_oracle_fastpath_points":
                 ("Batched oracle points settled by the vectorized fast "
                  "path without touching the mpmath ladder.",
                  lambda: session.oracle_counters().fastpath_hits),
+            "repro_oracle_ladder_points":
+                ("Batched oracle points settled by the mpmath ladder.",
+                 lambda: session.oracle_counters().escalated_points),
         }
         for name, (help_text, fn) in gauges.items():
             METRICS.gauge_fn(name, fn, help_text)

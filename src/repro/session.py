@@ -30,7 +30,11 @@ job ends as one :class:`~repro.service.scheduler.JobOutcome`, and that
 record is the only input to :class:`SessionStats`, the
 ``repro_compiles_total`` counter, the provenance ledger and the thread's
 :meth:`~ChassisSession.last_phase_timings` /
-:meth:`~ChassisSession.last_provenance` view.
+:meth:`~ChassisSession.last_provenance` view.  The engine also owns
+sample sharing: a call's cache misses of one benchmark share one set
+from the session's sample cache — the one it holds, or one draw through
+:meth:`~ChassisSession.samples_for`, passed in as the engine's
+``sampler`` — so callers pass plain ``(core, target)`` specs.
 
 Synopsis::
 
@@ -67,7 +71,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
-from .accuracy.sampler import SampleConfig, SampleSet, SamplingError, sample_core
+from .accuracy.sampler import SampleConfig, SampleSet, sample_core
 from .accuracy.scoring import score_program
 from .core.candidates import ParetoFrontier
 from .core.loop import CompileConfig
@@ -79,7 +83,7 @@ from .core.pipeline import (
     PipelineContext,
 )
 from .cost.model import TargetCostModel
-from .deadline import DeadlineExceeded, check_deadline, deadline
+from .deadline import check_deadline, deadline
 from .egraph.stats import EngineStats, engine_stats_sink
 from .exec.builder import BuildCache
 from .exec.executable import (
@@ -159,7 +163,8 @@ class SessionStats:
     #: Oracle-backend counters every compile job ships home on
     #: ``JobOutcome.oracle`` (each job runs its own backend) — the rival
     #: twin of ``engine``.  The session backend counts the rest: the
-    #: sample draws of inline jobs and :meth:`ChassisSession.run_pipeline`
+    #: draws through the session sample cache (inline single compiles,
+    #: the engine's shared draws) and :meth:`ChassisSession.run_pipeline`
     #: runs.
     rival: OracleCounters = field(default_factory=OracleCounters)
 
@@ -398,24 +403,6 @@ class ChassisSession:
                 self.stats.sample_hits += 1
             return cached
 
-    def is_cached(
-        self,
-        core: FPCore | str,
-        target: Target | str,
-        config: CompileConfig | None = None,
-        sample_config: SampleConfig | None = None,
-    ) -> bool:
-        """True when this job's full result is already in the persistent
-        cache (stat-free probe; batch front-ends use it to skip
-        pre-sampling benchmarks that will never compile)."""
-        if self.cache is None:
-            return False
-        target = self.resolve_target(target)
-        core = self.parse(core, target)
-        return self.cache.contains(job_fingerprint(
-            core, target, config or self.config, sample_config or self.sample_config
-        ))
-
     def samples_for(
         self,
         core: FPCore,
@@ -643,9 +630,9 @@ class ChassisSession:
         config = config or self.config
         sample_config = sample_config or self.sample_config
         timeout = self.timeout if timeout is None else timeout
-        job = (core, target, job_fingerprint(core, target, config, sample_config), None)
+        job = (core, target, job_fingerprint(core, target, config, sample_config))
         self._last.outcome = None
-        outcome = cached_outcome(self.cache, 0, *job[:3])
+        outcome = cached_outcome(self.cache, 0, *job)
         # Only a miss waits at the gate: a concurrent identical request may
         # be compiling this job, and the engine's own lookup then finds its
         # stored result (a cold compile therefore records two cache misses).
@@ -655,13 +642,13 @@ class ChassisSession:
         ):
             if outcome is None:
                 pool = self.worker_pool() if _poolable(target) else None
-                if pool is None:
-                    # Inline jobs draw through the session's sample cache.
-                    job = (*job[:3], functools.partial(
-                        self.samples_for, core, sample_config, timeout=timeout
-                    ))
                 [outcome] = run_compile_jobs(
                     [job], config=config, sample_config=sample_config,
+                    sampler=functools.partial(
+                        self.samples_for, sample_config=sample_config,
+                        timeout=timeout,
+                    ),
+                    held_samples=self._sample_cache_get,
                     cache=self.cache, timeout=timeout, pool=pool,
                     oracle_backend=self.oracle_backend,
                 )
@@ -962,46 +949,6 @@ class ChassisSession:
             )
         return report
 
-    def shared_samples_for(
-        self,
-        cores: list[FPCore],
-        targets: list[Target | str],
-        *,
-        config: CompileConfig | None = None,
-        sample_config: SampleConfig | None = None,
-        timeout: float | None = None,
-    ) -> list[SampleSet | None]:
-        """One shared sample set per benchmark for a ``cores x targets``
-        batch (aligned with ``cores``; the common third spec element).
-
-        Sampling is target-independent and seeded, so a multi-target batch
-        can sample each benchmark once here — through the session cache —
-        instead of every worker repeating it per target.  Entries stay
-        ``None`` (sample in the worker) for single-target batches (no
-        redundancy to remove, and workers sample in parallel), for
-        benchmarks whose every job is already in the persistent cache
-        (warm reruns must stay oracle-free), and for benchmarks that fail
-        to sample (their jobs still report per-job SamplingErrors,
-        preserving the removal protocol).  Both ``repro batch`` and the
-        serve ``/batch`` endpoint build their specs from this.
-        """
-        shared: list[SampleSet | None] = [None] * len(cores)
-        if len(targets) <= 1:
-            return shared
-        for index, core in enumerate(cores):
-            if all(
-                self.is_cached(core, target, config, sample_config)
-                for target in targets
-            ):
-                continue
-            try:
-                shared[index] = self.samples_for(
-                    core, sample_config, timeout=timeout
-                )
-            except (SamplingError, DeadlineExceeded):
-                pass
-        return shared
-
     # --- batch + async --------------------------------------------------------------
 
     def worker_pool(self) -> WorkerPool | None:
@@ -1065,7 +1012,7 @@ class ChassisSession:
                 cache = "none"
             else:
                 cache = "store"
-            core, target, fingerprint, _samples = job
+            core, target, fingerprint = job
             records.append(self.ledger.record_job(
                 kind, core, target, config, sample_config, fingerprint,
                 cache=cache,
@@ -1090,12 +1037,12 @@ class ChassisSession:
     ) -> list[JobOutcome]:
         """Batch compilation through the session's pool, cache and knobs.
 
-        A spec is ``(core, target)`` or ``(core, target, samples)``; the
-        optional :class:`~repro.accuracy.sampler.SampleSet` skips per-job
-        sampling and MUST equal what ``sample_core(core, sample_config)``
-        would produce (samples are seeded, so precomputing them is purely
-        an optimization; the cache fingerprint assumes this equality — see
-        :meth:`shared_samples_for`).
+        A spec is ``(core, target)``.  Samples do not depend on the
+        target, so the engine hands all of a call's cache misses of one
+        benchmark the same set — the one the session's sample cache
+        holds, or else, for two or more misses, one draw through it (see
+        :func:`~repro.service.api.run_compile_jobs`); a lone miss with
+        nothing held samples in its job, and a warm rerun draws nothing.
 
         Returns outcomes in spec order: expected failures captured per
         job, warm cache hits flagged, and every ok outcome carrying both
@@ -1118,13 +1065,13 @@ class ChassisSession:
         """
         config = config or self.config
         sample_config = sample_config or self.sample_config
+        timeout = self.timeout if timeout is None else timeout
         jobs = []
-        for spec in specs:
-            target = self.resolve_target(spec[1])
-            core = self.parse(spec[0], target)
+        for core, target in specs:
+            target = self.resolve_target(target)
+            core = self.parse(core, target)
             jobs.append((
-                core, target, job_fingerprint(core, target, config, sample_config),
-                spec[2] if len(spec) > 2 else None,
+                core, target, job_fingerprint(core, target, config, sample_config)
             ))
         with self._lock:
             self.stats.batches += 1
@@ -1132,15 +1079,19 @@ class ChassisSession:
             jobs,
             config=config,
             sample_config=sample_config,
+            sampler=functools.partial(
+                self.samples_for, sample_config=sample_config, timeout=timeout
+            ),
+            held_samples=self._sample_cache_get,
             cache=self.cache,
-            timeout=self.timeout if timeout is None else timeout,
+            timeout=timeout,
             progress=progress,
             pool=self.worker_pool(),
             trace=trace,
             oracle_backend=self.oracle_backend,
         )
         self._fold_outcomes("batch", jobs, outcomes, config, sample_config)
-        for (_core, target, _fingerprint, _samples), outcome in zip(jobs, outcomes):
+        for (_core, target, _fingerprint), outcome in zip(jobs, outcomes):
             if outcome.ok:
                 outcome.result = result_from_dict(outcome.payload, target)
         return outcomes

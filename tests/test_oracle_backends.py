@@ -302,10 +302,29 @@ class TestSessionIntegration:
     def test_batch_metrics_exposed(self):
         session = ChassisSession(config=FAST, sample_config=SAMPLES)
         session.samples_for(session.parse(SQRT_SUB))
-        text = METRICS.exposition()
-        assert "repro_oracle_batch_points" in text
-        assert "repro_oracle_fastpath_hits" in text
-        assert "repro_oracle_batch_size" in text
+        server = create_server(session)
+        try:
+            text = METRICS.exposition()
+        finally:
+            server.server_close()
+        counters = session.oracle_counters()
+        assert counters.batch_points > 0
+        assert _gauge(text, "repro_oracle_batch_points") == counters.batch_points
+        assert (
+            _gauge(text, "repro_oracle_fastpath_points") == counters.fastpath_hits
+        )
+        assert (
+            _gauge(text, "repro_oracle_ladder_points")
+            == counters.escalated_points
+        )
+        # Backends bump no series of their own: nobody scrapes a pool
+        # worker's registry.
+        for removed in (
+            "repro_oracle_fastpath_hits",
+            "repro_oracle_rung_points",
+            "repro_oracle_batch_size",
+        ):
+            assert removed not in text
 
 
 class TestCounterFolding:
@@ -370,6 +389,20 @@ def _gauge(text: str, name: str) -> float:
     return float(line.split()[1])
 
 
+def _oracle_series(text: str) -> dict[str, float]:
+    """Each oracle series' total over all its label sets."""
+    names = (
+        "repro_oracle_evals", "repro_oracle_batch_points",
+        "repro_oracle_fastpath_points", "repro_oracle_ladder_points",
+    )
+    totals = dict.fromkeys(names, 0.0)
+    for line in text.splitlines():
+        name = line.split("{")[0].split(" ")[0]
+        if name in totals:
+            totals[name] += float(line.split()[-1])
+    return totals
+
+
 class TestOracleCounts:
     """Every oracle count lives in a backend's ``OracleCounters``; the
     totals a compile reports must not move when the code that carries
@@ -402,6 +435,34 @@ class TestOracleCounts:
                 _gauge(text, "repro_oracle_fastpath_points")
                 == oracle["fastpath_hits"]
             )
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_metrics_read_what_health_reads(self, jobs):
+        """``/metrics`` oracle series move by what ``/health`` reports,
+        pooled jobs included (a worker's own registry is never read)."""
+        with ChassisSession(
+            config=FAST, sample_config=SAMPLES, jobs=jobs
+        ) as session:
+            server = create_server(session)
+            try:
+                before = _oracle_series(METRICS.exposition())
+                sqrt_sub = session.parse(SQRT_SUB)
+                outcomes = session.compile_many([
+                    (sqrt_sub, "c99"), (sqrt_sub, "avx"),
+                    (core_named("cos-frac"), "c99"),
+                ])
+                after = _oracle_series(METRICS.exposition())
+            finally:
+                server.server_close()
+            assert all(o.ok for o in outcomes)
+            oracle = session.health()["oracle"]
+        assert oracle["batch_points"] > 0
+        assert {name: after[name] - before[name] for name in after} == {
+            "repro_oracle_evals": oracle["evals"],
+            "repro_oracle_batch_points": oracle["batch_points"],
+            "repro_oracle_fastpath_points": oracle["fastpath_hits"],
+            "repro_oracle_ladder_points": oracle["rungs"]["ladder_points"],
+        }
 
     def test_deadline_mid_ladder_still_counts(self, monkeypatch):
         """A deadline that fires inside a ladder batch propagates, and the

@@ -111,12 +111,22 @@ class TestFingerprints:
         assert core_fingerprint(a) != core_fingerprint(b)
 
 
+def _store(cache, compiled, config=FAST):
+    """Store ``compiled`` under its job fingerprint; returns the key."""
+    key = job_fingerprint(compiled.core, compiled.target, config, SAMPLES)
+    cache.put(key, result_to_dict(compiled))
+    return key
+
+
 class TestCompileCache:
     def test_store_load_round_trip(self, tmp_path, compiled):
         cache = CompileCache(tmp_path)
-        key = cache.store_result(compiled, FAST, SAMPLES)
-        loaded = cache.load_result(compiled.core, compiled.target, FAST, SAMPLES)
-        assert loaded is not None
+        key = _store(cache, compiled)
+        payload = cache.get(
+            job_fingerprint(compiled.core, compiled.target, FAST, SAMPLES)
+        )
+        assert payload is not None
+        loaded = result_from_dict(payload, compiled.target)
         assert [(c.cost, c.error) for c in loaded.frontier] == [
             (c.cost, c.error) for c in compiled.frontier
         ]
@@ -125,19 +135,21 @@ class TestCompileCache:
 
     def test_miss_on_different_config(self, tmp_path, compiled):
         cache = CompileCache(tmp_path)
-        cache.store_result(compiled, FAST, SAMPLES)
+        _store(cache, compiled)
         other = CompileConfig(iterations=5)
-        assert cache.load_result(compiled.core, compiled.target, other, SAMPLES) is None
+        key = job_fingerprint(compiled.core, compiled.target, other, SAMPLES)
+        assert cache.get(key) is None
         assert cache.stats.misses == 1
 
     def test_miss_on_different_target(self, tmp_path, compiled, arith):
         cache = CompileCache(tmp_path)
-        cache.store_result(compiled, FAST, SAMPLES)
-        assert cache.load_result(compiled.core, arith, FAST, SAMPLES) is None
+        _store(cache, compiled)
+        key = job_fingerprint(compiled.core, arith, FAST, SAMPLES)
+        assert cache.get(key) is None
 
     def test_corrupt_entry_invalidated(self, tmp_path, compiled):
         cache = CompileCache(tmp_path)
-        key = cache.store_result(compiled, FAST, SAMPLES)
+        key = _store(cache, compiled)
         path = cache._path(key)
         path.write_text("{not json")
         assert cache.get(key) is None
@@ -146,7 +158,7 @@ class TestCompileCache:
 
     def test_stale_schema_invalidated(self, tmp_path, compiled):
         cache = CompileCache(tmp_path)
-        key = cache.store_result(compiled, FAST, SAMPLES)
+        key = _store(cache, compiled)
         payload = json.loads(cache._path(key).read_text())
         payload["schema"] = -1
         cache._path(key).write_text(json.dumps(payload))
@@ -155,7 +167,7 @@ class TestCompileCache:
 
     def test_clear(self, tmp_path, compiled):
         cache = CompileCache(tmp_path)
-        cache.store_result(compiled, FAST, SAMPLES)
+        _store(cache, compiled)
         assert len(cache) == 1
         assert cache.clear() == 1
         assert len(cache) == 0
