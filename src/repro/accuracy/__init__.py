@@ -2,31 +2,17 @@
 
 from .localerror import local_errors
 from .sampler import SampleConfig, SampleSet, SamplingError, sample_core
-from .scoring import oracle_exact_values, pointwise_errors, score_program
-from .ulp import (
-    accuracy_bits,
-    bits_of_error,
-    float32_to_ordinal,
-    float64_to_ordinal,
-    ordinal_to_float32,
-    ordinal_to_float64,
-    ulps_between,
-)
+from .scoring import pointwise_errors, score_program
+from .ulp import bits_of_error, ulps_between
 
 __all__ = [
     "ulps_between",
     "bits_of_error",
-    "accuracy_bits",
-    "float64_to_ordinal",
-    "ordinal_to_float64",
-    "float32_to_ordinal",
-    "ordinal_to_float32",
     "SampleConfig",
     "SampleSet",
     "SamplingError",
     "sample_core",
     "score_program",
-    "oracle_exact_values",
     "pointwise_errors",
     "local_errors",
 ]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
+from ..formats import get_format
 from ..ir.expr import App, Expr
 from ..ir.types import F64
 from ..targets.target import Target
@@ -109,6 +110,7 @@ def _node_error(node: App, spec, target: Target, memo: ExactMemo) -> float | Non
         memo.exact(arg, arg_ty) for arg, arg_ty in zip(node.args, spec.arg_types)
     ]
     out_values = memo.exact(node, ret_type)
+    fmt = get_format(ret_type)
     total, counted = 0.0, 0
     for index, exact_out in enumerate(out_values):
         exact_args = [values[index] for values in arg_values]
@@ -118,6 +120,6 @@ def _node_error(node: App, spec, target: Target, memo: ExactMemo) -> float | Non
             approx_out = spec.impl(*exact_args)
         except (OverflowError, ValueError, ZeroDivisionError):
             approx_out = math.nan
-        total += bits_of_error(approx_out, exact_out, ret_type)
+        total += bits_of_error(approx_out, exact_out, fmt)
         counted += 1
     return total / counted if counted else None

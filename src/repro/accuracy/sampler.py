@@ -50,11 +50,6 @@ class SamplingError(RuntimeError):
     """Too few valid points could be found for a benchmark."""
 
 
-def _random_float(rng: random.Random, ty) -> float:
-    fmt = get_format(ty)
-    return fmt.from_ordinal(rng.randint(-fmt.max_ordinal, fmt.max_ordinal))
-
-
 @dataclass
 class _VarRange:
     """Per-variable sampling region derived from the precondition.

@@ -15,24 +15,6 @@ from .ulp import bits_of_error
 Point = Mapping[str, float]
 
 
-def oracle_exact_values(
-    oracle,
-    expr: Expr,
-    points: Sequence[Point],
-    ty: str = F64,
-) -> list[float]:
-    """Correctly rounded values of ``expr`` over a whole point set, in one
-    batched backend call (the scoring-side twin of the sampler's per-block
-    oracling).  Points where the oracle reports a failure — domain error,
-    precision exhaustion, unknown operator — come back as NaN, which
-    :func:`bits_of_error` treats as worst case.
-    """
-    return [
-        result.value if result.ok else math.nan
-        for result in oracle.eval_batch(expr, list(points), ty)
-    ]
-
-
 def score_program(
     program: Expr,
     target: Target,
@@ -74,7 +56,8 @@ def pointwise_errors(
         memo = ColumnMemo(target.impl_registry(), points)
     elif memo.points is not points:
         raise ValueError("memo was built for a different point set")
+    fmt = get_format(ty)
     return [
-        bits_of_error(math.nan if value is FAILED else value, exact, ty)
+        bits_of_error(math.nan if value is FAILED else value, exact, fmt)
         for value, exact in zip(memo.column(program, ty), exact_values)
     ]

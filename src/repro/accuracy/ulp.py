@@ -9,7 +9,8 @@ distance is an integer subtraction.
 The codec itself lives on :class:`~repro.formats.FloatFormat` — one
 implementation per registered format, shared with the sampler's
 ordinal-uniform draws so the two can never drift.  The ``ty`` arguments
-below accept a format name or a :class:`FloatFormat`.
+below accept a format name or a :class:`FloatFormat`; callers in a loop
+resolve the format once and pass the :class:`FloatFormat`.
 """
 
 from __future__ import annotations
@@ -18,29 +19,6 @@ import math
 
 from ..formats import get_format
 from ..ir.types import F64
-
-_F64 = get_format("binary64")
-_F32 = get_format("binary32")
-
-
-def float64_to_ordinal(x: float) -> int:
-    """Map a binary64 value to an integer preserving numeric order."""
-    return _F64.to_ordinal(x)
-
-
-def ordinal_to_float64(n: int) -> float:
-    """Inverse of :func:`float64_to_ordinal`."""
-    return _F64.from_ordinal(n)
-
-
-def float32_to_ordinal(x: float) -> int:
-    """Map a binary32 value (as an f32-representable float) to an ordinal."""
-    return _F32.to_ordinal(x)
-
-
-def ordinal_to_float32(n: int) -> float:
-    """Inverse of :func:`float32_to_ordinal`."""
-    return _F32.from_ordinal(n)
 
 
 def ulps_between(a: float, b: float, ty=F64) -> int:
@@ -64,8 +42,3 @@ def bits_of_error(approx: float, exact: float, ty=F64) -> float:
     fmt = get_format(ty)
     ulps = ulps_between(approx, exact, fmt)
     return min(float(fmt.bits), math.log2(ulps + 1))
-
-
-def accuracy_bits(approx: float, exact: float, ty=F64) -> float:
-    """Bits of accuracy: ``p - log2(ULPs)`` as reported in the paper."""
-    return get_format(ty).bits - bits_of_error(approx, exact, ty)

@@ -24,11 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..egraph.egraph import EGraph
-from ..egraph.extract import ExtractionError
 from ..egraph.runner import RunnerLimits, run_rules
-from ..egraph.typed_extract import TypedExtractor
+from ..egraph.typed_extract import ExtractionError, TypedExtractor
 from ..cost.model import TargetCostModel
-from ..ir.expr import App, Const, Expr, Num, Var
+from ..ir.expr import App, Expr, Num
 from ..ir.fpcore import FPCore
 from ..targets.target import Target
 from ..core.transcribe import transcribe
@@ -111,32 +110,6 @@ def _identity_clean(expr: Expr) -> Expr:
     if base == "div" and isinstance(args[1], Num) and args[1].value == one:
         return args[0]
     return App(expr.op, args)
-
-
-def _dag_cost(expr: Expr, model: TargetCostModel) -> float:
-    """Program cost with common subexpressions counted once (models CSE)."""
-    seen: set[Expr] = set()
-
-    def walk(node: Expr) -> float:
-        if node in seen:
-            return 0.0
-        seen.add(node)
-        if isinstance(node, Var):
-            return model.target.variable_cost
-        if isinstance(node, (Num, Const)):
-            return min(model.target.literal_costs.values())
-        assert isinstance(node, App)
-        own = 0.0
-        if node.op == "if":
-            return (
-                walk(node.args[0]) + walk(node.args[1]) + walk(node.args[2])
-                + model.target.if_cost
-            )
-        opdef = model.target.operators.get(node.op)
-        own = opdef.cost if opdef is not None else model.target.if_cost
-        return own + sum(walk(a) for a in node.args)
-
-    return walk(expr)
 
 
 _FASTMATH_LIMITS = RunnerLimits(

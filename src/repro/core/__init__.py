@@ -14,7 +14,7 @@ from .pipeline import (
 from .output import render, to_c, to_fpcore, to_julia, to_python
 from .regimes import infer_regimes
 from .series import series_candidates, taylor_coeffs
-from .transcribe import Untranscribable, transcribable, transcribe, transcribe_with_poly
+from .transcribe import Untranscribable, transcribe, transcribe_with_poly
 
 __all__ = [
     "Candidate",
@@ -33,7 +33,6 @@ __all__ = [
     "series_candidates",
     "taylor_coeffs",
     "transcribe",
-    "transcribable",
     "transcribe_with_poly",
     "Untranscribable",
     "render",

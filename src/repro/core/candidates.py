@@ -7,7 +7,7 @@ given cost bound" (paper section 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..ir.expr import Expr
@@ -92,11 +92,3 @@ class ParetoFrontier:
         if not feasible:
             return None
         return min(feasible, key=lambda c: c.cost)
-
-    def rescored(self, scores: dict[int, tuple[float, float]]) -> "ParetoFrontier":
-        """A new frontier with (cost, error) replaced per candidate index."""
-        out = ParetoFrontier()
-        for i, candidate in enumerate(self._items):
-            cost, error = scores.get(i, (candidate.cost, candidate.error))
-            out.add(replace(candidate, cost=cost, error=error))
-        return out

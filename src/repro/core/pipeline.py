@@ -51,10 +51,6 @@ class CompileResult:
     samples: SampleSet
     elapsed: float
 
-    def best_for_error(self, error_bound: float) -> Candidate | None:
-        """Fastest output meeting an accuracy bound (bits of error)."""
-        return self.frontier.fastest_within(error_bound)
-
 
 @dataclass
 class PipelineContext:

@@ -179,12 +179,3 @@ def _lower_poly_condition(
             _lower_poly_condition(a, target, index, ty, degree) for a in cond.args
         ))
     return cond
-
-
-def transcribable(expr: Expr, target: Target, ty: str = F64) -> bool:
-    """True when :func:`transcribe` would succeed."""
-    try:
-        transcribe(expr, target, ty)
-    except Untranscribable:
-        return False
-    return True

@@ -300,14 +300,6 @@ class EGraph:
             self._index[head] = dict.fromkeys(canon)
         return list(canon)
 
-    def op_nodes(self, op) -> Iterator[tuple[ENode, int]]:
-        """Yield ``(enode, class_id)`` for every node whose head equals op."""
-        for class_id in self.classes_with_head(op):
-            eclass = self._classes[class_id]
-            for node in list(eclass.nodes):
-                if node[0] == op:
-                    yield node, class_id
-
     def snapshot(self) -> "GraphSnapshot":
         """This graph's topology snapshot at the current generation.
 
@@ -347,7 +339,7 @@ class GraphSnapshot:
     :attr:`nodes`/:attr:`parents`.  Computing these per search or per
     extractor repeats thousands of ``find`` calls; snapshotting once per
     generation lets every rule search of an iteration and every extractor
-    (untyped and typed, any cost function) share the traversal structure.
+    (under any cost model) share the traversal structure.
 
     The two views are built separately, each on its first read: searches
     never pay for ``nodes``/``parents``, nor extractions for ``by_head``.

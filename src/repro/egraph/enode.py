@@ -14,29 +14,12 @@ e-matching hot paths fast in pure Python.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Union
 
 from ..ir.expr import App, Const, Expr, Num, Var
 
 Head = Union[str, tuple]
 ENode = tuple  # (Head, tuple[int, ...])
-
-
-def make_enode(head: Head, args: tuple[int, ...]) -> ENode:
-    return (head, args)
-
-
-def var_head(name: str) -> Head:
-    return ("var", name)
-
-
-def num_head(value: Fraction) -> Head:
-    return ("num", value)
-
-
-def const_head(name: str) -> Head:
-    return ("const", name)
 
 
 def head_of_expr(expr: Expr) -> Head:

@@ -12,8 +12,7 @@ from __future__ import annotations
 from ..ir.expr import Expr
 from .egraph import EGraph
 from .enode import is_op_head
-from .extract import ExtractionError
-from .typed_extract import TypedExtractor
+from .typed_extract import ExtractionError, TypedExtractor
 
 
 def extract_variants(

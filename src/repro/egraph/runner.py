@@ -188,8 +188,8 @@ def _run_rules(
                         check_deadline()
                     if rule.condition is not None and not rule.condition(egraph, subst):
                         continue
-                    new_id = build(add_node, subst)
-                    egraph.union(egraph.find(class_id), new_id)
+                    # ``union`` canonicalizes both ids itself.
+                    egraph.union(class_id, build(add_node, subst))
                     applied += 1
                 if applied:
                     report.rule_matches[rule.name] = (

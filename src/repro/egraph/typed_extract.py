@@ -23,7 +23,27 @@ from typing import Iterable, Protocol
 from ..ir.expr import App, Expr
 from .egraph import EGraph
 from .enode import ENode, head_to_leaf_expr, is_op_head
-from .extract import ExtractionError
+
+
+class ExtractionError(KeyError):
+    """An e-class has no extractable expression under the active costs.
+
+    Carries the class id, the cost model's name and the requested float
+    format so callers can skip the offending candidate instead of crashing
+    on a bare ``KeyError``.
+    """
+
+    def __init__(self, class_id: int, cost_name: str, ty: str):
+        self.class_id = class_id
+        self.cost_name = cost_name
+        self.ty = ty
+        super().__init__(
+            f"e-class {class_id} has no extractable expression "
+            f"under cost function {cost_name!r} at type {ty!r}"
+        )
+
+    def __str__(self) -> str:  # KeyError would repr() the message
+        return self.args[0]
 
 
 class TypedCostModel(Protocol):
@@ -82,10 +102,10 @@ class TypedExtractor:
     def _run(self) -> None:
         """Parents-driven worklist over the shared topology snapshot.
 
-        The typed analogue of :meth:`repro.egraph.extract.Extractor._run`:
-        a class whose per-type table gains or improves an entry pushes its
-        parents, so each class is re-priced only when a child's table
-        actually changed instead of on every whole-graph sweep.
+        Every class is seeded once; a class whose per-type table gains or
+        improves an entry pushes its parents, so each class is re-priced
+        only when a child's table actually changed instead of on every
+        whole-graph sweep.
 
         Each head's choices are looked up once per run (:meth:`_choices`);
         a node's arity is still checked against them.  ``args`` are
@@ -178,7 +198,7 @@ class TypedExtractor:
             return cached
         entry = self.best.get(class_id, {}).get(ty)
         if entry is None:
-            raise ExtractionError(class_id, self.cost_name, ty=ty)
+            raise ExtractionError(class_id, self.cost_name, ty)
         _cost, node, arg_types = entry
         expr = self.node_to_expr(node, arg_types, memo)
         memo[key] = expr

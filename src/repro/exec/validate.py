@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from ..accuracy.sampler import SampleSet
 from ..accuracy.ulp import bits_of_error, ulps_between
 from ..deadline import check_deadline
+from ..formats import get_format
 from ..fpeval.machine import compile_expr
 from ..ir.expr import Expr
 from ..ir.fpcore import FPCore
@@ -134,6 +135,7 @@ def validate_executable(
     """Validate an already-built executable (see :func:`validate_program`)."""
     precision = core.precision
     machine = compile_expr(program, target.impl_registry(), precision)
+    fmt = get_format(precision)
     points, exacts = samples.test, samples.test_exact
     if not points:
         points, exacts = samples.train, samples.train_exact
@@ -149,11 +151,11 @@ def validate_executable(
             modeled = machine(point)
         except (ArithmeticError, ValueError, KeyError):
             modeled = math.nan
-        executed_bits = bits_of_error(executed, exact, precision)
-        machine_bits = bits_of_error(modeled, exact, precision)
+        executed_bits = bits_of_error(executed, exact, fmt)
+        machine_bits = bits_of_error(modeled, exact, fmt)
         executed_total += executed_bits
         machine_total += machine_bits
-        ulps = ulps_between(executed, modeled, precision)
+        ulps = ulps_between(executed, modeled, fmt)
         max_ulps = max(max_ulps, ulps)
         if ulps > mismatch_ulps:
             mismatch_count += 1

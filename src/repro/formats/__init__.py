@@ -13,7 +13,6 @@ environment knob).
 from .format import FloatFormat
 from .registry import (
     UnknownFormatError,
-    format_names,
     get_format,
     is_known_format,
     register_format,
@@ -23,7 +22,6 @@ from .registry import (
 __all__ = [
     "FloatFormat",
     "UnknownFormatError",
-    "format_names",
     "get_format",
     "is_known_format",
     "register_format",

@@ -25,7 +25,6 @@ __all__ = [
     "get_format",
     "register_format",
     "registered_formats",
-    "format_names",
     "is_known_format",
 ]
 
@@ -136,10 +135,12 @@ def get_format(name) -> FloatFormat:
     """
     if isinstance(name, FloatFormat):
         return name
+    # No lock on the hit path: :func:`_install` stores a format before it
+    # publishes the format's spellings, and a dict read is atomic.
+    canonical = _NAMES.get(name)
+    if canonical is not None:
+        return _FORMATS[canonical]
     with _LOCK:
-        canonical = _NAMES.get(name)
-        if canonical is not None:
-            return _FORMATS[canonical]
         known = tuple(sorted(_FORMATS))
     raise UnknownFormatError(str(name), known)
 
@@ -156,12 +157,6 @@ def registered_formats() -> tuple[FloatFormat, ...]:
     """All registered formats, sorted by canonical name."""
     with _LOCK:
         return tuple(fmt for _, fmt in sorted(_FORMATS.items()))
-
-
-def format_names() -> tuple[str, ...]:
-    """Canonical names of all registered formats, sorted."""
-    with _LOCK:
-        return tuple(sorted(_FORMATS))
 
 
 def _ieee_exponent_range(ebits: int) -> tuple[int, int]:

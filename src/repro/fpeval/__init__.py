@@ -6,7 +6,6 @@ from .machine import (
     UnsupportedOperator,
     compile_condition,
     compile_expr,
-    eval_expr,
     round_literal,
 )
 
@@ -16,7 +15,6 @@ __all__ = [
     "to_f32",
     "compile_expr",
     "compile_condition",
-    "eval_expr",
     "round_literal",
     "UnsupportedOperator",
 ]

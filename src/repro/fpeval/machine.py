@@ -144,13 +144,6 @@ def compile_condition(
     raise UnsupportedOperator(f"not a condition: {expr!r}")
 
 
-def eval_expr(
-    expr: Expr, point: Point, ops: Mapping[str, OpSpec], expected_ty: str = F64
-) -> float:
-    """One-shot evaluation (compiles then runs; prefer compile_expr in loops)."""
-    return compile_expr(expr, ops, expected_ty)(point)
-
-
 class _Failed:
     """Type of :data:`FAILED`."""
 

@@ -1,19 +1,18 @@
 """Expression IR: mixed real/float terms, FPCore parsing and printing."""
 
-from .expr import App, Const, Expr, Num, Var, add, div, if_expr, mul, neg, sub
+from .expr import App, Const, Expr, Num, Var, add, div, mul, neg, sub
 from .fpcore import FPCore, parse_fpcore, parse_fpcores
-from .ops import ARITHMETIC_OPS, RealOp, all_real_ops, is_real_op, real_op
+from .ops import ARITHMETIC_OPS, RealOp, is_real_op
 from .parser import ParseError, parse_expr, parse_number, parse_sexpr, parse_sexprs
 from .printer import expr_to_infix, expr_to_sexpr
-from .types import BOOL, F32, F64, FLOAT_TYPES, REAL, TYPE_BITS, TYPE_PRECISION, is_float_type
+from .types import BOOL, F32, F64, REAL, is_float_type
 
 __all__ = [
     "App", "Const", "Expr", "Num", "Var",
-    "add", "sub", "mul", "div", "neg", "if_expr",
+    "add", "sub", "mul", "div", "neg",
     "FPCore", "parse_fpcore", "parse_fpcores",
-    "RealOp", "real_op", "is_real_op", "all_real_ops", "ARITHMETIC_OPS",
+    "RealOp", "is_real_op", "ARITHMETIC_OPS",
     "ParseError", "parse_expr", "parse_number", "parse_sexpr", "parse_sexprs",
     "expr_to_sexpr", "expr_to_infix",
-    "REAL", "F32", "F64", "BOOL", "FLOAT_TYPES", "TYPE_BITS", "TYPE_PRECISION",
-    "is_float_type",
+    "REAL", "F32", "F64", "BOOL", "is_float_type",
 ]

@@ -251,7 +251,3 @@ def div(a: Expr, b: Expr) -> Expr:
 
 def neg(a: Expr) -> Expr:
     return App("neg", (a,))
-
-
-def if_expr(cond: Expr, then: Expr, els: Expr) -> Expr:
-    return App("if", (cond, then, els))

@@ -103,19 +103,9 @@ _op("or", 2, None, pred=True)
 _op("not", 1, None, pred=True)
 
 
-def real_op(name: str) -> RealOp:
-    """Look up a real operator, raising ``KeyError`` for unknown names."""
-    return _REGISTRY[name]
-
-
 def is_real_op(name: str) -> bool:
     """True when ``name`` is a registered real-number operator."""
     return name in _REGISTRY
-
-
-def all_real_ops() -> dict[str, RealOp]:
-    """A copy of the full operator registry."""
-    return dict(_REGISTRY)
 
 
 #: Operators counted as plain arithmetic by naive (Herbie-style) cost models.

@@ -6,35 +6,19 @@ operator in the IR has a type drawn from this module: the mathematical
 for target operators.  Float types are *names into the format registry*
 (:mod:`repro.formats`): ``binary32``/``binary64`` are the IEEE built-ins,
 and any registered format (``fp16``, ``bf16``, ``REPRO_FORMATS`` customs)
-is equally a valid operator type.  The legacy ``TYPE_*`` dicts are kept
-for back-compat but cover only the two IEEE formats — new code should
-resolve ``get_format(ty)`` and read the descriptor.
+is equally a valid operator type; ``get_format(ty)`` resolves one to its
+descriptor.
 """
 
 from __future__ import annotations
 
-from ..formats import get_format, is_known_format
+from ..formats import is_known_format
 from ..formats.registry import UnknownFormatError
 
 REAL = "real"
 F32 = "binary32"
 F64 = "binary64"
 BOOL = "bool"
-
-#: The two IEEE formats every built-in target supports (legacy constant;
-#: the full set lives in the format registry).
-FLOAT_TYPES = (F32, F64)
-
-#: Number of bits in the encoding of each float format.  Used as the maximum
-#: number of "bits of error" assignable to a result in that format (a result
-#: can never be more than 2^bits ULPs away from the truth).
-TYPE_BITS = {F32: 32, F64: 64}
-
-#: Significand precision (including the hidden bit) of each format.
-TYPE_PRECISION = {F32: 24, F64: 53}
-
-#: Exponent range (emin, emax) for normalized values of each format.
-TYPE_EXPONENT_RANGE = {F32: (-126, 127), F64: (-1022, 1023)}
 
 
 def is_float_type(ty: str) -> bool:
@@ -55,8 +39,3 @@ def _registered():
     from ..formats import registered_formats
 
     return registered_formats()
-
-
-def float_format(ty: str):
-    """Resolve a type name to its :class:`~repro.formats.FloatFormat`."""
-    return get_format(ty)

@@ -25,9 +25,7 @@ from .trace import (
     Trace,
     Tracer,
     chrome_trace,
-    current_tracer,
     span,
-    trace_from_dict,
     tracing,
     write_chrome_trace,
 )
@@ -41,9 +39,7 @@ __all__ = [
     "Trace",
     "Tracer",
     "chrome_trace",
-    "current_tracer",
     "span",
-    "trace_from_dict",
     "tracing",
     "write_chrome_trace",
 ]

@@ -212,13 +212,6 @@ class MetricsRegistry:
             lines.append(f"{name} {_format_value(value)}")
         return "\n".join(lines) + "\n"
 
-    def reset(self) -> None:
-        """Drop every family and child (test isolation)."""
-        with self._lock:
-            self._families.clear()
-            self._children.clear()
-            self._gauge_fns.clear()
-
 
 #: The process-wide registry every instrumentation site records into.
 METRICS = MetricsRegistry()

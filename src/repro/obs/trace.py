@@ -18,8 +18,8 @@ back through ``JobOutcome`` — can be merged onto one absolute timeline by
 
 A Tracer is deliberately single-threaded: it is armed per compilation on
 the thread doing the work (serve handler thread, submit worker, pool
-worker process), never shared.  Traces, by contrast, are plain data
-(:meth:`Trace.as_dict` / :func:`trace_from_dict`) and travel freely.
+worker process), never shared.  Traces, by contrast, travel as plain
+data (:meth:`Trace.as_dict`).
 """
 
 from __future__ import annotations
@@ -76,14 +76,6 @@ class Trace:
         return totals
 
 
-def trace_from_dict(payload: dict) -> Trace:
-    """Rebuild a shipped trace (e.g. from a pooled ``JobOutcome``)."""
-    trace = Trace(name=payload.get("name", ""), pid=payload.get("pid", 0))
-    trace.epoch_wall = payload.get("epoch_wall", 0.0)
-    trace.spans = list(payload.get("spans", []))
-    return trace
-
-
 class Tracer:
     """The active recorder for one thread; holds the open-span stack."""
 
@@ -111,11 +103,6 @@ class Tracer:
         )
         if self._stack:
             self._stack.pop()
-
-
-def current_tracer() -> Tracer | None:
-    """The tracer armed on this thread, if any."""
-    return getattr(_LOCAL, "tracer", None)
 
 
 @contextmanager

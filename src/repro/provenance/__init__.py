@@ -9,7 +9,7 @@ without a cycle.
 
 from __future__ import annotations
 
-from .ledger import CACHE_STATES, LEDGER_SCHEMA, ProvenanceLedger, host_info
+from .ledger import LEDGER_SCHEMA, ProvenanceLedger, host_info
 
 _LAZY = {
     "DataProvider": "provider",
@@ -24,7 +24,6 @@ _LAZY = {
 }
 
 __all__ = [
-    "CACHE_STATES",
     "LEDGER_SCHEMA",
     "ProvenanceLedger",
     "host_info",

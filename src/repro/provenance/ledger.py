@@ -26,6 +26,12 @@ produced the bytes (``cache`` != ``"hit"``, status ok).  Warm hits append
 their own ``"hit"`` records — auditing trail, not lineage — so deleting
 the ledger under a warm cache is detectable: the values regenerate, but
 their origin is gone and ``--check`` fails.
+
+A record's ``cache`` field is ``"hit"`` (served from the persistent
+cache), ``"store"`` (a fresh result stored into it; every ok result of a
+job is) or ``"none"`` (no cache configured, or the job failed).  Older
+journals also hold ``"bypass"``, a compile kept out of a configured
+cache, which nothing writes any more.
 """
 
 from __future__ import annotations
@@ -50,14 +56,6 @@ from ..service.cache import (
 
 #: Version of the record layout (bumped on incompatible field changes).
 LEDGER_SCHEMA = 1
-
-#: Values of a record's ``cache`` field.  ``hit`` = served from the
-#: persistent cache; ``store`` = fresh result stored into it (every ok
-#: result of a job is); ``none`` = no cache configured, or the job
-#: failed.  ``bypass`` (a compile kept out of a configured cache) is
-#: written no more but kept, because older journals hold it.
-CACHE_STATES = ("hit", "store", "none", "bypass")
-
 _HOST_LOCK = threading.Lock()
 _HOST_INFO: dict | None = None
 

@@ -30,7 +30,6 @@ from .base import (
     OracleCounters,
     PointResult,
     classify_failure,
-    iter_ok_values,
     resolve_backend_name,
 )
 from .mpmath_backend import MpmathBackend
@@ -48,7 +47,6 @@ __all__ = [
     "OracleCounters",
     "PointResult",
     "classify_failure",
-    "iter_ok_values",
     "make_backend",
     "resolve_backend_name",
 ]

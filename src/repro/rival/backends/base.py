@@ -23,7 +23,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, fields
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from ...ir.expr import Expr
 from ...ir.types import F64
@@ -208,10 +208,3 @@ class OracleBackend:
             batch_calls=1, batch_points=points, fastpath_hits=fastpath,
             dd_hits=fastpath, escalated_points=escalated,
         )
-
-
-def iter_ok_values(results: Sequence[PointResult]) -> Iterator[float]:
-    """The values of the ``"ok"`` results, in order (helper for tests)."""
-    for result in results:
-        if result.status == OK:
-            yield result.value

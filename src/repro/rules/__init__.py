@@ -1,19 +1,9 @@
 """Mathematical rewrite-rule database (Herbie-style, paper section 3.3)."""
 
-from .registry import (
-    opportunity_rules,
-    all_rules,
-    rule_named,
-    rules_by_tag,
-    rules_for_operators,
-    simplify_rules,
-)
+from .registry import all_rules, opportunity_rules, rules_for_operators
 
 __all__ = [
     "all_rules",
     "opportunity_rules",
-    "simplify_rules",
-    "rules_by_tag",
-    "rule_named",
     "rules_for_operators",
 ]

@@ -52,12 +52,6 @@ def all_rules() -> tuple[Rewrite, ...]:
 
 
 @lru_cache(maxsize=None)
-def simplify_rules() -> tuple[Rewrite, ...]:
-    """AST-non-growing rules for the cost-opportunity analysis (fig. 5)."""
-    return tuple(r for r in all_rules() if "simplify" in r.tags)
-
-
-@lru_cache(maxsize=None)
 def opportunity_rules() -> tuple[Rewrite, ...]:
     """Rule set for the lightweight cost-opportunity saturation.
 
@@ -66,20 +60,6 @@ def opportunity_rules() -> tuple[Rewrite, ...]:
     such as rcp/rsqrt (the paper's section 5.2 worked example).
     """
     return tuple(r for r in all_rules() if r.tags & {"simplify", "expose"})
-
-
-@lru_cache(maxsize=None)
-def rules_by_tag(tag: str) -> tuple[Rewrite, ...]:
-    """Every rule carrying ``tag``."""
-    return tuple(r for r in all_rules() if tag in r.tags)
-
-
-def rule_named(name: str) -> Rewrite:
-    """Look up one rule by name (raises KeyError if missing)."""
-    for rule in all_rules():
-        if rule.name == name:
-            return rule
-    raise KeyError(name)
 
 
 def rules_for_operators(available_ops: set[str]) -> tuple[Rewrite, ...]:

@@ -29,7 +29,7 @@ from .cache import (
 )
 from .pool import WorkerPool
 from .results import result_from_dict, result_to_dict
-from .scheduler import BatchJob, JobOutcome, JobTimeout, job_event
+from .scheduler import BatchJob, JobOutcome, JobTimeout
 
 __all__ = [
     "JobSpec",
@@ -46,5 +46,4 @@ __all__ = [
     "JobOutcome",
     "JobTimeout",
     "WorkerPool",
-    "job_event",
 ]

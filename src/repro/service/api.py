@@ -39,7 +39,7 @@ from ..targets import get_target
 from ..targets.target import Target
 from .cache import CompileCache, sample_fingerprint, target_fingerprint
 from .results import core_to_source
-from .scheduler import BatchJob, JobOutcome, job_event, run_job
+from .scheduler import BatchJob, JobOutcome, run_job
 
 #: A unit of requested work: a benchmark plus a target (object or registry
 #: name).  Samples are the engine's business: it shares one draw among a
@@ -164,6 +164,10 @@ def run_compile_jobs(
     have none: no phases ran).  Engine and oracle counters and phase
     timings come back on every fresh outcome unconditionally.
 
+    ``progress``, when given, receives each :class:`JobOutcome` as it
+    lands: a hit as it is looked up, a fresh job as it finishes (before
+    the engine sets its label and fingerprint).
+
     ``oracle_backend`` names the oracle backend every job runs (None:
     ``REPRO_ORACLE_BACKEND``, then auto); it rides on each job, so
     pooled workers build the backend their caller chose.
@@ -180,7 +184,7 @@ def run_compile_jobs(
             continue
         outcomes[index] = hit
         if progress is not None:
-            progress(job_event(index, hit.benchmark, hit.target, cached=True))
+            progress(hit)
 
     shared = _shared_samples(
         jobs, misses, sample_config, sampler, held_samples
@@ -204,40 +208,24 @@ def run_compile_jobs(
         else:
             inline_jobs.append((job, target))
 
-    raw: list[dict] = []
+    fresh: list[JobOutcome] = []
     if pool_batch:
-        raw.extend(pool.run_batch(pool_batch, timeout=timeout, progress=progress))
-    errors: dict[int, BaseException] = {}
+        fresh.extend(
+            pool.run_batch(pool_batch, timeout=timeout, progress=progress)
+        )
     for job, target in inline_jobs:
         outcome = run_job(job, target=target, keep_error=True)
-        if "exception" in outcome:
-            errors[job.index] = outcome.pop("exception")
         if progress is not None:
             progress(outcome)
-        raw.append(outcome)
+        fresh.append(outcome)
 
-    for outcome_dict in raw:
-        index = outcome_dict["index"]
-        core, _target, fingerprint = jobs[index]
-        outcome = JobOutcome(
-            index=index,
-            # Label from the parent's core, not the worker's re-parse, so
-            # cold and warm (cache-hit) runs agree on benchmark identity.
-            benchmark=core.name or "<anonymous>",
-            target=outcome_dict["target"],
-            status=outcome_dict["status"],
-            fingerprint=fingerprint,
-            elapsed=outcome_dict["elapsed"],
-            error_type=outcome_dict["error_type"],
-            error=outcome_dict["error"],
-            payload=outcome_dict["payload"],
-            engine=outcome_dict["engine"],
-            oracle=outcome_dict["oracle"],
-            trace=outcome_dict["trace"],
-            phases=outcome_dict["phases"],
-            exception=errors.get(index),
-        )
+    for outcome in fresh:
+        core, _target, fingerprint = jobs[outcome.index]
+        # Label from the parent's core, not the worker's re-parse, so
+        # cold and warm (cache-hit) runs agree on benchmark identity.
+        outcome.benchmark = core.name or "<anonymous>"
+        outcome.fingerprint = fingerprint
         if outcome.ok and cache is not None:
             cache.put(fingerprint, outcome.payload)
-        outcomes[index] = outcome
+        outcomes[outcome.index] = outcome
     return outcomes

@@ -122,13 +122,13 @@ def cmd_batch(args) -> int:
     # for all of its targets that miss the cache.
     specs = [(core, name) for name in target_names for core in cores]
 
-    def progress(outcome: dict) -> None:
+    def progress(outcome: JobOutcome) -> None:
         if not args.quiet:
-            status = outcome["status"]
-            note = "" if status == "ok" else f" ({outcome['error_type']})"
-            timing = "cached" if outcome.get("cached") else f"{outcome['elapsed']:.1f}s"
+            status = outcome.status
+            note = "" if outcome.ok else f" ({outcome.error_type})"
+            timing = "cached" if outcome.cached else f"{outcome.elapsed:.1f}s"
             print(
-                f"  {outcome['benchmark']} on {outcome['target']}: "
+                f"  {outcome.benchmark} on {outcome.target}: "
                 f"{status}{note} [{timing}]",
                 file=sys.stderr,
             )

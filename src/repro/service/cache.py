@@ -242,7 +242,9 @@ class CompileCache:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
+                # The same bytes as ``json.dump``, which would run the
+                # pure-Python encoder instead of the C one.
+                handle.write(json.dumps(payload))
             os.replace(tmp, path)
         except BaseException:
             try:

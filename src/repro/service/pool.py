@@ -46,7 +46,7 @@ import multiprocessing
 import threading
 import time
 
-from .scheduler import BatchJob, job_event, run_job
+from .scheduler import BatchJob, JobOutcome, run_job
 
 #: Parent-side slack (seconds) on top of the per-job timeout before the
 #: watchdog declares the pool wedged.  The watchdog is *progress-based*:
@@ -89,7 +89,7 @@ def _pool_context():
         return multiprocessing.get_context()
 
 
-def run_pooled_job(job: BatchJob) -> dict:
+def run_pooled_job(job: BatchJob) -> JobOutcome:
     """Run one job in a worker with automatic collection off, then collect.
 
     The pipeline makes no reference cycles, so a compile frees its
@@ -259,8 +259,8 @@ class WorkerPool:
         batch: list[BatchJob],
         timeout: float | None = None,
         progress=None,
-    ) -> list[dict]:
-        """Run every job on the warm workers; returns raw outcome dicts.
+    ) -> list[JobOutcome]:
+        """Run every job on the warm workers; returns their outcomes.
 
         Outcomes come back in submission order (the scheduler sorts by
         index anyway); ``progress`` is called per outcome as it lands.
@@ -283,7 +283,7 @@ class WorkerPool:
         # Collected without the lock: concurrent batches interleave on the
         # same workers, and /health introspection never blocks on us.
         wedged = False
-        outcomes: list[dict] = []
+        outcomes: list[JobOutcome] = []
         try:
             for job, handle in pending:
                 outcome = None
@@ -311,10 +311,9 @@ class WorkerPool:
                             "this job may never have started"
                         )
                         wedged = True
-                        outcome = job_event(
+                        outcome = JobOutcome(
                             job.index, "<unknown>", job.target_name,
-                            status="timeout", error_type="JobTimeout",
-                            error=error,
+                            "timeout", error_type="JobTimeout", error=error,
                         )
                 if progress is not None:
                     progress(outcome)

@@ -1,12 +1,14 @@
-"""Compile jobs as plain data: the one job function and its outcome shape.
+"""Compile jobs as plain data: the one job function and its outcome record.
 
 Jobs cross the process boundary as plain data — FPCore source text plus a
 target *name* — because targets hold synthesized implementation closures
 that cannot be pickled.  Workers re-resolve the target from the registry,
-compile, and return the serialized result payload (the
-:mod:`repro.service.results` layout), so the parent never has to unpickle
-foreign objects and pool results are byte-identical to what the cache
-stores.
+compile, and return a :class:`JobOutcome` carrying the serialized result
+payload (the :mod:`repro.service.results` layout) and plain dicts of
+counters, so the parent never has to unpickle foreign objects and pool
+results are byte-identical to what the cache stores.  The same
+:class:`JobOutcome` is what progress callbacks receive, for cache hits
+and fresh jobs alike.
 
 Guarantees:
 
@@ -57,6 +59,7 @@ from ..rival.backends import make_backend
 from ..targets import get_target
 from .results import result_to_dict
 
+
 class JobTimeout(DeadlineExceeded):
     """A single compilation exceeded its time budget.
 
@@ -65,49 +68,6 @@ class JobTimeout(DeadlineExceeded):
     ``except Exception`` guards around per-point evaluation, which would
     otherwise swallow the alarm and let a timed-out job run to completion.
     """
-
-
-def job_event(
-    index: int,
-    benchmark: str,
-    target: str,
-    status: str = "ok",
-    *,
-    cached: bool = False,
-    error_type: str = "",
-    error: str = "",
-    elapsed: float = 0.0,
-    payload: dict | None = None,
-    engine: dict | None = None,
-    oracle: dict | None = None,
-    trace: dict | None = None,
-    phases: dict | None = None,
-) -> dict:
-    """The one progress-event / worker-outcome shape.
-
-    Every dict that crosses a progress callback or the process boundary —
-    cache hits in the api facade, fresh jobs in :func:`run_job` — is built
-    here, so the two can never drift apart in shape.  ``engine`` carries
-    the job's :class:`~repro.egraph.stats.EngineStats` as a dict and
-    ``trace`` a serialized :class:`~repro.obs.trace.Trace` and ``phases``
-    the per-phase wall-clock seconds, so worker processes ship their
-    observability data home with the result.
-    """
-    return {
-        "index": index,
-        "benchmark": benchmark,
-        "target": target,
-        "status": status,
-        "cached": cached,
-        "error_type": error_type,
-        "error": error,
-        "elapsed": elapsed,
-        "payload": payload,
-        "engine": engine,
-        "oracle": oracle,
-        "trace": trace,
-        "phases": phases,
-    }
 
 
 @dataclass(frozen=True)
@@ -144,7 +104,13 @@ class BatchJob:
 
 @dataclass
 class JobOutcome:
-    """What happened to one job (rebuilt in the parent, ordered by index)."""
+    """What happened to one job: the one per-job record.
+
+    :func:`run_job` builds it wherever the job runs, the pool's watchdog
+    builds one for a wedged job, and the engine builds one for a cache
+    hit.  The engine then sets the parent's benchmark label and the
+    fingerprint; outcomes are returned ordered by index.
+    """
 
     index: int
     benchmark: str
@@ -175,8 +141,9 @@ class JobOutcome:
     #: pipeline's ``phase_seconds``); None for cache hits.
     phases: dict | None = None
     #: The live exception of a job that failed inline (None otherwise:
-    #: a pooled job's error crosses the process boundary as
-    #: ``error_type``/``error`` only; see :func:`rebuild_error`).
+    #: a traceback does not pickle, so a pooled job's error crosses the
+    #: process boundary as ``error_type``/``error`` only; see
+    #: :func:`rebuild_error`).
     exception: BaseException | None = field(default=None, repr=False)
 
     @property
@@ -216,16 +183,18 @@ def _alarm_handler(_signum, _frame):
     raise JobTimeout()
 
 
-def run_job(job: BatchJob, target=None, *, keep_error: bool = False) -> dict:
-    """Compile one job; returns a JSON-able outcome dict.
+def run_job(
+    job: BatchJob, target=None, *, keep_error: bool = False
+) -> JobOutcome:
+    """Compile one job; returns its :class:`JobOutcome`.
 
     Runs in a worker process, or inline (no pool, or a target the
-    registry cannot rebuild); must only touch picklable/JSON-able data at
-    its boundary.  ``target`` may be passed pre-resolved for inline
-    execution of non-registry targets.  ``keep_error=True`` (inline
-    callers) also returns a failed job's live exception under
-    ``"exception"``, traceback and attributes intact; the caller must
-    take it out before the dict goes anywhere else.
+    registry cannot rebuild); the outcome holds only picklable, JSON-able
+    data, so it can cross the process boundary.  ``target`` may be passed
+    pre-resolved for inline execution of non-registry targets.
+    ``keep_error=True`` (inline callers only) also keeps a failed job's
+    live exception on ``JobOutcome.exception``, traceback and attributes
+    intact.
     """
     import time
 
@@ -233,7 +202,9 @@ def run_job(job: BatchJob, target=None, *, keep_error: bool = False) -> dict:
     if target is None:
         target = get_target(job.target_name)
     core = parse_fpcore(job.core_source, known_ops=set(target.operators))
-    outcome = job_event(job.index, core.name or "<anonymous>", target.name)
+    outcome = JobOutcome(
+        job.index, core.name or "<anonymous>", target.name, "ok"
+    )
 
     # Per-job oracle: a private backend of the kind the job names (its
     # counters ship home on the outcome — worker instances cannot touch
@@ -264,7 +235,7 @@ def run_job(job: BatchJob, target=None, *, keep_error: bool = False) -> dict:
     # span traces only when the job asked (they grow with the compile).
     engine_local = EngineStats()
     trace = (
-        Trace(name=f"{outcome['benchmark']}:{target.name}")
+        Trace(name=f"{outcome.benchmark}:{target.name}")
         if job.trace else None
     )
     trace_arm = tracing(trace) if trace is not None else nullcontext()
@@ -278,7 +249,7 @@ def run_job(job: BatchJob, target=None, *, keep_error: bool = False) -> dict:
             with deadline(timeout), engine_stats_sink(engine_local), trace_arm:
                 with span(
                     "compile",
-                    benchmark=outcome["benchmark"], target=target.name,
+                    benchmark=outcome.benchmark, target=target.name,
                 ):
                     if callable(job.samples):
                         # The draw is the sample phase's work; the phase
@@ -290,11 +261,11 @@ def run_job(job: BatchJob, target=None, *, keep_error: bool = False) -> dict:
         except Exception as error:
             # Expected failures (Untranscribable, SamplingError: the pair
             # is infeasible) and genuine bugs alike must not kill the batch.
-            outcome["status"] = "failed"
-            outcome["error_type"] = type(error).__name__
-            outcome["error"] = str(error)
+            outcome.status = "failed"
+            outcome.error_type = type(error).__name__
+            outcome.error = str(error)
             if keep_error:
-                outcome["exception"] = error
+                outcome.exception = error
         finally:
             if use_alarm:
                 signal.setitimer(signal.ITIMER_REAL, 0.0)
@@ -306,24 +277,23 @@ def run_job(job: BatchJob, target=None, *, keep_error: bool = False) -> dict:
         # is caught out here, after the finally has run, and the job is
         # recorded rather than the whole batch dying on an escaped
         # BaseException.
-        outcome["status"] = "timeout"
-        outcome["error_type"] = "JobTimeout"
-        outcome["error"] = f"exceeded {timeout}s"
-        outcome["payload"] = None
+        outcome.status = "timeout"
+        outcome.error_type = "JobTimeout"
+        outcome.error = f"exceeded {timeout}s"
         result = None
         if use_alarm:  # idempotent re-disarm in case finally was interrupted
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
-    outcome["elapsed"] = time.monotonic() - start
+    outcome.elapsed = time.monotonic() - start
     if result is not None:
-        outcome["payload"] = result_to_dict(result)
+        outcome.payload = result_to_dict(result)
     if engine_local.any():
-        outcome["engine"] = engine_local.as_dict()
+        outcome.engine = engine_local.as_dict()
     if ctx.phase_seconds:
-        outcome["phases"] = dict(ctx.phase_seconds)
+        outcome.phases = dict(ctx.phase_seconds)
     counters = oracle.counters()
     if counters.any():
-        outcome["oracle"] = counters.as_dict()
+        outcome.oracle = counters.as_dict()
     if trace is not None:
-        outcome["trace"] = trace.as_dict()
+        outcome.trace = trace.as_dict()
     return outcome

@@ -1062,6 +1062,10 @@ class ChassisSession:
         (returned on ``JobOutcome.trace``, merged across workers by
         ``repro compile --trace``); engine and oracle counters and phase
         timings ship back on every fresh outcome unconditionally.
+
+        ``progress``, when given, is called with each job's
+        :class:`JobOutcome` as it lands (a cache hit when it is looked up,
+        a fresh job when it finishes), before the fold.
         """
         config = config or self.config
         sample_config = sample_config or self.sample_config

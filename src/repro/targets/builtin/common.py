@@ -203,21 +203,6 @@ def cast_ops_fmt(fmt, latency: float = 2.0) -> list[OperatorDef]:
     ]
 
 
-def arith_core_f64(scale: float = 1.0) -> list[OperatorDef]:
-    """Hardware-flavored binary64 arithmetic: the shared "core" operators."""
-    return [
-        direct64("+", 4.0 * scale),
-        direct64("-", 4.0 * scale),
-        direct64("*", 4.0 * scale),
-        direct64("/", 13.0 * scale),
-        direct64("neg", 1.0 * scale),
-        direct64("fabs", 1.0 * scale),
-        direct64("sqrt", 18.0 * scale),
-        direct64("fmin", 2.0 * scale),
-        direct64("fmax", 2.0 * scale),
-    ]
-
-
 #: Representative libm latencies (binary64, ns-scale for a C environment).
 LIBM_LATENCIES = {
     "exp": 40.0,

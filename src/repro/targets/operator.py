@@ -102,10 +102,6 @@ class OperatorDef:
         """A copy of this operator with a different cost-model cost."""
         return replace(self, cost=cost)
 
-    def with_impl(self, impl: Callable[..., float], linked: bool = True) -> "OperatorDef":
-        """A copy of this operator with a (linked) implementation."""
-        return replace(self, impl=impl, linked=linked)
-
 
 def opdef(
     name: str,

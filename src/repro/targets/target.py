@@ -79,9 +79,6 @@ class Target:
         """Formats this target computes in (from literal cost declarations)."""
         return tuple(sorted(self.literal_costs))
 
-    def operators_returning(self, ty: str) -> list[OperatorDef]:
-        return [op for op in self.operators.values() if op.ret_type == ty]
-
     # --- rewrites and lowering ---------------------------------------------------------
 
     def desugar_rules(self) -> list[Rewrite]:

@@ -10,43 +10,43 @@ from repro.accuracy import (
     SampleConfig,
     SamplingError,
     bits_of_error,
-    float32_to_ordinal,
-    float64_to_ordinal,
     local_errors,
-    ordinal_to_float32,
-    ordinal_to_float64,
     sample_core,
     score_program,
     ulps_between,
 )
+from repro.formats import get_format
 from repro.ir import F32, F64, parse_expr, parse_fpcore
+
+_F64 = get_format(F64)
+_F32 = get_format(F32)
 
 
 class TestOrdinals:
     def test_order_preserving(self):
         values = [-1e300, -1.0, -1e-300, 0.0, 1e-300, 1.0, 1e300]
-        ordinals = [float64_to_ordinal(v) for v in values]
+        ordinals = [_F64.to_ordinal(v) for v in values]
         assert ordinals == sorted(ordinals)
 
     def test_adjacent_floats_adjacent_ordinals(self):
         x = 1.0
         succ = math.nextafter(x, math.inf)
-        assert float64_to_ordinal(succ) - float64_to_ordinal(x) == 1
+        assert _F64.to_ordinal(succ) - _F64.to_ordinal(x) == 1
 
     def test_zero(self):
-        assert float64_to_ordinal(0.0) == 0
+        assert _F64.to_ordinal(0.0) == 0
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     @settings(max_examples=80, deadline=None)
     def test_roundtrip_f64(self, x):
-        assert ordinal_to_float64(float64_to_ordinal(x)) == x or (
+        assert _F64.from_ordinal(_F64.to_ordinal(x)) == x or (
             x == 0.0  # -0.0 normalizes to +0.0
         )
 
     @given(st.floats(allow_nan=False, allow_infinity=False, width=32))
     @settings(max_examples=80, deadline=None)
     def test_roundtrip_f32(self, x):
-        assert ordinal_to_float32(float32_to_ordinal(x)) == x or x == 0.0
+        assert _F32.from_ordinal(_F32.to_ordinal(x)) == x or x == 0.0
 
 
 class TestUlpsAndBits:

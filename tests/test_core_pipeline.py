@@ -208,10 +208,10 @@ class TestCompileFPCore:
         assert len(result.frontier) >= 1
         assert any("rcp.f32" in str(c.program) for c in result.frontier)
 
-    def test_best_for_error(self, c99, sqrt_sub_core):
+    def test_fastest_within_error_bound(self, c99, sqrt_sub_core):
         result = compile_core(sqrt_sub_core, c99, FAST, SMALL)
-        loose = result.best_for_error(64.0)
-        tight = result.best_for_error(1.0)
+        loose = result.frontier.fastest_within(64.0)
+        tight = result.frontier.fastest_within(1.0)
         assert loose is not None
         if tight is not None:
             assert tight.cost >= loose.cost

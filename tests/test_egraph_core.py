@@ -131,8 +131,8 @@ class TestUnionAndCongruence:
 
 
 class TestNodeIteration:
-    def test_op_nodes(self):
+    def test_classes_with_head(self):
         g = EGraph()
         g.add_expr(parse_expr("(+ x (+ y z))"))
-        plus_nodes = list(g.op_nodes("+"))
-        assert len(plus_nodes) == 2
+        assert len(g.classes_with_head("+")) == 2
+        assert len(g.classes_with_head("*")) == 0

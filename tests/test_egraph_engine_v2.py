@@ -33,7 +33,6 @@ from repro.egraph import (
     EGraph,
     EngineStats,
     ExtractionError,
-    Extractor,
     RunnerLimits,
     TypedExtractor,
     engine_stats_sink,
@@ -376,36 +375,6 @@ def _random_egraph(seed: int) -> EGraph:
     return g
 
 
-def _reference_best(egraph, node_cost):
-    """The seed engine's whole-graph fixpoint sweep (pre-worklist)."""
-    best = {}
-    changed = True
-    while changed:
-        changed = False
-        for eclass in egraph.classes():
-            cid = egraph.find(eclass.id)
-            current = best.get(cid)
-            for node in eclass.nodes:
-                child_costs = []
-                feasible = True
-                for arg in node[1]:
-                    entry = best.get(egraph.find(arg))
-                    if entry is None:
-                        feasible = False
-                        break
-                    child_costs.append(entry[0])
-                if not feasible:
-                    continue
-                cost = node_cost(node[0], child_costs)
-                if cost is None or cost == float("inf"):
-                    continue
-                if current is None or cost < current[0]:
-                    current = (cost, node)
-                    best[cid] = current
-                    changed = True
-    return best
-
-
 def _reference_typed_best(egraph, model, var_types):
     """The seed TypedExtractor fixpoint (whole-graph sweeps)."""
     from repro.egraph.enode import is_op_head
@@ -455,25 +424,48 @@ def _reference_typed_best(egraph, model, var_types):
     return best
 
 
+class _SizeModel:
+    """Every node costs 1 at binary64: typed extraction priced by AST size.
+
+    Unlike a target's model, it prices the real operators the random graphs
+    are built from, so every class with a finite term is extractable.
+    """
+
+    def operator_signature(self, op):
+        arity = {"+": 2, "*": 2, "-": 2, "sqrt": 1, "neg": 1}.get(op)
+        return None if arity is None else (("binary64",) * arity, "binary64")
+
+    def operator_cost(self, op):
+        return 1.0
+
+    def literal_types(self):
+        return ("binary64",)
+
+    def literal_cost(self, ty):
+        return 1.0
+
+    def variable_cost(self, ty):
+        return 1.0
+
+
 class TestWorklistExtractorParity:
     @pytest.mark.parametrize("seed", range(25))
-    def test_untyped_costs_match_fixpoint(self, seed):
+    def test_size_costs_match_fixpoint(self, seed):
         g = _random_egraph(seed)
-        from repro.egraph.extract import ast_size_cost
-
-        reference = _reference_best(g, ast_size_cost)
-        extractor = Extractor(g)
+        var_types = {"a": "binary64", "b": "binary64", "c": "binary64"}
+        reference = _reference_typed_best(g, _SizeModel(), var_types)
+        extractor = TypedExtractor(g, _SizeModel(), var_types)
         for eclass in g.classes():
             cid = g.find(eclass.id)
-            expected = reference.get(cid)
-            got = extractor.cost_of(cid)
+            expected = reference.get(cid, {}).get("binary64")
+            got = extractor.cost_of(cid, "binary64")
             if expected is None:
                 assert got is None
             else:
                 assert got == expected[0]
                 # The extracted expression must realize the best cost and
                 # actually be represented by the class.
-                expr = extractor.extract(cid)
+                expr = extractor.extract(cid, "binary64")
                 assert expr.size() == expected[0]
                 assert g.represents(cid, expr)
 
@@ -514,11 +506,12 @@ class TestWorklistExtractorParity:
 
     def test_snapshot_reused_across_cost_functions(self):
         g = _random_egraph(3)
-        first = Extractor(g)
-        second = first.reuse(lambda head, costs: 2.0 + sum(costs))
+        var_types = {"a": "binary64", "b": "binary64", "c": "binary64"}
+        first = TypedExtractor(g, TargetCostModel(get_target("c99")), var_types)
+        second = TypedExtractor(g, TargetCostModel(get_target("avx")), var_types)
         assert first.snapshot is second.snapshot
         g.add_expr(parse_expr("(+ a (* b c))"))
-        third = Extractor(g)
+        third = TypedExtractor(g, first.cost_model, var_types)
         assert third.snapshot is not first.snapshot
 
 
@@ -560,15 +553,15 @@ class TestExtractionError:
     def test_carries_class_and_cost_name(self):
         g = EGraph()
         x = g.add_expr(parse_expr("x"))
-        root = g.add_node("myop", (x,))
-        extractor = Extractor(
-            g, lambda head, costs: float("inf") if head == "myop"
-            else 1.0 + sum(costs)
+        root = g.add_node("myop", (x,))  # no target implements myop
+        extractor = TypedExtractor(
+            g, TargetCostModel(get_target("c99")), {"x": "binary64"}
         )
+        assert extractor.cost_of(x, "binary64") is not None
         with pytest.raises(ExtractionError) as excinfo:
-            extractor.extract(root)
+            extractor.extract(root, "binary64")
         assert excinfo.value.class_id == g.find(root)
-        assert "<lambda>" in excinfo.value.cost_name
+        assert excinfo.value.cost_name == "TargetCostModel"
         assert str(excinfo.value).startswith("e-class")
         # Still a KeyError for pre-v2 handlers.
         assert isinstance(excinfo.value, KeyError)

@@ -1,53 +1,10 @@
-"""Tests for greedy, typed, and multi extraction."""
+"""Tests for typed and multi extraction."""
 
 import pytest
 
 from repro.cost import TargetCostModel
-from repro.egraph import (
-    EGraph,
-    Extractor,
-    TypedExtractor,
-    ast_size_cost,
-    extract_best,
-    extract_variants,
-    run_rules,
-    rw,
-)
+from repro.egraph import EGraph, TypedExtractor, run_rules, rw
 from repro.ir import F32, F64, parse_expr
-
-
-class TestGreedyExtraction:
-    def test_picks_smaller_form(self):
-        g = EGraph()
-        root = g.add_expr(parse_expr("(+ (* x 1) 0)"))
-        run_rules(g, [rw("mul1", "(* a 1)", "a"), rw("add0", "(+ a 0)", "a")])
-        assert extract_best(g, root) == parse_expr("x")
-
-    def test_cost_of(self):
-        g = EGraph()
-        root = g.add_expr(parse_expr("(+ x y)"))
-        ex = Extractor(g)
-        assert ex.cost_of(root) == 3.0
-
-    def test_custom_cost_function(self):
-        g = EGraph()
-        root = g.add_expr(parse_expr("(+ x x)"))
-        run_rules(g, [rw("double", "(+ a a)", "(* 2 a)")])
-
-        def expensive_add(head, child_costs):
-            base = 10.0 if head == "+" else 1.0
-            return base + sum(child_costs)
-
-        assert Extractor(g, expensive_add).extract(root) == parse_expr("(* 2 x)")
-
-    def test_handles_cycles(self):
-        g = EGraph()
-        x = g.add_expr(parse_expr("x"))
-        plus = g.add_expr(parse_expr("(+ x 0)"))
-        g.union(x, plus)
-        g.rebuild()
-        # The class represents infinitely many terms; extraction terminates.
-        assert extract_best(g, x) == parse_expr("x")
 
 
 class _MiniModel:
@@ -56,6 +13,7 @@ class _MiniModel:
     SIGS = {
         "add.f64": ((F64, F64), F64, 1.0),
         "add.f32": ((F32, F32), F32, 1.0),
+        "mul.f64": ((F64, F64), F64, 1.0),
         "rcp.f32": ((F32,), F32, 2.0),
         "div.f32": ((F32, F32), F32, 8.0),
         "cast.f32": ((F64,), F32, 1.0),
@@ -130,6 +88,50 @@ class TestTypedExtraction:
         ex = TypedExtractor(g, _MiniModel(), {})
         assert ex.cost_of(root, F32) == 0.5
         assert ex.cost_of(root, F64) == 0.5
+
+    def test_handles_cycles(self):
+        g = EGraph()
+        ops = {"add.f64"}
+        x = g.add_expr(parse_expr("x"))
+        plus = g.add_expr(parse_expr("(add.f64 x 0)", known_ops=ops))
+        g.union(x, plus)
+        g.rebuild()
+        # The class represents infinitely many terms; extraction terminates.
+        ex = TypedExtractor(g, _MiniModel(), {"x": F64})
+        assert ex.extract(x, F64) == parse_expr("x")
+        assert ex.cost_of(plus, F64) == 0.5
+
+    def test_picks_smaller_form_after_saturation(self):
+        ops = {"add.f64", "mul.f64"}
+        g = EGraph()
+        root = g.add_expr(parse_expr("(add.f64 (mul.f64 x 1) 0)", known_ops=ops))
+        run_rules(g, [
+            rw("mul1", "(mul.f64 a 1)", "a", known_ops=ops),
+            rw("add0", "(add.f64 a 0)", "a", known_ops=ops),
+        ])
+        ex = TypedExtractor(g, _MiniModel(), {"x": F64})
+        assert ex.extract(root, F64) == parse_expr("x")
+        assert ex.cost_of(root, F64) == 0.5
+
+    def test_cost_model_decides_the_form(self):
+        ops = {"add.f64", "mul.f64"}
+        g = EGraph()
+        root = g.add_expr(parse_expr("(add.f64 x x)", known_ops=ops))
+        run_rules(g, [rw("double", "(add.f64 a a)", "(mul.f64 2 a)",
+                         known_ops=ops)])
+
+        class ExpensiveAdd(_MiniModel):
+            def operator_cost(self, op):
+                return 10.0 if op == "add.f64" else super().operator_cost(op)
+
+        # Equal costs tie at 2.0 vs 2.0; pricing add up must pick the mul.
+        cheap = TypedExtractor(g, _MiniModel(), {"x": F64})
+        assert cheap.cost_of(root, F64) == 2.0
+        pricey = TypedExtractor(g, ExpensiveAdd(), {"x": F64})
+        assert pricey.extract(root, F64) == parse_expr(
+            "(mul.f64 2 x)", known_ops=ops
+        )
+        assert pricey.cost_of(root, F64) == 2.0
 
     def test_paper_example_groups_by_type(self):
         """Section 5.1's worked example: div.f64, div.f32 and rcp.f32 in one

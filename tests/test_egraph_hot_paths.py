@@ -20,7 +20,6 @@ from repro.cost.model import TargetCostModel
 from repro.egraph import (
     EGraph,
     EngineStats,
-    Extractor,
     TypedExtractor,
     engine_stats_sink,
     run_rules,
@@ -86,9 +85,10 @@ class TestSplitSnapshot:
         assert stats.snapshots_built == report.iterations
         monkeypatch.undo()
 
+        model = TargetCostModel(get_target("c99"))
         with engine_stats_sink(stats):
-            Extractor(g)
-            Extractor(g)
+            TypedExtractor(g, model, {"x": "binary64"})
+            TypedExtractor(g, model, {"x": "binary64"})
         # Extraction builds only nodes/parents, once for both extractors.
         assert stats.snapshots_built == report.iterations + 1
 

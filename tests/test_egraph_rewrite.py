@@ -6,7 +6,6 @@ from repro.egraph import (
     EGraph,
     Rewrite,
     RunnerLimits,
-    extract_best,
     instantiate,
     run_rules,
     rw,

@@ -15,7 +15,6 @@ from repro.accuracy.ulp import ulps_between
 from repro.formats import (
     FloatFormat,
     UnknownFormatError,
-    format_names,
     get_format,
     register_format,
     registered_formats,
@@ -163,7 +162,7 @@ def test_unknown_format_error_lists_registered():
         get_format("binary128")
     message = str(err.value)
     assert "binary128" in message
-    for name in format_names():
+    for name in FORMAT_IDS:
         assert name in message
 
 

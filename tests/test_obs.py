@@ -20,7 +20,6 @@ from repro.obs.trace import (
     Trace,
     chrome_trace,
     span,
-    trace_from_dict,
     tracing,
     write_chrome_trace,
 )
@@ -66,15 +65,15 @@ class TestSpans:
         assert t1.span_names() == ["a", "c"]
         assert t2.span_names() == ["b"]
 
-    def test_trace_round_trips_through_dict(self):
+    def test_trace_as_dict_carries_what_a_merge_needs(self):
         trace = Trace(name="job", pid=4242)
         with tracing(trace):
             with span("compile", target="c99"):
                 pass
-        back = trace_from_dict(trace.as_dict())
-        assert back.name == "job" and back.pid == 4242
-        assert back.spans == trace.spans
-        assert back.epoch_wall == trace.epoch_wall
+        shipped = json.loads(json.dumps(trace.as_dict()))
+        assert shipped["name"] == "job" and shipped["pid"] == 4242
+        assert shipped["spans"] == trace.spans
+        assert shipped["epoch_wall"] == trace.epoch_wall
 
     def test_phase_seconds_sums_only_phase_spans(self):
         trace = Trace()
@@ -278,13 +277,13 @@ class TestInstrumentedCompile:
             # satellite: worker EngineStats deltas merged into the session
             assert session.stats.engine.enodes_built > 0
             assert session.stats.engine.saturations > 0
-            pooled = trace_from_dict(outcomes[0].trace)
-            pooled_names = set(pooled.span_names())
+            pooled = outcomes[0].trace["spans"]
+            pooled_names = {record["name"] for record in pooled}
         # same instrumentation either side of the process boundary: every
         # pooled span name exists inline
         assert pooled_names <= inline_names
         assert {"compile", "phase.improve", "egraph.run_rules"} <= pooled_names
-        assert pooled.find("compile")[0]["dur"] > 0.0
+        assert [r["dur"] for r in pooled if r["name"] == "compile"][0] > 0.0
 
 
 @pytest.fixture(scope="module")

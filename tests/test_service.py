@@ -165,6 +165,14 @@ class TestCompileCache:
         assert cache.get(key) is None
         assert cache.stats.invalidations == 1
 
+    def test_stored_bytes_are_the_default_encoding(self, tmp_path, compiled):
+        # A stored entry is exactly ``json.dumps(payload)``: the same bytes
+        # ``json.dump`` wrote, from the C encoder.
+        cache = CompileCache(tmp_path)
+        key = _store(cache, compiled)
+        payload = result_to_dict(compiled)
+        assert cache._path(key).read_bytes() == json.dumps(payload).encode()
+
     def test_clear(self, tmp_path, compiled):
         cache = CompileCache(tmp_path)
         _store(cache, compiled)

@@ -12,6 +12,7 @@ from repro.api import (
 )
 from repro.core.pipeline import PipelineContext, SamplePhase
 from repro.service.cache import CompileCache
+from repro.service.scheduler import JobOutcome
 
 FAST = CompileConfig(iterations=1, localize_points=6, max_variants=12)
 SAMPLES = SampleConfig(n_train=8, n_test=8)
@@ -188,7 +189,7 @@ def test_jobspec_is_a_real_alias_not_a_string():
 
 
 def test_progress_event_shapes_match_for_hits_and_fresh_jobs(tmp_path):
-    """Cache-hit and fresh-job progress events share one constructor."""
+    """Cache hits and fresh jobs both reach ``progress`` as JobOutcomes."""
     session = ChassisSession(
         config=FAST, sample_config=SAMPLES, cache=CompileCache(tmp_path)
     )
@@ -196,5 +197,6 @@ def test_progress_event_shapes_match_for_hits_and_fresh_jobs(tmp_path):
     cold_events, warm_events = [], []
     session.compile_many([(core, "c99")], progress=cold_events.append)
     session.compile_many([(core, "c99")], progress=warm_events.append)
-    assert not cold_events[0]["cached"] and warm_events[0]["cached"]
-    assert set(cold_events[0]) == set(warm_events[0])
+    assert [type(e) for e in cold_events + warm_events] == [JobOutcome] * 2
+    assert not cold_events[0].cached and warm_events[0].cached
+    assert cold_events[0].status == warm_events[0].status == "ok"
